@@ -24,6 +24,7 @@ from .binmat import (
     DimensionError,
     PermutationError,
     ShapeError,
+    WitnessError,
     anti_diagonal,
     assemble,
     border,
@@ -146,6 +147,7 @@ __all__ = [
     "StructureError",
     "UnsupportedBalanceError",
     "VerificationError",
+    "WitnessError",
     "anti_diagonal",
     "assemble",
     "assemble_b4c",

@@ -35,6 +35,11 @@ class PermutationError(ValueError):
     """Permutation has the wrong length, duplicates, or bad indices."""
 
 
+class WitnessError(RuntimeError):
+    """A found permutation witness does not carry one matrix onto the
+    other; this is a bug trap."""
+
+
 # ---------------------------------------------------------------------------
 # core type
 # ---------------------------------------------------------------------------
@@ -413,8 +418,8 @@ def is_perm_equivalent(
     if witness is None:
         return None
     row_perm, col_perm = witness
-    # paranoia: a witness must actually transport a onto b
-    assert a.permute(row_perm, col_perm) == b
+    if a.permute(row_perm, col_perm) != b:
+        raise WitnessError(f"witness {row_perm}, {col_perm} does not carry a onto b")
     return row_perm, col_perm
 
 
@@ -433,8 +438,9 @@ def format_matrix(m: BinaryMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> BinaryMatrix:
-    """Inverse of format_matrix; '.' is accepted as a synonym for 0."""
+def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
+    """Split the "rows cols" header off a token grid and check the entry
+    count; ``what`` names the grid in the error message."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'rows cols' header")
@@ -445,8 +451,14 @@ def parse_matrix(text: str) -> BinaryMatrix:
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(body)}"
+            f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {len(body)}"
         )
+    return rows, cols, body
+
+
+def parse_matrix(text: str) -> BinaryMatrix:
+    """Inverse of format_matrix; '.' is accepted as a synonym for 0."""
+    rows, cols, body = _grid_tokens(text, "matrix")
     packed = []
     for i in range(rows):
         acc = 0

@@ -182,13 +182,14 @@ def assemble_b4c() -> BinaryMatrix:
     The bottom-right 10x10 block is [[I4, B], [B^T, I6 + C6-]] where
     B = [[0_{1,3}, J_{1,3}], [L3 C3-, C3-]]; the head and its transpose
     fill the first six rows and columns. The diagonal and anti-diagonal
-    of order 6 are disjoint, which the construction asserts before
+    of order 6 are disjoint, which the construction checks before
     fusing them.
     """
     lc3 = path_loop(3).permute((0, 1, 2), (2, 1, 0))  # reverse the columns of L3
     b = assemble([[constant(1, 3, 0), constant(1, 3, 1)], [lc3, anti_diagonal(3)]])
     i6, c6 = identity(6), anti_diagonal(6)
-    assert all(i6.bits[i] & c6.bits[i] == 0 for i in range(6)), "diagonal overlap"
+    if any(i6.bits[i] & c6.bits[i] for i in range(6)):
+        raise RuntimeError("the diagonal and anti-diagonal of order 6 overlap")
     ic6 = BinaryMatrix(6, 6, tuple(i6.bits[i] | c6.bits[i] for i in range(6)))
     bprime = assemble([[identity(4), b], [b.transpose(), ic6]])
 

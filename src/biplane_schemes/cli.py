@@ -7,8 +7,9 @@ JSON on stdout with a schema_version field. Exit status meanings:
   1  the checked property verified false
   2  usage, file, or parse error
   3  internal counterexample trap: a consequence that should follow
-     from verified hypotheses failed, or the search emitted a matrix
-     its independent re-verification rejects
+     from verified hypotheses failed, the search emitted a matrix its
+     independent re-verification rejects, or a permutation witness
+     does not carry one matrix onto the other
 
 extract reports a core classification that is not an association
 scheme as data ("scheme": null plus "scheme_witness"), with exit 0.
@@ -25,7 +26,14 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .binmat import BinaryMatrix, DimensionError, ShapeError, format_matrix, parse_matrix
+from .binmat import (
+    BinaryMatrix,
+    DimensionError,
+    ShapeError,
+    WitnessError,
+    format_matrix,
+    parse_matrix,
+)
 from .biplane import ParameterError, VerificationError, verify_biplane
 from .extract import CounterexampleError, PreconditionError, extract_design, family_generate
 from .incidence import IncidenceStructure, StructureError
@@ -247,7 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CounterexampleError, InconsistencyError,
-            InternalInconsistencyError, SearchBugError) as exc:
+            InternalInconsistencyError, SearchBugError, WitnessError) as exc:
         print(f"counterexample trap: {exc}", file=sys.stderr)
         return 3
 

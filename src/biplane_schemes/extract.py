@@ -30,7 +30,7 @@ from typing import Optional
 from .binmat import BinaryMatrix, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, verify_biplane, VerificationError
 from .incidence import IncidenceStructure
-from .pbibd import PairClassification, classify, verify_pbibd
+from .pbibd import PairClassification, _pbibd_report, classify, verify_pbibd
 from .scheme import AssociationScheme, NotASchemeError, from_classification
 
 
@@ -280,7 +280,7 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
         raise CounterexampleError(
             f"core class sizes are {classification.n}, want {expected_n}"
         )
-    pbibd_report = verify_pbibd(structure, expect_d=3)
+    pbibd_report = _pbibd_report(structure, classification, expect_d=3)
     core_scheme, scheme_witness = None, None
     try:
         core_scheme = from_classification(classification)

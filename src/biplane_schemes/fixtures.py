@@ -31,26 +31,13 @@ from .binmat import (
     constant,
     format_matrix,
     identity,
+    parse_matrix,
     path_loop,
 )
 from .biplane import assemble_b4c
 from .scheme import format_relation
 
 AUT_ORDERS = {"b4c": 11520, "b9e": 80640}
-
-
-def _table(text: str) -> BinaryMatrix:
-    """Parse a bare dotted grid (no size header) into a matrix."""
-    lines = [line.split() for line in text.strip().splitlines()]
-    cols = len(lines[0])
-    packed = []
-    for line in lines:
-        acc = 0
-        for j, tok in enumerate(line):
-            if tok == "1":
-                acc |= 1 << j
-        packed.append(acc)
-    return BinaryMatrix(len(lines), cols, tuple(packed))
 
 
 RELATION_6 = np.array([
@@ -171,8 +158,8 @@ _CORE12_TEXTS = (
     """,
 )
 
-CORES_16 = tuple(_table(t) for t in _CORE16_TEXTS)
-CORES_12 = tuple(_table(t) for t in _CORE12_TEXTS)
+CORES_16 = tuple(parse_matrix("16 16\n" + t) for t in _CORE16_TEXTS)
+CORES_12 = tuple(parse_matrix("12 12\n" + t) for t in _CORE12_TEXTS)
 
 
 def _assoc_6() -> tuple[BinaryMatrix, ...]:

@@ -128,6 +128,13 @@ def verify_pbibd(s: IncidenceStructure, expect_d: Optional[int] = None) -> dict:
     InconsistencyError on failure, and ExpectationError when expect_d
     disagrees with the classified class count.
     """
+    return _pbibd_report(s, None, expect_d)
+
+
+def _pbibd_report(
+    s: IncidenceStructure, c: Optional[PairClassification], expect_d: Optional[int]
+) -> dict:
+    """verify_pbibd for a caller that may already hold classify(s) as c."""
     r = regularity(s)
     if r is None:
         sums = s.matrix.row_sums()
@@ -138,7 +145,8 @@ def verify_pbibd(s: IncidenceStructure, expect_d: Optional[int] = None) -> dict:
         sums = s.matrix.col_sums()
         bad = next(j for j, t in enumerate(sums) if t != sums[0])
         raise StructureError("block", bad, f"block {bad} size {sums[bad]} != {sums[0]}")
-    c = classify(s)
+    if c is None:
+        c = classify(s)
     v, b = s.v, s.b
     if v * r != b * k:
         raise InconsistencyError(f"v*r = {v * r} but b*k = {b * k}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, _grid_tokens
 from .pbibd import PairClassification
 
 
@@ -217,18 +217,7 @@ def format_relation(r) -> str:
 
 def parse_relation(text: str) -> np.ndarray:
     """Inverse of format_relation; '.' is accepted as 0."""
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ValueError(f"malformed header {tokens[:2]!r}") from exc
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} table, got {len(body)}"
-        )
+    rows, cols, body = _grid_tokens(text, "table")
     values = []
     for tok in body:
         if tok == ".":

@@ -9,22 +9,18 @@ prunes on:
   row_fill     a row cannot reach sum k with the positions left to it
   partial_dot  a partially filled row already meets some earlier row
                in 3 or more columns
-  future_row   a later row's forced bits over- or undershoot what its
-               remaining free positions can fix
-  core_sum     a completed row inside the principal core block carries
-               a core line sum other than 3
 
-Any of the four can be disabled individually (the solution set never
-changes, only the node count). Two further checks are correctness, not
-pruning, and cannot be disabled: completed rows must sum to exactly k,
-and every completed row pair must meet in exactly 2 columns. Emitted
-solutions are re-verified through the independent biplane verifier;
-disagreement raises SearchBugError.
+Either can be disabled, or both (the solution set never changes, only
+the node count). Two further checks are correctness, not pruning, and
+cannot be disabled: completed rows must sum to exactly k, and every
+completed row pair must meet in exactly 2 columns. Emitted solutions
+are re-verified through the independent biplane verifier; disagreement
+raises SearchBugError.
 
 The first tail row's completions partition the space into disjoint
-subtrees, which gives the parallel mode (worker processes, merged
-counters, canonically sorted solutions) and the checkpoint format (the
-list of finished subtrees) for free.
+subtrees. One loop runs them in order, in this process or on worker
+processes, merges their counters and solutions, and after each one
+records the finished subtrees in the checkpoint file.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from .biplane import (
     verify_biplane,
 )
 
-DISABLEABLE_RULES = ("row_fill", "partial_dot", "future_row", "core_sum")
+DISABLEABLE_RULES = ("row_fill", "partial_dot")
 _COUNTER_KEYS = DISABLEABLE_RULES + ("complete_dot",)
 
 CHECKPOINT_SCHEMA = 1
@@ -98,31 +94,28 @@ class SearchOutcome:
         return out
 
 
+def _base_rows(k: int) -> list[int]:
+    """The forced part of every row: the head rows, then each tail row's
+    head-column prefix (the head's transpose) and its diagonal bit."""
+    head = canonical_head(k).bits
+    rows = list(head)
+    for i in range(k, head_width(k)):
+        prefix = sum(((head[j] >> i) & 1) << j for j in range(k))
+        rows.append(prefix | (1 << i))
+    return rows
+
+
 class _Searcher:
     """Mutable depth-first state for one search (or one subtree of it)."""
 
     def __init__(self, k: int, disabled: frozenset[str]):
         self.k = k
         self.v = head_width(k)
-        head = canonical_head(k)
-        rows = list(head.bits)
-        for i in range(k, self.v):
-            prefix = 0
-            for j in range(k):
-                prefix |= ((head.bits[j] >> i) & 1) << j
-            rows.append(prefix | (1 << i))
-        self.rows = rows
+        self.rows = _base_rows(k)
         # bit p of colmask[c]: completed row p has a 1 in column c
-        colmask = [0] * self.v
-        for p in range(k):
-            for c in range(self.v):
-                if (head.bits[p] >> c) & 1:
-                    colmask[c] |= 1 << p
-        self.colmask = colmask
-        # principal core line sums are only forced from k = 6 up
-        core = range(k + 1, 3 * k - 5) if k >= 6 else range(0)
-        self.core_rows = frozenset(core)
-        self.core_mask = sum(1 << c for c in core)
+        self.colmask = [
+            sum(((self.rows[p] >> c) & 1) << p for p in range(k)) for c in range(self.v)
+        ]
         self.enabled = frozenset(DISABLEABLE_RULES) - disabled
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
@@ -130,10 +123,9 @@ class _Searcher:
         self.node_limit: Optional[int] = None
         self.max_solutions: Optional[int] = None
         self.stopped = False
-        # branch collection: when set, completions of row branch_row are
-        # appended here instead of being explored further
+        # branch collection: when set, completions of the first tail row
+        # are appended here instead of being explored further
         self.branch_sink: Optional[list[int]] = None
-        self.branch_row = k
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -209,26 +201,12 @@ class _Searcher:
         self._fill(i, free, idx + 1, need, dots)
 
     def _complete_row(self, i: int, dots: list[int]) -> None:
-        # correctness gates, never disabled
+        # correctness gate, never disabled
         if any(d != 2 for d in dots):
             self._prune("complete_dot")
             return
-        if "future_row" in self.enabled:
-            for r in range(i + 1, self.v):
-                cur = self.rows[r].bit_count()
-                # mirrors from rows i+1..r-1 plus r's own free positions
-                if cur > self.k or cur + (r - 1 - i) + (self.v - 1 - r) < self.k:
-                    self._prune("future_row")
-                    return
-        if (
-            i in self.core_rows
-            and "core_sum" in self.enabled
-            and (self.rows[i] & self.core_mask).bit_count() != 3
-        ):
-            self._prune("core_sum")
-            return
 
-        if self.branch_sink is not None and i == self.branch_row:
+        if self.branch_sink is not None and i == self.k:
             self.branch_sink.append(self.rows[i])
             return
 
@@ -269,24 +247,32 @@ class _Searcher:
                 self.colmask[c] |= 1 << self.k
 
 
-def _explore_branch(args: tuple[int, int, tuple[str, ...]]) -> tuple:
-    """Worker entry: run one subtree to completion (no early stopping)."""
-    k, branch_bits, disabled = args
-    searcher = _Searcher(k, frozenset(disabled))
+def _run_branch(job: tuple) -> tuple:
+    """Run the subtree under one completion of the first tail row.
+
+    job is (k, branch_bits, disabled, node_budget, solution_budget). A
+    budget of None is unlimited; one at or below 0 stops the branch
+    before its first node. Returns (nodes, prunes, solutions, stopped).
+    """
+    k, branch_bits, disabled, node_budget, solution_budget = job
+    searcher = _Searcher(k, disabled)
+    searcher.node_limit = node_budget
+    searcher.max_solutions = solution_budget
+    searcher.stopped = any(b is not None and b <= 0 for b in (node_budget, solution_budget))
     searcher.apply_branch(branch_bits)
     searcher.explore_row(k + 1)
-    return searcher.nodes, searcher.prunes, searcher.solutions
+    return searcher.nodes, searcher.prunes, searcher.solutions, searcher.stopped
 
 
-def _load_checkpoint(path: str, k: int, disabled: frozenset[str],
-                     branches: list[int]) -> dict:
+def _load_checkpoint(path: str, fresh: dict) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         state = json.load(fh)
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
         raise ValueError(f"unknown checkpoint schema in {path}")
-    if state.get("k") != k or sorted(state.get("disabled_rules", [])) != sorted(disabled):
+    if (state.get("k") != fresh["k"]
+            or sorted(state.get("disabled_rules", [])) != fresh["disabled_rules"]):
         raise ValueError(f"checkpoint {path} belongs to a different search")
-    if state.get("branches") != branches:
+    if state.get("branches") != fresh["branches"]:
         raise ValueError(f"checkpoint {path} branch list does not match this search")
     return state
 
@@ -307,11 +293,13 @@ def search_symmetric_canonical(
     """Run the search described by cfg and return a verified outcome.
 
     disabled_rules may name any of DISABLEABLE_RULES; correctness
-    checks stay on regardless. A node_limit or checkpoint forces
-    sequential execution. With several threads, subtrees run in worker
-    processes to completion, so max_solutions then truncates the merged
-    result instead of stopping early; counters still add up to the
-    sequential totals.
+    checks stay on regardless. With several threads, subtrees run in
+    worker processes to completion, so max_solutions then truncates the
+    merged result instead of stopping early; counters still add up to
+    the sequential totals. A node_limit forces in-process execution. A
+    checkpoint works with either: it is rewritten after each finished
+    subtree, in branch order, and a rerun on the same file skips the
+    subtrees it lists.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
@@ -325,73 +313,58 @@ def search_symmetric_canonical(
     enumerator = _Searcher(cfg.k, disabled)
     enumerator.node_limit = cfg.node_limit
     branches = enumerator.collect_branches()
-    nodes = enumerator.nodes
-    prunes = dict(enumerator.prunes)
-    enum_stopped = enumerator.stopped
-
-    solutions: list[tuple[int, ...]] = []
-    done: set[int] = set()
-    state: Optional[dict] = None
+    state = {
+        "schema_version": CHECKPOINT_SCHEMA,
+        "k": cfg.k,
+        "disabled_rules": sorted(disabled),
+        "branches": branches,
+        "done": [],
+        "nodes": enumerator.nodes,
+        "prunes": enumerator.prunes,
+        "solutions": [],
+    }
     if checkpoint is not None and os.path.exists(checkpoint):
-        state = _load_checkpoint(checkpoint, cfg.k, disabled, branches)
-        done = set(state["done"])
-        nodes = state["nodes"]
-        prunes = dict(state["prunes"])
-        solutions = [tuple(bits) for bits in state["solutions"]]
+        state = _load_checkpoint(checkpoint, state)
+    done = set(state["done"])
+    todo = [] if enumerator.stopped else [i for i in range(len(branches)) if i not in done]
+    in_process = cfg.threads == 1 or cfg.node_limit is not None
 
-    sequential = cfg.threads == 1 or cfg.node_limit is not None or checkpoint is not None
-    stopped = enum_stopped
+    def jobs():
+        # builtin map asks for each job only after the previous result is
+        # merged, so in-process budgets see the running totals; the pool
+        # takes every job up front, so its jobs get no budgets
+        for index in todo:
+            node_budget = solution_budget = None
+            if in_process and cfg.node_limit is not None:
+                node_budget = cfg.node_limit - state["nodes"]
+            if in_process and cfg.max_solutions is not None:
+                solution_budget = cfg.max_solutions - len(state["solutions"])
+            yield cfg.k, branches[index], disabled, node_budget, solution_budget
 
-    if sequential:
-        if not enum_stopped:
-            for index, branch_bits in enumerate(branches):
-                if index in done:
-                    continue
-                if cfg.node_limit is not None and nodes >= cfg.node_limit:
-                    stopped = True
-                    break
-                if cfg.max_solutions is not None and len(solutions) >= cfg.max_solutions:
-                    stopped = True
-                    break
-                searcher = _Searcher(cfg.k, disabled)
-                searcher.apply_branch(branch_bits)
-                if cfg.node_limit is not None:
-                    searcher.node_limit = cfg.node_limit - nodes
-                if cfg.max_solutions is not None:
-                    searcher.max_solutions = cfg.max_solutions - len(solutions)
-                searcher.explore_row(cfg.k + 1)
-                nodes += searcher.nodes
-                for key in _COUNTER_KEYS:
-                    prunes[key] += searcher.prunes[key]
-                solutions.extend(searcher.solutions)
-                if searcher.stopped:
-                    stopped = True
-                    break
-                done.add(index)
-                if checkpoint is not None:
-                    _write_checkpoint(checkpoint, {
-                        "schema_version": CHECKPOINT_SCHEMA,
-                        "k": cfg.k,
-                        "disabled_rules": sorted(disabled),
-                        "branches": branches,
-                        "done": sorted(done),
-                        "nodes": nodes,
-                        "prunes": prunes,
-                        "solutions": [list(bits) for bits in solutions],
-                    })
-    else:
-        jobs = [(cfg.k, bits, tuple(sorted(disabled))) for bits in branches]
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            for sub_nodes, sub_prunes, sub_solutions in pool.map(_explore_branch, jobs):
-                nodes += sub_nodes
-                for key in _COUNTER_KEYS:
-                    prunes[key] += sub_prunes[key]
-                solutions.extend(sub_solutions)
-        done = set(range(len(branches)))
+    stopped = enumerator.stopped
+    pool = None if in_process else ProcessPoolExecutor(cfg.threads)
+    try:
+        results = (map if pool is None else pool.map)(_run_branch, jobs())
+        for index, (nodes, prunes, solutions, branch_stopped) in zip(todo, results):
+            state["nodes"] += nodes
+            for key in _COUNTER_KEYS:
+                state["prunes"][key] += prunes[key]
+            state["solutions"].extend(solutions)
+            if branch_stopped:
+                stopped = True
+                break
+            done.add(index)
+            if checkpoint is not None:
+                state["done"] = sorted(done)
+                _write_checkpoint(checkpoint, state)
+    finally:
+        if pool is not None:
+            # after a failure, drop the queued subtrees instead of running them
+            pool.shutdown(cancel_futures=True)
 
     exhausted = not stopped and len(done) == len(branches)
 
-    ordered = sorted(set(solutions))
+    ordered = sorted({tuple(bits) for bits in state["solutions"]})
     if cfg.max_solutions is not None:
         ordered = ordered[: cfg.max_solutions]
 
@@ -414,8 +387,8 @@ def search_symmetric_canonical(
         v=v,
         solutions=tuple(verified),
         exhausted=exhausted,
-        nodes_visited=nodes,
-        prunes_by_rule=prunes,
+        nodes_visited=state["nodes"],
+        prunes_by_rule=state["prunes"],
         elapsed_seconds=time.perf_counter() - start,
     )
 
@@ -430,13 +403,7 @@ def enumerate_reference(k: int) -> list[BinaryMatrix]:
     if not 3 <= k <= 5:
         raise ValueError(f"reference enumeration is feasible only for k in 3..5, got {k}")
     v = head_width(k)
-    head = canonical_head(k)
-    base = list(head.bits)
-    for i in range(k, v):
-        prefix = 0
-        for j in range(k):
-            prefix |= ((head.bits[j] >> i) & 1) << j
-        base.append(prefix | (1 << i))
+    base = _base_rows(k)
     cells = [(i, j) for i in range(k, v) for j in range(i + 1, v)]
     found = []
     for assignment in product((0, 1), repeat=len(cells)):

@@ -10,6 +10,7 @@ from biplane_schemes.binmat import (
     DimensionError,
     PermutationError,
     ShapeError,
+    WitnessError,
     anti_diagonal,
     assemble,
     border,
@@ -243,6 +244,13 @@ def test_perm_equivalent_negatives():
     assert is_perm_equivalent(constant(2, 2, 1), identity(2)) is None
     # same line sums, different bipartite cycle structure
     assert is_perm_equivalent(disjoint_cycles([6]), disjoint_cycles([3, 3])) is None
+
+
+def test_perm_equivalent_traps_a_witness_that_fails(monkeypatch):
+    # the recheck of the found witness is an explicit error, so python -O keeps it
+    monkeypatch.setattr(BinaryMatrix, "permute", lambda self, rows, cols: identity(self.rows))
+    with pytest.raises(WitnessError):
+        is_perm_equivalent(identity(3), anti_diagonal(3))
 
 
 def test_format_parse_round_trip():

@@ -9,6 +9,7 @@ from biplane_schemes.binmat import (
     identity,
     path_loop,
 )
+from biplane_schemes import biplane
 from biplane_schemes.biplane import (
     ParameterError,
     VerificationError,
@@ -80,6 +81,13 @@ def test_assemble_b4c_certificate():
         "k": 6, "v": 16, "order": 4,
         "canonical": True, "full_trace": True, "symmetric": True,
     }
+
+
+def test_assemble_b4c_checks_the_diagonals_are_disjoint(monkeypatch):
+    # an explicit check, so python -O keeps it
+    monkeypatch.setattr(biplane, "anti_diagonal", identity)
+    with pytest.raises(RuntimeError, match="overlap"):
+        assemble_b4c()
 
 
 def test_verify_order_2_biplane():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from biplane_schemes import cli
-from biplane_schemes.binmat import format_matrix, identity
+from biplane_schemes.binmat import BinaryMatrix, format_matrix, identity
 from biplane_schemes import extract
 from biplane_schemes.extract import CounterexampleError
 from biplane_schemes.scheme import NotASchemeError
@@ -117,6 +117,14 @@ def test_extract_counterexample_exits_3(fixture_dir, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "extract", str(fixture_dir / "b4c.txt"))
     assert code == 3
     assert "counterexample" in err
+
+
+def test_extract_bad_permutation_witness_exits_3(fixture_dir, capsys, monkeypatch):
+    monkeypatch.setattr(BinaryMatrix, "permute", lambda self, rows, cols: identity(self.rows))
+    code, out, err = run_cli(capsys, "extract", str(fixture_dir / "b4c.txt"))
+    assert code == 3
+    assert out == ""
+    assert "counterexample trap: witness" in err
 
 
 def test_extract_core_not_a_scheme_exits_0(fixture_dir, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Backtracking search: soundness, completeness, determinism, plumbing."""
 
 import json
+import os
 
 import pytest
 
+import biplane_schemes.search as search_mod
 from biplane_schemes.binmat import BinaryMatrix
 from biplane_schemes.biplane import VerificationError, assemble_b4c, head_width
 from biplane_schemes.search import (
@@ -20,6 +22,16 @@ TRIVIAL_SOLUTION = BinaryMatrix.from_rows([
     [1, 0, 1, 1],
     [0, 1, 1, 1],
 ])
+
+
+COUNTERS = ("row_fill", "partial_dot", "complete_dot")
+
+# nodes and prunes per counter of the exhausted search, on every run path
+FINGERPRINTS = {6: (104, (23, 48, 0)), 7: (2452, (526, 1372, 0))}
+
+
+def prunes(*counts):
+    return dict(zip(COUNTERS, counts))
 
 
 def run(k, **kwargs):
@@ -106,21 +118,29 @@ def test_monotone_pruning():
         assert everything_off.nodes_visited >= base.nodes_visited
 
 
-def test_parallel_matches_sequential():
-    for k in (6, 7):
-        seq = run(k)
-        par = run(k, threads=2)
-        assert par.nodes_visited == seq.nodes_visited
-        assert par.prunes_by_rule == seq.prunes_by_rule
-        assert [m.bits for m in par.solutions] == [m.bits for m in seq.solutions]
-        assert par.exhausted == seq.exhausted
+def test_parallel_matches_sequential(tmp_path):
+    for k, (nodes, counts) in FINGERPRINTS.items():
+        paths = {
+            "sequential": run(k),
+            "checkpoint": run(k, checkpoint=str(tmp_path / f"seq{k}.json")),
+            "pool": run(k, threads=2),
+            "pool+checkpoint": run(k, threads=2, checkpoint=str(tmp_path / f"pool{k}.json")),
+        }
+        seq = paths["sequential"]
+        for name, out in paths.items():
+            assert out.exhausted, name
+            assert out.nodes_visited == nodes, name
+            assert out.prunes_by_rule == prunes(*counts), name
+            assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions], name
 
 
 def test_node_limit():
-    out = run(7, node_limit=100)
-    assert not out.exhausted
-    assert out.nodes_visited <= 100
-    assert out.solutions == ()
+    for threads in (1, 2):  # a node limit runs in process either way
+        out = run(7, node_limit=100, threads=threads)
+        assert not out.exhausted
+        assert out.nodes_visited == 100
+        assert out.prunes_by_rule == prunes(22, 42, 0)
+        assert out.solutions == ()
 
 
 def test_max_solutions_stops_early():
@@ -128,21 +148,93 @@ def test_max_solutions_stops_early():
     assert len(out.solutions) == 1
     assert not out.exhausted  # stopped before covering the space
 
+    # pool subtrees run to completion; the merged result is truncated
+    pooled = run(6, max_solutions=1, threads=2)
+    assert pooled.exhausted
+    assert pooled.nodes_visited == 104
+    assert pooled.prunes_by_rule == prunes(23, 48, 0)
+    assert pooled.solutions == (assemble_b4c(),)
+
+
+def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(search_mod.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", CountingPool)
+    run(7, threads=2, checkpoint=str(tmp_path / "progress.json"))
+    assert pools == [(2,)]
+    run(7, threads=2, node_limit=10**6)
+    assert pools == [(2,)]
+
+
+def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
+    futures = []
+
+    class RecordingPool(search_mod.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    def full_disk(target, state):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
+    with pytest.raises(OSError):
+        run(8, threads=2, checkpoint=str(tmp_path / "progress.json"))
+    assert len(futures) == 12
+    assert any(f.cancelled() for f in futures)
+
 
 def test_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "progress.json")
-    partial = run(7, node_limit=1500, checkpoint=path)
-    assert not partial.exhausted
-    state = json.loads(open(path).read())
-    assert state["schema_version"] == 1
-    assert 0 < len(state["done"]) < len(state["branches"])
-
-    resumed = run(7, checkpoint=path)
-    assert resumed.exhausted
     clean = run(7)
-    assert [m.bits for m in resumed.solutions] == [m.bits for m in clean.solutions]
-    final = json.loads(open(path).read())
-    assert len(final["done"]) == len(final["branches"])
+    for threads in (1, 2):
+        path = str(tmp_path / f"progress{threads}.json")
+        partial = run(7, node_limit=1500, checkpoint=path)
+        assert not partial.exhausted
+        state = json.loads(open(path).read())
+        assert state["schema_version"] == 1
+        assert 0 < len(state["done"]) < len(state["branches"])
+
+        resumed = run(7, threads=threads, checkpoint=path)
+        assert resumed.exhausted
+        assert resumed.nodes_visited == clean.nodes_visited
+        assert resumed.prunes_by_rule == clean.prunes_by_rule
+        assert [m.bits for m in resumed.solutions] == [m.bits for m in clean.solutions]
+        final = json.loads(open(path).read())
+        assert len(final["done"]) == len(final["branches"])
+
+
+def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
+    path = str(tmp_path / "progress.json")
+    write = search_mod._write_checkpoint
+
+    class Killed(Exception):
+        pass
+
+    def write_once_then_die(target, state):
+        if os.path.exists(target):
+            raise Killed
+        write(target, state)
+
+    monkeypatch.setattr(search_mod, "_write_checkpoint", write_once_then_die)
+    with pytest.raises(Killed):
+        run(7, threads=2, checkpoint=path)
+    state = json.loads(open(path).read())
+    assert state["done"] == [0]
+    assert len(state["branches"]) == 3
+
+    monkeypatch.setattr(search_mod, "_write_checkpoint", write)
+    resumed = run(7, threads=2, checkpoint=path)
+    nodes, counts = FINGERPRINTS[7]
+    assert resumed.exhausted
+    assert resumed.nodes_visited == nodes
+    assert resumed.prunes_by_rule == prunes(*counts)
+    assert resumed.solutions == ()
 
 
 def test_checkpoint_completed_run_short_circuits(tmp_path):
@@ -174,8 +266,6 @@ def test_outcome_report():
 
 
 def test_emitted_solutions_are_independently_verified(monkeypatch):
-    import biplane_schemes.search as search_mod
-
     def broken_verify(m):
         raise VerificationError("square", (0, 0), "forced failure")
 
