@@ -3,7 +3,10 @@
 A matrix is an immutable tuple of Python ints, one int per row, bit j
 holding the entry in column j. The scalar product of two rows is then a
 single AND plus popcount, which is where verification and search spend
-nearly all of their time.
+nearly all of their time. Whole-matrix work starts from the packed
+rows too: numpy conversions, column sums and the table of all row dots
+from each row's little-endian bytes, the text format from its binary
+digits. No step of it loops over single entries in Python.
 
 Constructors cover the named matrix families used throughout the
 package: J (constant), I (identity), C- (anti-diagonal), L (path with
@@ -89,6 +92,22 @@ class BinaryMatrix:
             raise DimensionError("matrix must have at least one row and one column")
         return BinaryMatrix(len(packed), width, tuple(packed))
 
+    @staticmethod
+    def from_numpy(a) -> "BinaryMatrix":
+        """Inverse of to_numpy: a 2-d array of 0/1 entries (any dtype, bool too)."""
+        a = np.asarray(a)
+        if a.ndim != 2 or 0 in a.shape:
+            raise DimensionError(f"need a non-empty 2-d array, got shape {a.shape}")
+        bad = np.argwhere((a != 0) & (a != 1))
+        if len(bad):
+            entry = a[tuple(bad[0])].item()
+            raise ValueError(f"entry {entry!r} is not 0 or 1")
+        packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
+        return BinaryMatrix(
+            a.shape[0], a.shape[1],
+            tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
+        )
+
     # -- element access ------------------------------------------------------
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -119,13 +138,30 @@ class BinaryMatrix:
         return [row.bit_count() for row in self.bits]
 
     def col_sums(self) -> list[int]:
-        return [self.col_sum(j) for j in range(self.cols)]
+        return self.to_numpy().sum(axis=0).tolist()
 
     def row_dot(self, i: int, j: int) -> int:
         """Number of columns where rows i and j are both 1."""
         self._check_row(i)
         self._check_row(j)
         return (self.bits[i] & self.bits[j]).bit_count()
+
+    def row_dots(self) -> np.ndarray:
+        """The rows x rows int64 table whose entry (i, j) is row_dot(i, j).
+
+        Each row is cut into 64-bit words, and entry (i, j) sums the
+        popcounts of the ANDs of the two rows' words, one word position
+        at a time over the whole table. That is integer arithmetic with
+        sums of at most cols, so the table is exact. A float64 BLAS
+        product M M^T is exact as well, but BLAS runs it on a thread
+        pool: on a 2-core host that stalled it by 8 to 16 ms from 100
+        rows up, where this takes 0.1 ms at 100 rows and 70 ms at 1000.
+        """
+        words = self._row_bytes(8 * ((self.cols + 63) // 64)).view("<u8")
+        dots = np.zeros((self.rows, self.rows), dtype=np.int64)
+        for word in words.T:
+            dots += np.bitwise_count(np.bitwise_and.outer(word, word))
+        return dots
 
     def count_ones(self) -> int:
         return sum(row.bit_count() for row in self.bits)
@@ -200,7 +236,15 @@ class BinaryMatrix:
         ]
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.to_lists(), dtype=np.int64)
+        return np.unpackbits(
+            self._row_bytes((self.cols + 7) // 8),
+            axis=1, count=self.cols, bitorder="little",
+        ).astype(np.int64)
+
+    def _row_bytes(self, width: int) -> np.ndarray:
+        """Row i as its ``width`` little-endian bytes, in row i of a uint8 array."""
+        raw = b"".join(row.to_bytes(width, "little") for row in self.bits)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(self.rows, width)
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -432,9 +476,10 @@ _TOKEN_VALUES = {"0": 0, ".": 0, "1": 1}
 
 def format_matrix(m: BinaryMatrix) -> str:
     """First line "rows cols", then one line of 0/1 tokens per row."""
+    # format() writes column cols-1 first; the reversal puts column 0 first
+    digits = f"0{m.cols}b"
     lines = [f"{m.rows} {m.cols}"]
-    for row in m.bits:
-        lines.append(" ".join("1" if (row >> j) & 1 else "0" for j in range(m.cols)))
+    lines.extend(" ".join(format(row, digits)[::-1]) for row in m.bits)
     return "\n".join(lines) + "\n"
 
 
@@ -459,13 +504,14 @@ def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
 def parse_matrix(text: str) -> BinaryMatrix:
     """Inverse of format_matrix; '.' is accepted as a synonym for 0."""
     rows, cols, body = _grid_tokens(text, "matrix")
-    packed = []
-    for i in range(rows):
-        acc = 0
-        for j in range(cols):
-            tok = body[i * cols + j]
-            if tok not in _TOKEN_VALUES:
-                raise ValueError(f"bad entry token {tok!r} at row {i}, column {j}")
-            acc |= _TOKEN_VALUES[tok] << j
-        packed.append(acc)
-    return BinaryMatrix(rows, cols, tuple(packed))
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
+    if not set(body) <= _TOKEN_VALUES.keys():
+        index = next(n for n, tok in enumerate(body) if tok not in _TOKEN_VALUES)
+        i, j = divmod(index, cols)
+        raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")
+    # every token is one character, so row i is digits[i*cols:(i+1)*cols],
+    # column 0 first; int() reads the reversed row as binary, column 0 last
+    digits = "".join(body).replace(".", "0")
+    packed = tuple(int(digits[i * cols:(i + 1) * cols][::-1], 2) for i in range(rows))
+    return BinaryMatrix(rows, cols, packed)

@@ -99,8 +99,7 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
             raise VerificationError(
                 "row-regularity", (i, s), f"row {i} sums to {s}, row 0 to {k}"
             )
-    for j in range(v):
-        s = m.col_sum(j)
+    for j, s in enumerate(m.col_sums()):
         if s != k:
             raise VerificationError(
                 "column-regularity", (j, s), f"column {j} sums to {s}, rows sum to {k}"

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .binmat import BinaryMatrix
 
 
@@ -84,20 +86,18 @@ def balance(s: IncidenceStructure, t: int) -> Optional[int]:
     """lambda if every t-set of points lies on equally many blocks, else None.
 
     t=1 is regularity; t=2 is computed from the concurrence table
-    M M^T, whose off-diagonal entry (p, q) counts blocks through both
-    points.
+    M M^T (BinaryMatrix.row_dots), whose off-diagonal entry (p, q)
+    counts blocks through both points.
     """
     if t == 1:
         return regularity(s)
     if t != 2:
         raise UnsupportedBalanceError(f"balance supports t in {{1, 2}}, got {t}")
-    m = s.matrix
-    if m.rows == 1:
+    v = s.v
+    if v == 1:
         return None  # no point pairs to witness a lambda
-    values = {
-        m.row_dot(p, q) for p in range(m.rows) for q in range(p + 1, m.rows)
-    }
-    return values.pop() if len(values) == 1 else None
+    pairs = s.matrix.row_dots()[~np.eye(v, dtype=bool)]
+    return int(pairs[0]) if (pairs == pairs[0]).all() else None
 
 
 def derive_parameters(s: IncidenceStructure) -> DesignParameters:

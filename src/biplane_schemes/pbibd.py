@@ -11,6 +11,11 @@ actual PBIBD condition, not an assumption.
 Two double counts tie the parameters together: v*r = b*k, and
 sum_i n_i * lambda_i = r(k-1). Both are theorems for valid inputs, so
 their failure is reported as an internal inconsistency, not bad data.
+
+The concurrence table M M^T is BinaryMatrix.row_dots: popcounts of
+the ANDed 64-bit words of two packed rows, summed in int64. Every
+entry is an integer count of at most b blocks, computed without any
+floating point, so the table is exact.
 """
 
 from __future__ import annotations
@@ -74,14 +79,16 @@ class PairClassification:
         """(0,1) indicator of class ``label`` (0 gives the identity)."""
         if not 0 <= label <= self.d:
             raise IndexError(f"class label {label} out of range 0..{self.d}")
-        indicator = (self.relation == label).astype(np.int64)
-        return BinaryMatrix.from_rows(indicator.tolist())
+        return BinaryMatrix.from_numpy(self.relation == label)
 
 
 def concurrence(s: IncidenceStructure) -> np.ndarray:
-    """The v x v table M M^T: entry (p, q) counts blocks through both points."""
-    m = s.matrix.to_numpy()
-    return m @ m.T
+    """The v x v int64 table M M^T: entry (p, q) counts blocks through both points.
+
+    Exact: each entry is a sum of integer popcounts over the packed
+    rows, at most b, with no floating point involved.
+    """
+    return s.matrix.row_dots()
 
 
 def classify(s: IncidenceStructure) -> PairClassification:
@@ -101,7 +108,10 @@ def classify(s: IncidenceStructure) -> PairClassification:
         )
     conc = concurrence(s)
     off = ~np.eye(v, dtype=bool)
-    lambdas = tuple(sorted(set(int(x) for x in conc[off])))
+    # the distinct concurrences in ascending order; np.unique would do,
+    # but its first call imports numpy.ma (15 ms with numpy 2.4), a cost
+    # every fresh process would pay
+    lambdas = tuple(np.flatnonzero(np.bincount(conc[off])).tolist())
     relation = np.zeros((v, v), dtype=np.int64)
     for label, lam in enumerate(lambdas, start=1):
         relation[(conc == lam) & off] = label

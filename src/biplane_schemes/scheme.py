@@ -164,10 +164,10 @@ def associate_matrices(s: AssociationScheme) -> list[BinaryMatrix]:
     out = []
     for label in range(s.d + 1):
         if label == 0:
-            ind = np.eye(s.size, dtype=np.int64)
+            ind = np.eye(s.size, dtype=bool)
         else:
-            ind = (s.relation == label).astype(np.int64)
-        out.append(BinaryMatrix.from_rows(ind.tolist()))
+            ind = s.relation == label
+        out.append(BinaryMatrix.from_numpy(ind))
     return out
 
 

@@ -46,6 +46,15 @@ def test_construction_rejects_bad_shapes():
         BinaryMatrix(2, 2, (0,))
 
 
+def test_from_numpy_rejects_bad_entries_and_shapes():
+    with pytest.raises(ValueError, match="entry 2 is not 0 or 1"):
+        BinaryMatrix.from_numpy(np.array([[1, 0], [2, -1]]))
+    with pytest.raises(DimensionError):
+        BinaryMatrix.from_numpy(np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(DimensionError):
+        BinaryMatrix.from_numpy(np.array([1, 0]))
+
+
 def test_indexing_bounds():
     m = identity(3)
     with pytest.raises(IndexError):
@@ -276,3 +285,18 @@ def test_parse_errors():
         parse_matrix("2 2\n1 0 1 0 1")
     with pytest.raises(ValueError):
         parse_matrix("1 2\n1 2")
+
+
+def test_parse_error_names_the_first_bad_token_in_row_major_order():
+    # column-major order would meet 'x' (row 1, column 0) first
+    with pytest.raises(ValueError) as err:
+        parse_matrix("2 3\n1 0 2\nx 1 0\n")
+    assert str(err.value) == "bad entry token '2' at row 0, column 2"
+
+
+def test_parse_checks_dimensions_before_tokens():
+    # rows * cols = 1 entry, so the header passes the count check
+    with pytest.raises(DimensionError, match="dimensions must be positive, got -1x-1"):
+        parse_matrix("-1 -1\n2\n")
+    with pytest.raises(DimensionError, match="got 3x0"):
+        parse_matrix("3 0\n")

@@ -136,6 +136,20 @@ def test_verify_rejections():
     assert err.value.axiom == "row-regularity"
 
 
+def test_verify_names_the_first_bad_column():
+    # columns 1 (sum 3) and 3 (sum 1) both break regularity
+    with pytest.raises(VerificationError) as err:
+        verify_biplane(BinaryMatrix.from_rows([
+            [1, 1, 0, 0],
+            [1, 1, 0, 0],
+            [0, 1, 1, 0],
+            [0, 0, 1, 1],
+        ]))
+    assert err.value.axiom == "column-regularity"
+    assert err.value.witness == (1, 3)
+    assert str(err.value) == "column 1 sums to 3, rows sum to 2"
+
+
 def test_verify_balance_rejection():
     # a line-sum-preserving 2x2 swap breaks pair balance somewhere
     m = order_2_biplane()

@@ -1,5 +1,7 @@
 """Concurrence classification and PBIBD verification."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,32 @@ def test_classify_rejects_uneven_class_sizes():
     e = err.value
     assert e.lam == 0
     assert {e.count_a, e.count_b} == {0, 1}
+
+
+def test_not_pbibd_witness_is_the_first_extreme_points():
+    # class 1 (concurrence 0) holds only the pair {0, 2}: point 0 is the
+    # first with the most such associates, point 1 the first with the fewest
+    p3 = BinaryMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
+    with pytest.raises(NotPbibdError) as err:
+        classify(struct(p3))
+    e = err.value
+    assert (e.label, e.lam) == (1, 0)
+    assert (e.point_a, e.count_a, e.point_b, e.count_b) == (0, 1, 1, 0)
+    assert str(e) == (
+        "class 1 (concurrence 0) is not balanced: "
+        "point 0 has 1 associates, point 1 has 0"
+    )
+
+
+def test_classify_doubled_at_v1000():
+    d = doubled(500)
+    c = classify(struct(d))
+    assert (c.v, c.lambdas, c.n) == (1000, (0, 1, 2), (995, 2, 2))
+    conc = concurrence(struct(d))
+    rng = random.Random(2000)
+    for _ in range(2000):
+        p, q = rng.randrange(1000), rng.randrange(1000)
+        assert conc[p, q] == d.row_dot(p, q)
 
 
 def test_verify_pbibd_report():
