@@ -94,6 +94,7 @@ from .extract import (
 )
 from .search import (
     DISABLEABLE_RULES,
+    CheckpointError,
     SearchBugError,
     SearchConfig,
     SearchOutcome,
@@ -122,6 +123,7 @@ __all__ = [
     "BiplaneCertificate",
     "CORES_12",
     "CORES_16",
+    "CheckpointError",
     "CounterexampleError",
     "DISABLEABLE_RULES",
     "DesignParameters",

@@ -5,7 +5,8 @@ JSON on stdout with a schema_version field. Exit status meanings:
 
   0  success, or the checked property verified true
   1  the checked property verified false
-  2  usage, file, or parse error
+  2  usage, file, or parse error, including a malformed or mismatched
+     search checkpoint
   3  internal counterexample trap: a consequence that should follow
      from verified hypotheses failed, the search emitted a matrix its
      independent re-verification rejects, or a permutation witness
@@ -46,15 +47,20 @@ from .scheme import (
     from_relation_matrix,
     parse_relation,
 )
-from .search import SearchBugError, SearchConfig, search_symmetric_canonical
+from .search import (
+    CheckpointError,
+    SearchBugError,
+    SearchConfig,
+    search_symmetric_canonical,
+)
 
 SCHEMA_VERSION = 1
 
 THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 
-# searches beyond this block size can run for hours and must be
-# requested explicitly
-LONG_RUN_K = 7
+# searches from this block size on can run for hours and must be
+# requested explicitly; k = 8 exhausts in under a second
+LONG_RUN_K = 9
 
 
 class CliInputError(Exception):
@@ -157,7 +163,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    outcome = search_symmetric_canonical(cfg, checkpoint=args.checkpoint)
+    try:
+        outcome = search_symmetric_canonical(cfg, checkpoint=args.checkpoint)
+    except CheckpointError as exc:
+        raise CliInputError(str(exc)) from exc
     if args.solutions_out:
         with open(args.solutions_out, "a", encoding="utf-8") as fh:
             for solution in outcome.solutions:
@@ -226,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="progress file for resumable runs")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
-                   help=f"required for k >= {LONG_RUN_K}")
+                   help=f"required for k >= {LONG_RUN_K}, whose searches can run for hours")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scheme", help="check a relation table for the scheme axioms")

@@ -110,10 +110,12 @@ def from_relation_matrix(r) -> AssociationScheme:
         raise AxiomError(
             "partition", f"off-diagonal entry ({x},{y}) is 0; labels must be 1..d"
         )
-    present = set(int(t) for t in np.unique(off))
-    if present != set(range(1, d + 1)):
-        missing = sorted(set(range(1, d + 1)) - present)
-        raise AxiomError("labels", f"class labels {missing} are absent below max {d}")
+    # np.bincount, not np.unique: the first np.unique call imports numpy.ma
+    missing = np.flatnonzero(np.bincount(off, minlength=d + 1)[1:] == 0) + 1
+    if missing.size:
+        raise AxiomError(
+            "labels", f"class labels {missing.tolist()} are absent below max {d}"
+        )
 
     # class-i neighborhoods as bit rows: bit z of masks[i][x] <=> rel[x,z] == i
     masks = [[0] * v for _ in range(d + 1)]

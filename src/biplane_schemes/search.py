@@ -9,9 +9,16 @@ prunes on:
   row_fill     a row cannot reach sum k with the positions left to it
   partial_dot  a partially filled row already meets some earlier row
                in 3 or more columns
+  deficit      some earlier row p, which meets the partial row in
+               dots[p] columns so far, has fewer than 2 - dots[p] ones
+               left among the row's undecided columns, so the two rows
+               can no longer meet in 2 columns; checked for every p
+               when a row starts, then on each 0 entry for the rows p
+               with a 1 in that column (a 1 entry takes one undecided
+               column and adds one meeting, so it never hurts)
 
-Either can be disabled, or both (the solution set never changes, only
-the node count). Two further checks are correctness, not pruning, and
+Any subset can be disabled (the solution set never changes, only the
+node count). Two further checks are correctness, not pruning, and
 cannot be disabled: completed rows must sum to exactly k, and every
 completed row pair must meet in exactly 2 columns. Emitted solutions
 are re-verified through the independent biplane verifier; disagreement
@@ -41,14 +48,18 @@ from .biplane import (
     verify_biplane,
 )
 
-DISABLEABLE_RULES = ("row_fill", "partial_dot")
+DISABLEABLE_RULES = ("row_fill", "partial_dot", "deficit")
 _COUNTER_KEYS = DISABLEABLE_RULES + ("complete_dot",)
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 class SearchBugError(RuntimeError):
     """An emitted solution failed independent re-verification."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed or belongs to another search."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,11 @@ class _Searcher:
         self.colmask = [
             sum(((self.rows[p] >> c) & 1) << p for p in range(k)) for c in range(self.v)
         ]
-        self.enabled = frozenset(DISABLEABLE_RULES) - disabled
+        self.row_fill = "row_fill" not in disabled
+        self.partial_dot = "partial_dot" not in disabled
+        self.deficit = "deficit" not in disabled
+        # after[c]: the columns to the right of column c
+        self.after = [((1 << self.v) - 1) >> (c + 1) << (c + 1) for c in range(self.v)]
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
         self.solutions: list[tuple[int, ...]] = []
@@ -132,12 +147,6 @@ class _Searcher:
     def _prune(self, rule: str) -> None:
         self.prunes[rule] += 1
 
-    def _tick(self) -> bool:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            self.stopped = True
-        return not self.stopped
-
     # -- depth-first fill ----------------------------------------------------
 
     def explore_row(self, i: int) -> None:
@@ -149,29 +158,40 @@ class _Searcher:
         base = self.rows[i]
         need = self.k - base.bit_count()
         free = list(range(i + 1, self.v))
-        if (need < 0 or need > len(free)) and "row_fill" in self.enabled:
+        if (need < 0 or need > len(free)) and self.row_fill:
             self._prune("row_fill")
             return
         dots = [(base & self.rows[p]).bit_count() for p in range(i)]
-        if "partial_dot" in self.enabled and any(d > 2 for d in dots):
+        if self.partial_dot and any(d > 2 for d in dots):
             self._prune("partial_dot")
+            return
+        after = self.after[i]
+        if self.deficit and any(
+            d < 2 and (self.rows[p] & after).bit_count() < 2 - d
+            for p, d in enumerate(dots)
+        ):
+            self._prune("deficit")
             return
         self._fill(i, free, 0, need, dots)
 
     def _fill(self, i: int, free: list[int], idx: int, need: int,
               dots: list[int]) -> None:
-        if not self._tick():
+        self.nodes += 1
+        if self.node_limit is not None and self.nodes >= self.node_limit:
+            self.stopped = True
+        if self.stopped:
             return
         if need == 0:
             self._complete_row(i, dots)
             return
         remaining = len(free) - idx
-        if remaining < need and "row_fill" in self.enabled:
+        if remaining < need and self.row_fill:
             self._prune("row_fill")
             return
         if idx == len(free):
             return
         c = free[idx]
+        rows = self.rows
 
         # branch: entry (i, c) = 1, mirrored later at (c, i)
         over = False
@@ -183,18 +203,28 @@ class _Searcher:
             dots[p] += 1
             if dots[p] > 2:
                 over = True
-        if over and "partial_dot" in self.enabled:
+        if over and self.partial_dot:
             self._prune("partial_dot")
         else:
-            self.rows[i] |= 1 << c
+            rows[i] |= 1 << c
             self._fill(i, free, idx + 1, need - 1, dots)
-            self.rows[i] &= ~(1 << c)
+            rows[i] &= ~(1 << c)
+        # deficit: after a 0 at (i, c), each earlier row p with a 1 in
+        # column c still needs 2 - dots[p] ones right of c
+        short = False
+        after = self.after[c]
         mm = affected
         while mm:
             p = (mm & -mm).bit_length() - 1
             mm &= mm - 1
-            dots[p] -= 1
+            d = dots[p] - 1
+            dots[p] = d
+            if d < 2 and (rows[p] & after).bit_count() < 2 - d:
+                short = True
         if self.stopped:
+            return
+        if short and self.deficit:
+            self._prune("deficit")
             return
 
         # branch: entry (i, c) = 0
@@ -264,16 +294,73 @@ def _run_branch(job: tuple) -> tuple:
     return searcher.nodes, searcher.prunes, searcher.solutions, searcher.stopped
 
 
+def _solution_defect(m: BinaryMatrix) -> Optional[str]:
+    """Why m is not a symmetric canonical biplane matrix with full trace,
+    or None if it is one."""
+    try:
+        cert = verify_biplane(m)
+    except VerificationError as exc:
+        return f"fails verification: {exc}"
+    if not (cert.symmetric and cert.full_trace and cert.canonical):
+        return "lacks symmetry, full trace, or canonical form"
+    return None
+
+
 def _load_checkpoint(path: str, fresh: dict) -> dict:
+    """Read the checkpoint of the search whose initial state is fresh.
+
+    Raises CheckpointError, naming the file, if it is not JSON, lacks a
+    key, belongs to another search, or holds counters, finished
+    subtrees or solutions that this search could not have written.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+        try:
+            state = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise ValueError(f"unknown checkpoint schema in {path}")
-    if (state.get("k") != fresh["k"]
-            or sorted(state.get("disabled_rules", [])) != fresh["disabled_rules"]):
-        raise ValueError(f"checkpoint {path} belongs to a different search")
-    if state.get("branches") != fresh["branches"]:
-        raise ValueError(f"checkpoint {path} branch list does not match this search")
+        raise CheckpointError(
+            f"checkpoint {path} has schema {state.get('schema_version')!r},"
+            f" expected {CHECKPOINT_SCHEMA}"
+        )
+    missing = sorted(set(fresh) - set(state))
+    if missing:
+        raise CheckpointError(f"checkpoint {path} lacks the keys {missing}")
+    if state["k"] != fresh["k"] or state["disabled_rules"] != fresh["disabled_rules"]:
+        raise CheckpointError(f"checkpoint {path} belongs to a different search")
+    if state["branches"] != fresh["branches"]:
+        raise CheckpointError(f"checkpoint {path} branch list does not match this search")
+
+    def count(x) -> bool:
+        return type(x) is int and x >= 0
+
+    prunes = state["prunes"]
+    if not (isinstance(prunes, dict) and set(prunes) == set(_COUNTER_KEYS)
+            and all(map(count, prunes.values()))):
+        raise CheckpointError(
+            f"checkpoint {path} prune counters are not counts of {list(_COUNTER_KEYS)}"
+        )
+    if not count(state["nodes"]):
+        raise CheckpointError(f"checkpoint {path} node count is not a count")
+    done = state["done"]
+    if not (isinstance(done, list) and len(set(done)) == len(done) and all(
+            type(d) is int and 0 <= d < len(fresh["branches"]) for d in done)):
+        raise CheckpointError(
+            f"checkpoint {path} done list is not distinct branch indices"
+            f" in 0..{len(fresh['branches']) - 1}"
+        )
+    v = head_width(fresh["k"])
+    solutions = state["solutions"]
+    if not (isinstance(solutions, list) and all(
+            isinstance(rows, list) and len(rows) == v
+            and all(count(r) and r < 1 << v for r in rows) for rows in solutions)):
+        raise CheckpointError(f"checkpoint {path} solutions are not {v}-row bit lists")
+    for rows in solutions:
+        defect = _solution_defect(BinaryMatrix(v, v, tuple(rows)))
+        if defect:
+            raise CheckpointError(f"checkpoint {path} holds a solution that {defect}")
     return state
 
 
@@ -299,7 +386,8 @@ def search_symmetric_canonical(
     the sequential totals. A node_limit forces in-process execution. A
     checkpoint works with either: it is rewritten after each finished
     subtree, in branch order, and a rerun on the same file skips the
-    subtrees it lists.
+    subtrees it lists; a file that is malformed or belongs to another
+    search raises CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
@@ -372,14 +460,9 @@ def search_symmetric_canonical(
     verified = []
     for bits in ordered:
         m = BinaryMatrix(v, v, bits)
-        try:
-            cert = verify_biplane(m)
-        except VerificationError as exc:
-            raise SearchBugError(f"emitted matrix fails verification: {exc}") from exc
-        if not (cert.symmetric and cert.full_trace and cert.canonical):
-            raise SearchBugError(
-                "emitted matrix lacks symmetry, full trace, or canonical form"
-            )
+        defect = _solution_defect(m)
+        if defect:
+            raise SearchBugError(f"emitted matrix {defect}")
         verified.append(m)
 
     return SearchOutcome(

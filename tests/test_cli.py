@@ -1,9 +1,13 @@
 """Command-line verbs, JSON reports, and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import biplane_schemes
 from biplane_schemes import cli
 from biplane_schemes.binmat import BinaryMatrix, format_matrix, identity
 from biplane_schemes import extract
@@ -192,6 +196,14 @@ def test_search_long_run_gate(capsys):
     assert code == 2
 
 
+def test_search_k8_needs_no_long_run(capsys):
+    code, payload, _ = run_json(capsys, "search", "--k", "8")
+    assert code == 0
+    assert payload["exhausted"] is True
+    assert payload["solution_count"] == 0
+    assert payload["nodes_visited"] == 48280
+
+
 def test_search_threads_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.THREADS_ENV, "2")
     code, payload, _ = run_json(capsys, "search", "--k", "6")
@@ -209,6 +221,53 @@ def test_search_checkpoint_flag(tmp_path, capsys):
         capsys, "search", "--k", "6", "--checkpoint", str(ck))
     assert code == 0
     assert ck.exists()
+
+
+def _schema_1(state):
+    state["schema_version"] = 1
+    del state["prunes"]["deficit"]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda state: "{not json",
+    lambda state: '{"schema_version":1,"k":6}',
+    lambda state: _schema_1(state),
+    lambda state: state.pop("done"),
+    lambda state: state["prunes"].pop("deficit"),
+    lambda state: state.__setitem__("done", [0, 0]),
+    lambda state: state.__setitem__("done", [7]),
+], ids=["not json", "mismatched", "schema 1", "missing key", "prune keys",
+        "done repeats", "done out of range"])
+def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
+    ck = tmp_path / "ck.json"
+    assert run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))[0] == 0
+    state = json.loads(ck.read_text())
+    text = spoil(state)
+    ck.write_text(text if isinstance(text, str) else json.dumps(state))
+    code, out, err = run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: checkpoint {ck} ")
+
+
+def test_extract_does_not_import_numpy_ma(fixture_dir):
+    # numpy.ma costs about 15 ms to import in every fresh extract process
+    script = (
+        "import sys\n"
+        "from biplane_schemes.cli import main\n"
+        "code = main(['extract', sys.argv[1]])\n"
+        "ma = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]\n"
+        "print(code, sorted(ma), file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(biplane_schemes.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(fixture_dir / "b4c.txt")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["verified"] is True
+    assert done.stderr.strip() == "0 []"
 
 
 def test_scheme_valid(fixture_dir, capsys):

@@ -1,7 +1,9 @@
 """Backtracking search: soundness, completeness, determinism, plumbing."""
 
+import itertools
 import json
 import os
+import re
 
 import pytest
 
@@ -10,6 +12,7 @@ from biplane_schemes.binmat import BinaryMatrix
 from biplane_schemes.biplane import VerificationError, assemble_b4c, head_width
 from biplane_schemes.search import (
     DISABLEABLE_RULES,
+    CheckpointError,
     SearchBugError,
     SearchConfig,
     enumerate_reference,
@@ -24,10 +27,21 @@ TRIVIAL_SOLUTION = BinaryMatrix.from_rows([
 ])
 
 
-COUNTERS = ("row_fill", "partial_dot", "complete_dot")
+COUNTERS = ("row_fill", "partial_dot", "deficit", "complete_dot")
 
 # nodes and prunes per counter of the exhausted search, on every run path
-FINGERPRINTS = {6: (104, (23, 48, 0)), 7: (2452, (526, 1372, 0))}
+FINGERPRINTS = {
+    6: (51, (0, 25, 16, 0)),
+    7: (673, (0, 424, 221, 0)),
+    8: (48280, (0, 34703, 12750, 42)),
+}
+
+# the same with deficit disabled: the counts of the search without it
+NO_DEFICIT_FINGERPRINTS = {
+    6: (104, (23, 48, 0, 0)),
+    7: (2452, (526, 1372, 0, 0)),
+    8: (251268, (45291, 159775, 0, 84)),
+}
 
 
 def prunes(*counts):
@@ -106,16 +120,28 @@ def test_determinism():
 
 
 def test_monotone_pruning():
-    for k in (4, 5, 6):
+    subsets = [
+        frozenset(subset)
+        for size in range(len(DISABLEABLE_RULES) + 1)
+        for subset in itertools.combinations(DISABLEABLE_RULES, size)
+    ]
+    assert len(subsets) == 8
+    for k in (3, 4, 5, 6, 7):
         base = run(k)
-        for rule in DISABLEABLE_RULES:
-            relaxed = run(k, disabled_rules=frozenset({rule}))
+        for disabled in subsets:
+            relaxed = run(k, disabled_rules=disabled)
+            assert relaxed.exhausted
             assert [m.bits for m in relaxed.solutions] == [m.bits for m in base.solutions]
             assert relaxed.nodes_visited >= base.nodes_visited
-            assert relaxed.prunes_by_rule[rule] == 0
-        everything_off = run(k, disabled_rules=frozenset(DISABLEABLE_RULES))
-        assert [m.bits for m in everything_off.solutions] == [m.bits for m in base.solutions]
-        assert everything_off.nodes_visited >= base.nodes_visited
+            assert all(relaxed.prunes_by_rule[rule] == 0 for rule in disabled)
+
+
+def test_without_deficit_the_counts_are_unchanged():
+    for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
+        out = run(k, disabled_rules=frozenset({"deficit"}))
+        assert out.exhausted
+        assert out.nodes_visited == nodes
+        assert out.prunes_by_rule == prunes(*counts)
 
 
 def test_parallel_matches_sequential(tmp_path):
@@ -139,7 +165,7 @@ def test_node_limit():
         out = run(7, node_limit=100, threads=threads)
         assert not out.exhausted
         assert out.nodes_visited == 100
-        assert out.prunes_by_rule == prunes(22, 42, 0)
+        assert out.prunes_by_rule == prunes(0, 61, 27, 0)
         assert out.solutions == ()
 
 
@@ -150,9 +176,10 @@ def test_max_solutions_stops_early():
 
     # pool subtrees run to completion; the merged result is truncated
     pooled = run(6, max_solutions=1, threads=2)
+    nodes, counts = FINGERPRINTS[6]
     assert pooled.exhausted
-    assert pooled.nodes_visited == 104
-    assert pooled.prunes_by_rule == prunes(23, 48, 0)
+    assert pooled.nodes_visited == nodes
+    assert pooled.prunes_by_rule == prunes(*counts)
     assert pooled.solutions == (assemble_b4c(),)
 
 
@@ -194,10 +221,10 @@ def test_checkpoint_resume(tmp_path):
     clean = run(7)
     for threads in (1, 2):
         path = str(tmp_path / f"progress{threads}.json")
-        partial = run(7, node_limit=1500, checkpoint=path)
+        partial = run(7, node_limit=400, checkpoint=path)
         assert not partial.exhausted
         state = json.loads(open(path).read())
-        assert state["schema_version"] == 1
+        assert state["schema_version"] == 2
         assert 0 < len(state["done"]) < len(state["branches"])
 
         resumed = run(7, threads=threads, checkpoint=path)
@@ -249,8 +276,73 @@ def test_checkpoint_completed_run_short_circuits(tmp_path):
 def test_checkpoint_mismatch_rejected(tmp_path):
     path = str(tmp_path / "progress.json")
     run(6, checkpoint=path)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError, match="different search"):
         run(7, checkpoint=path)
+    with pytest.raises(CheckpointError, match="different search"):
+        run(6, checkpoint=path, disabled_rules=frozenset({"deficit"}))
+
+
+def schema_1(state):
+    # what the search wrote before the deficit rule had a counter
+    state["schema_version"] = 1
+    del state["prunes"]["deficit"]
+
+
+def drop(key):
+    return lambda state: state.pop(key)
+
+
+def put(key, value):
+    return lambda state: state.__setitem__(key, value)
+
+
+def put_prune(key, value):
+    return lambda state: state["prunes"].__setitem__(key, value)
+
+
+BAD_CHECKPOINTS = {
+    "schema 1": (schema_1, "schema 1, expected 2"),
+    "no schema": (drop("schema_version"), "schema None"),
+    "no done": (drop("done"), "lacks the keys ['done']"),
+    "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
+    "prunes lack deficit": (lambda s: s["prunes"].pop("deficit"), "prune counters"),
+    "extra prune key": (put_prune("future_row", 0), "prune counters"),
+    "negative prune": (put_prune("deficit", -1), "prune counters"),
+    "prunes not a dict": (put("prunes", [0, 0, 0, 0]), "prune counters"),
+    "nodes not a count": (put("nodes", "51"), "node count"),
+    "done repeats": (put("done", [0, 0]), "done list"),
+    "done out of range": (put("done", [1]), "done list"),
+    "done negative": (put("done", [-1]), "done list"),
+    "done not an int": (put("done", ["0"]), "done list"),
+    "done a bool": (put("done", [True]), "done list"),
+    "done not a list": (put("done", 0), "done list"),
+    "solution too short": (put("solutions", [[1, 2]]), "solutions are not 16-row"),
+    "solution too wide": (put("solutions", [[1 << 16] * 16]), "solutions are not 16-row"),
+    "solution not a biplane": (put("solutions", [[0] * 16]), "fails verification"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_malformed_checkpoint_rejected(tmp_path, case):
+    path = tmp_path / "progress.json"
+    run(6, checkpoint=str(path))
+    state = json.loads(path.read_text())
+    spoil, message = BAD_CHECKPOINTS[case]
+    spoil(state)
+    path.write_text(json.dumps(state))
+    with pytest.raises(CheckpointError, match=re.escape(message)) as info:
+        run(6, checkpoint=str(path))
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "[]", '{"schema_version":1,"k":6}',
+                                  "[" * 100_000])
+def test_checkpoint_that_is_not_a_search_state_rejected(tmp_path, text):
+    path = tmp_path / "progress.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError) as info:
+        run(6, checkpoint=str(path))
+    assert str(path) in str(info.value)
 
 
 def test_outcome_report():
