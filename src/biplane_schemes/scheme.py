@@ -110,6 +110,12 @@ def from_relation_matrix(r) -> AssociationScheme:
         raise AxiomError(
             "partition", f"off-diagonal entry ({x},{y}) is 0; labels must be 1..d"
         )
+    # each of the labels 1..d needs a point pair of its own
+    pairs = v * (v - 1) // 2
+    if d > pairs:
+        raise AxiomError(
+            "labels", f"largest label {d} exceeds the {pairs} point pairs of {v} points"
+        )
     # np.bincount, not np.unique: the first np.unique call imports numpy.ma
     missing = np.flatnonzero(np.bincount(off, minlength=d + 1)[1:] == 0) + 1
     if missing.size:
@@ -220,15 +226,22 @@ def format_relation(r) -> str:
 def parse_relation(text: str) -> np.ndarray:
     """Inverse of format_relation; '.' is accepted as 0."""
     rows, cols, body = _grid_tokens(text, "table")
+    # the labels 1..d all occur, so d is at most the number of entries
+    largest = rows * cols
     values = []
     for tok in body:
         if tok == ".":
             values.append(0)
-        else:
-            try:
-                values.append(int(tok))
-            except ValueError as exc:
-                raise ValueError(f"bad entry token {tok!r}") from exc
+            continue
+        try:
+            value = int(tok)
+        except ValueError as exc:
+            raise ValueError(f"bad entry token {tok!r}") from exc
+        if value > largest:
+            raise ValueError(
+                f"entry token {tok!r} cannot be a class label of a {rows}x{cols} table"
+            )
+        values.append(value)
     if any(x < 0 for x in values):
         raise ValueError("negative entries are not class labels")
     return np.array(values, dtype=np.int64).reshape(rows, cols)

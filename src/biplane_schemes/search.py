@@ -3,19 +3,32 @@
 The head rows and columns of a canonical matrix are forced, and so is
 the diagonal once full trace is required, so the only freedom is the
 upper triangle of the tail block. The search fills tail rows top to
-bottom, mirroring every chosen bit across the diagonal immediately, and
+bottom, cell by cell, and mirrors a finished row across the diagonal.
+
+While row i is filled, its meetings with the earlier (complete) rows
+are three bit planes over those rows, passed down by value: ones,
+twos and three hold the rows that meet row i at least 1, 2 and 3
+times (three saturates). A 1 in column c, with a the earlier rows
+that have a 1 there, turns them into ones | a, twos | (ones & a) and
+three | (twos & a), so every node costs a constant number of integer
+operations and nothing is undone. When a row starts, one scan over
+the columns from the right gives h1[c] and h2[c], the earlier rows
+with at least 1 and at least 2 ones right of column c. The search
 prunes on:
 
   row_fill     a row cannot reach sum k with the positions left to it
-  partial_dot  a partially filled row already meets some earlier row
-               in 3 or more columns
-  deficit      some earlier row p, which meets the partial row in
-               dots[p] columns so far, has fewer than 2 - dots[p] ones
-               left among the row's undecided columns, so the two rows
-               can no longer meet in 2 columns; checked for every p
-               when a row starts, then on each 0 entry for the rows p
-               with a 1 in that column (a 1 entry takes one undecided
-               column and adds one meeting, so it never hurts)
+  partial_dot  a 1 in column c would make some earlier row meet the
+               row 3 times (twos & a); also checked when a row starts
+  deficit      some earlier row p can no longer meet the row twice:
+               it meets it d < 2 times and has fewer than 2 - d ones
+               right of the current column, read off h1 and h2; checked
+               for every p when a row starts, then on each 0 entry for
+               the rows in a (a 1 entry never makes a deficit worse)
+  mirror_dot   a 1 at (i, c) becomes a 1 at (c, i), which meets every
+               earlier row p with a 1 in column i; row c's entries left
+               of column i and its diagonal are already final, so if
+               they meet such a p twice, the 1 is pruned. The columns
+               this blocks are found once per row
 
 Any subset can be disabled (the solution set never changes, only the
 node count). Two further checks are correctness, not pruning, and
@@ -48,10 +61,10 @@ from .biplane import (
     verify_biplane,
 )
 
-DISABLEABLE_RULES = ("row_fill", "partial_dot", "deficit")
+DISABLEABLE_RULES = ("row_fill", "partial_dot", "deficit", "mirror_dot")
 _COUNTER_KEYS = DISABLEABLE_RULES + ("complete_dot",)
 
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 class SearchBugError(RuntimeError):
@@ -130,8 +143,7 @@ class _Searcher:
         self.row_fill = "row_fill" not in disabled
         self.partial_dot = "partial_dot" not in disabled
         self.deficit = "deficit" not in disabled
-        # after[c]: the columns to the right of column c
-        self.after = [((1 << self.v) - 1) >> (c + 1) << (c + 1) for c in range(self.v)]
+        self.mirror_dot = "mirror_dot" not in disabled
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
         self.solutions: list[tuple[int, ...]] = []
@@ -142,11 +154,6 @@ class _Searcher:
         # are appended here instead of being explored further
         self.branch_sink: Optional[list[int]] = None
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _prune(self, rule: str) -> None:
-        self.prunes[rule] += 1
-
     # -- depth-first fill ----------------------------------------------------
 
     def explore_row(self, i: int) -> None:
@@ -155,85 +162,106 @@ class _Searcher:
         if i == self.v:
             self._record_solution()
             return
-        base = self.rows[i]
+        rows, colmask, v = self.rows, self.colmask, self.v
+        base = rows[i]
         need = self.k - base.bit_count()
-        free = list(range(i + 1, self.v))
-        if (need < 0 or need > len(free)) and self.row_fill:
-            self._prune("row_fill")
+        if (need < 0 or need > v - i - 1) and self.row_fill:
+            self.prunes["row_fill"] += 1
             return
-        dots = [(base & self.rows[p]).bit_count() for p in range(i)]
-        if self.partial_dot and any(d > 2 for d in dots):
-            self._prune("partial_dot")
+        # the dot planes: earlier rows meeting row i at least 1, 2, 3 times
+        ones = twos = three = 0
+        for p in range(i):
+            d = (base & rows[p]).bit_count()
+            if d:
+                ones |= 1 << p
+                if d > 1:
+                    twos |= 1 << p
+                    if d > 2:
+                        three |= 1 << p
+        if self.partial_dot and three:
+            self.prunes["partial_dot"] += 1
             return
-        after = self.after[i]
-        if self.deficit and any(
-            d < 2 and (self.rows[p] & after).bit_count() < 2 - d
-            for p, d in enumerate(dots)
-        ):
-            self._prune("deficit")
+        # h1[c], h2[c]: earlier rows with at least 1, 2 ones right of column c
+        h1 = [0] * v
+        h2 = [0] * v
+        right1 = right2 = 0
+        for c in range(v - 1, i - 1, -1):
+            h1[c] = right1
+            h2[c] = right2
+            right2 |= right1 & colmask[c]
+            right1 |= colmask[c]
+        if self.deficit and ((1 << i) - 1) & ~(twos | (h1[i] & (ones | h2[i]))):
+            self.prunes["deficit"] += 1
             return
-        self._fill(i, free, 0, need, dots)
+        # mirror: the columns c > i where a 1 at (i, c) is doomed. Its
+        # mirror at (c, i) meets every earlier row p in colmask[i], and
+        # row c's final entries may already meet such a p twice: at
+        # column c, where rows[p] has a 1, and at each j < i where rows[p]
+        # has a 1 and, by symmetry, rows[j] has a 1 at column c. Counted
+        # for every c at once, as bit planes over the columns.
+        mirror = 0
+        if self.mirror_dot:
+            below = (1 << i) - 1
+            for p in range(i):
+                if (colmask[i] >> p) & 1:
+                    once = rows[p]
+                    js = rows[p] & below
+                    while js:
+                        j = (js & -js).bit_length() - 1
+                        js &= js - 1
+                        mirror |= once & rows[j]
+                        once |= rows[j]
+            mirror &= ~((2 << i) - 1)
+        self._fill(i, i + 1, need, ones, twos, three, h1, h2, mirror)
 
-    def _fill(self, i: int, free: list[int], idx: int, need: int,
-              dots: list[int]) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes >= self.node_limit:
-            self.stopped = True
-        if self.stopped:
-            return
-        if need == 0:
-            self._complete_row(i, dots)
-            return
-        remaining = len(free) - idx
-        if remaining < need and self.row_fill:
-            self._prune("row_fill")
-            return
-        if idx == len(free):
-            return
-        c = free[idx]
-        rows = self.rows
+    def _fill(self, i: int, c: int, need: int, ones: int, twos: int, three: int,
+              h1: list[int], h2: list[int], mirror: int) -> None:
+        """Decide entries (i, c), (i, c+1), ... of row i; each pass of the
+        loop is one node, whose 0-branch is the next pass."""
+        v, colmask, prunes, limit = self.v, self.colmask, self.prunes, self.node_limit
+        while True:
+            self.nodes += 1
+            if limit is not None and self.nodes >= limit:
+                self.stopped = True
+                return
+            if need == 0:
+                self._complete_row(i, twos, three)
+                return
+            if v - c < need and self.row_fill:
+                prunes["row_fill"] += 1
+                return
+            if c == v:
+                return
+            a = colmask[c]
 
-        # branch: entry (i, c) = 1, mirrored later at (c, i)
-        over = False
-        affected = self.colmask[c]
-        mm = affected
-        while mm:
-            p = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            dots[p] += 1
-            if dots[p] > 2:
-                over = True
-        if over and self.partial_dot:
-            self._prune("partial_dot")
-        else:
-            rows[i] |= 1 << c
-            self._fill(i, free, idx + 1, need - 1, dots)
-            rows[i] &= ~(1 << c)
-        # deficit: after a 0 at (i, c), each earlier row p with a 1 in
-        # column c still needs 2 - dots[p] ones right of c
-        short = False
-        after = self.after[c]
-        mm = affected
-        while mm:
-            p = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            d = dots[p] - 1
-            dots[p] = d
-            if d < 2 and (rows[p] & after).bit_count() < 2 - d:
-                short = True
-        if self.stopped:
-            return
-        if short and self.deficit:
-            self._prune("deficit")
-            return
+            # branch: entry (i, c) = 1, mirrored later at (c, i); it adds
+            # a meeting with every earlier row in a
+            if self.partial_dot and twos & a:
+                prunes["partial_dot"] += 1
+            elif self.mirror_dot and (mirror >> c) & 1:
+                prunes["mirror_dot"] += 1
+            else:
+                bit = 1 << c
+                self.rows[i] |= bit
+                self._fill(i, c + 1, need - 1, ones | a, twos | (ones & a), three | (twos & a),
+                           h1, h2, mirror)
+                self.rows[i] ^= bit
+                if self.stopped:
+                    return
 
-        # branch: entry (i, c) = 0
-        self._fill(i, free, idx + 1, need, dots)
+            # branch: entry (i, c) = 0. An earlier row p in a can still
+            # meet row i twice if it already does, or if it has a one
+            # right of c and either one meeting or two such ones
+            if self.deficit and a & ~(twos | (h1[c] & (ones | h2[c]))):
+                prunes["deficit"] += 1
+                return
+            c += 1
 
-    def _complete_row(self, i: int, dots: list[int]) -> None:
-        # correctness gate, never disabled
-        if any(d != 2 for d in dots):
-            self._prune("complete_dot")
+    def _complete_row(self, i: int, twos: int, three: int) -> None:
+        # correctness gate, never disabled: every earlier row meets row i
+        # exactly twice
+        if three or twos != (1 << i) - 1:
+            self.prunes["complete_dot"] += 1
             return
 
         if self.branch_sink is not None and i == self.k:
@@ -380,10 +408,11 @@ def search_symmetric_canonical(
     """Run the search described by cfg and return a verified outcome.
 
     disabled_rules may name any of DISABLEABLE_RULES; correctness
-    checks stay on regardless. With several threads, subtrees run in
-    worker processes to completion, so max_solutions then truncates the
-    merged result instead of stopping early; counters still add up to
-    the sequential totals. A node_limit forces in-process execution. A
+    checks stay on regardless. With several threads, subtrees run to
+    completion, on at most one worker process per subtree (in this
+    process when there is only one), so max_solutions then truncates
+    the merged result instead of stopping early; counters still add up
+    to the sequential totals. A node_limit forces in-process execution. A
     checkpoint works with either: it is rewritten after each finished
     subtree, in branch order, and a rerun on the same file skips the
     subtrees it lists; a file that is malformed or belongs to another
@@ -415,22 +444,24 @@ def search_symmetric_canonical(
         state = _load_checkpoint(checkpoint, state)
     done = set(state["done"])
     todo = [] if enumerator.stopped else [i for i in range(len(branches)) if i not in done]
-    in_process = cfg.threads == 1 or cfg.node_limit is not None
+    budgeted = cfg.threads == 1 or cfg.node_limit is not None
 
     def jobs():
         # builtin map asks for each job only after the previous result is
         # merged, so in-process budgets see the running totals; the pool
-        # takes every job up front, so its jobs get no budgets
+        # takes every job up front, so its jobs get no budgets, and
+        # neither do they when a lone subtree skips the pool
         for index in todo:
             node_budget = solution_budget = None
-            if in_process and cfg.node_limit is not None:
+            if budgeted and cfg.node_limit is not None:
                 node_budget = cfg.node_limit - state["nodes"]
-            if in_process and cfg.max_solutions is not None:
+            if budgeted and cfg.max_solutions is not None:
                 solution_budget = cfg.max_solutions - len(state["solutions"])
             yield cfg.k, branches[index], disabled, node_budget, solution_budget
 
     stopped = enumerator.stopped
-    pool = None if in_process else ProcessPoolExecutor(cfg.threads)
+    # a pool pays off only with two subtrees or more to share
+    pool = None if budgeted or len(todo) < 2 else ProcessPoolExecutor(min(cfg.threads, len(todo)))
     try:
         results = (map if pool is None else pool.map)(_run_branch, jobs())
         for index, (nodes, prunes, solutions, branch_stopped) in zip(todo, results):

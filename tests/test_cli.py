@@ -201,7 +201,7 @@ def test_search_k8_needs_no_long_run(capsys):
     assert code == 0
     assert payload["exhausted"] is True
     assert payload["solution_count"] == 0
-    assert payload["nodes_visited"] == 48280
+    assert payload["nodes_visited"] == 33784
 
 
 def test_search_threads_env(tmp_path, capsys, monkeypatch):
@@ -224,19 +224,26 @@ def test_search_checkpoint_flag(tmp_path, capsys):
 
 
 def _schema_1(state):
+    _schema_2(state)
     state["schema_version"] = 1
     del state["prunes"]["deficit"]
+
+
+def _schema_2(state):
+    state["schema_version"] = 2
+    del state["prunes"]["mirror_dot"]
 
 
 @pytest.mark.parametrize("spoil", [
     lambda state: "{not json",
     lambda state: '{"schema_version":1,"k":6}',
     lambda state: _schema_1(state),
+    lambda state: _schema_2(state),
     lambda state: state.pop("done"),
     lambda state: state["prunes"].pop("deficit"),
     lambda state: state.__setitem__("done", [0, 0]),
     lambda state: state.__setitem__("done", [7]),
-], ids=["not json", "mismatched", "schema 1", "missing key", "prune keys",
+], ids=["not json", "mismatched", "schema 1", "schema 2", "missing key", "prune keys",
         "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"
@@ -296,6 +303,29 @@ def test_scheme_axiom_gate(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "scheme", str(path))
     assert code == 1
     assert payload["axiom"] == "diagonal"
+
+
+def test_scheme_label_beyond_the_point_pairs(tmp_path, capsys):
+    # 5 labels cannot all occur among the 3 pairs of 3 points
+    path = tmp_path / "labels.txt"
+    path.write_text("3 3\n0 1 5\n1 0 1\n5 1 0\n")
+    code, payload, _ = run_json(capsys, "scheme", str(path))
+    assert code == 1
+    assert payload["axiom"] == "labels"
+    assert payload["reason"] == "largest label 5 exceeds the 3 point pairs of 3 points"
+
+
+@pytest.mark.parametrize("label", ["1000000", "100000000000000000000"])
+def test_scheme_huge_label_exits_2(tmp_path, capsys, label):
+    # a label above the entry count of the table is rejected while parsing:
+    # no report that lists the absent labels, no int64 overflow
+    path = tmp_path / "huge.txt"
+    path.write_text(f"3 3\n0 1 {label}\n1 0 1\n{label} 1 0\n")
+    code, out, err = run_cli(capsys, "scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: entry token '{label}' cannot be a class label"
+                   " of a 3x3 table\n")
 
 
 def test_fixtures_listing(tmp_path, capsys):

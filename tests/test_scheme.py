@@ -122,6 +122,16 @@ def test_axiom_gates():
     assert err.value.axiom == "labels"
 
 
+def test_huge_label_is_rejected_without_listing_gaps():
+    # 10 point pairs cannot carry labels 1..10**6; the message stays short
+    bad = cyclic_distance_relation(5)
+    bad[0, 1] = bad[1, 0] = 10**6
+    with pytest.raises(AxiomError) as err:
+        from_relation_matrix(bad)
+    assert err.value.axiom == "labels"
+    assert str(err.value) == "largest label 1000000 exceeds the 10 point pairs of 5 points"
+
+
 def test_single_point_scheme():
     s = from_relation_matrix(np.zeros((1, 1), dtype=int))
     assert s.d == 0
@@ -316,3 +326,8 @@ def test_relation_text_round_trip():
         parse_relation("2 2\n0 1\n1")
     with pytest.raises(ValueError):
         parse_relation("2 2\n0 -1\n-1 0")
+    # labels 1..d all occur, so no label exceeds the entry count
+    assert parse_relation("2 2\n0 4\n4 0").tolist() == [[0, 4], [4, 0]]
+    for huge in ("5", "10" * 10):
+        with pytest.raises(ValueError, match=f"entry token '{huge}' cannot be a class label"):
+            parse_relation(f"2 2\n0 {huge}\n{huge} 0")

@@ -27,20 +27,35 @@ TRIVIAL_SOLUTION = BinaryMatrix.from_rows([
 ])
 
 
-COUNTERS = ("row_fill", "partial_dot", "deficit", "complete_dot")
+COUNTERS = ("row_fill", "partial_dot", "deficit", "mirror_dot", "complete_dot")
 
 # nodes and prunes per counter of the exhausted search, on every run path
 FINGERPRINTS = {
-    6: (51, (0, 25, 16, 0)),
-    7: (673, (0, 424, 221, 0)),
-    8: (48280, (0, 34703, 12750, 42)),
+    6: (51, (0, 25, 16, 0, 0)),
+    7: (563, (0, 338, 185, 14, 0)),
+    8: (33784, (0, 22366, 8908, 1683, 42)),
 }
 
-# the same with deficit disabled: the counts of the search without it
+# the same with mirror_dot disabled: the counts of the search without it
+NO_MIRROR_FINGERPRINTS = {
+    6: (51, (0, 25, 16, 0, 0)),
+    7: (673, (0, 424, 221, 0, 0)),
+    8: (48280, (0, 34703, 12750, 0, 42)),
+}
+
+# with deficit disabled as well: the counts of the search without both
 NO_DEFICIT_FINGERPRINTS = {
-    6: (104, (23, 48, 0, 0)),
-    7: (2452, (526, 1372, 0, 0)),
-    8: (251268, (45291, 159775, 0, 84)),
+    6: (104, (23, 48, 0, 0, 0)),
+    7: (2452, (526, 1372, 0, 0, 0)),
+    8: (251268, (45291, 159775, 0, 0, 84)),
+}
+
+# runs stopped at 300,000 nodes with mirror_dot disabled: deep trees for
+# the dot planes, with the counts of the dots-per-row loop they replaced
+NO_MIRROR_NODE_LIMIT_FINGERPRINTS = {
+    9: (0, 230984, 66465, 0, 552),
+    10: (0, 236593, 60840, 0, 659),
+    11: (0, 236102, 56425, 0, 160),
 }
 
 
@@ -119,13 +134,17 @@ def test_determinism():
     assert [m.bits for m in a.solutions] == [m.bits for m in b.solutions]
 
 
-def test_monotone_pruning():
-    subsets = [
+def rule_subsets():
+    return [
         frozenset(subset)
         for size in range(len(DISABLEABLE_RULES) + 1)
         for subset in itertools.combinations(DISABLEABLE_RULES, size)
     ]
-    assert len(subsets) == 8
+
+
+def test_monotone_pruning():
+    subsets = rule_subsets()
+    assert len(subsets) == 16
     for k in (3, 4, 5, 6, 7):
         base = run(k)
         for disabled in subsets:
@@ -136,12 +155,43 @@ def test_monotone_pruning():
             assert all(relaxed.prunes_by_rule[rule] == 0 for rule in disabled)
 
 
-def test_without_deficit_the_counts_are_unchanged():
-    for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
-        out = run(k, disabled_rules=frozenset({"deficit"}))
+def test_without_mirror_dot_the_counts_are_unchanged():
+    for k, (nodes, counts) in NO_MIRROR_FINGERPRINTS.items():
+        out = run(k, disabled_rules=frozenset({"mirror_dot"}))
         assert out.exhausted
         assert out.nodes_visited == nodes
         assert out.prunes_by_rule == prunes(*counts)
+
+
+def test_without_deficit_the_counts_are_unchanged():
+    for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
+        out = run(k, disabled_rules=frozenset({"deficit", "mirror_dot"}))
+        assert out.exhausted
+        assert out.nodes_visited == nodes
+        assert out.prunes_by_rule == prunes(*counts)
+
+
+def test_deep_node_limited_counts_are_unchanged():
+    for k, counts in NO_MIRROR_NODE_LIMIT_FINGERPRINTS.items():
+        out = run(k, node_limit=300_000, disabled_rules=frozenset({"mirror_dot"}))
+        assert not out.exhausted
+        assert out.nodes_visited == 300_000
+        assert out.prunes_by_rule == prunes(*counts)
+
+
+def test_row_fill_is_redundant_under_deficit():
+    # with deficit on, row_fill prunes nothing that the other rules would
+    # not prune at the same node, so disabling it changes no counter
+    for k in range(3, 9):
+        for others in rule_subsets():
+            if others - {"partial_dot", "mirror_dot"}:
+                continue
+            kept = run(k, disabled_rules=others)
+            dropped = run(k, disabled_rules=others | {"row_fill"})
+            assert kept.prunes_by_rule["row_fill"] == 0
+            assert dropped.nodes_visited == kept.nodes_visited, (k, others)
+            assert dropped.prunes_by_rule == kept.prunes_by_rule, (k, others)
+            assert [m.bits for m in dropped.solutions] == [m.bits for m in kept.solutions]
 
 
 def test_parallel_matches_sequential(tmp_path):
@@ -165,7 +215,7 @@ def test_node_limit():
         out = run(7, node_limit=100, threads=threads)
         assert not out.exhausted
         assert out.nodes_visited == 100
-        assert out.prunes_by_rule == prunes(0, 61, 27, 0)
+        assert out.prunes_by_rule == prunes(0, 54, 21, 1, 0)
         assert out.solutions == ()
 
 
@@ -183,7 +233,8 @@ def test_max_solutions_stops_early():
     assert pooled.solutions == (assemble_b4c(),)
 
 
-def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
+def counting_pools(monkeypatch):
+    """Record the arguments of every process pool the search creates."""
     pools = []
 
     class CountingPool(search_mod.ProcessPoolExecutor):
@@ -192,10 +243,26 @@ def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
+def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
+    pools = counting_pools(monkeypatch)
     run(7, threads=2, checkpoint=str(tmp_path / "progress.json"))
     assert pools == [(2,)]
     run(7, threads=2, node_limit=10**6)
     assert pools == [(2,)]
+
+
+def test_a_lone_subtree_skips_the_pool(monkeypatch):
+    pools = counting_pools(monkeypatch)
+    out = run(6, threads=2)  # k=6 has one first-row branch
+    nodes, counts = FINGERPRINTS[6]
+    assert out.exhausted
+    assert out.nodes_visited == nodes
+    assert out.prunes_by_rule == prunes(*counts)
+    assert out.solutions == (assemble_b4c(),)
+    assert pools == []
 
 
 def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
@@ -224,7 +291,7 @@ def test_checkpoint_resume(tmp_path):
         partial = run(7, node_limit=400, checkpoint=path)
         assert not partial.exhausted
         state = json.loads(open(path).read())
-        assert state["schema_version"] == 2
+        assert state["schema_version"] == 3
         assert 0 < len(state["done"]) < len(state["branches"])
 
         resumed = run(7, threads=threads, checkpoint=path)
@@ -284,8 +351,15 @@ def test_checkpoint_mismatch_rejected(tmp_path):
 
 def schema_1(state):
     # what the search wrote before the deficit rule had a counter
+    schema_2(state)
     state["schema_version"] = 1
     del state["prunes"]["deficit"]
+
+
+def schema_2(state):
+    # what the search wrote before the mirror_dot rule had a counter
+    state["schema_version"] = 2
+    del state["prunes"]["mirror_dot"]
 
 
 def drop(key):
@@ -301,14 +375,16 @@ def put_prune(key, value):
 
 
 BAD_CHECKPOINTS = {
-    "schema 1": (schema_1, "schema 1, expected 2"),
+    "schema 1": (schema_1, "schema 1, expected 3"),
+    "schema 2": (schema_2, "schema 2, expected 3"),
     "no schema": (drop("schema_version"), "schema None"),
     "no done": (drop("done"), "lacks the keys ['done']"),
     "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
     "prunes lack deficit": (lambda s: s["prunes"].pop("deficit"), "prune counters"),
+    "prunes lack mirror_dot": (lambda s: s["prunes"].pop("mirror_dot"), "prune counters"),
     "extra prune key": (put_prune("future_row", 0), "prune counters"),
     "negative prune": (put_prune("deficit", -1), "prune counters"),
-    "prunes not a dict": (put("prunes", [0, 0, 0, 0]), "prune counters"),
+    "prunes not a dict": (put("prunes", [0, 0, 0, 0, 0]), "prune counters"),
     "nodes not a count": (put("nodes", "51"), "node count"),
     "done repeats": (put("done", [0, 0]), "done list"),
     "done out of range": (put("done", [1]), "done list"),
