@@ -6,7 +6,10 @@ exactly lambda_i common blocks and every point has exactly n_i i-th
 associates. classify() groups pairs by their concurrence value, labels
 classes by ascending lambda (the diagonal keeps the reserved label 0),
 and verifies the per-point constancy of each n_i; that constancy is the
-actual PBIBD condition, not an assumption.
+actual PBIBD condition, not an assumption. It builds the relation in
+one pass over the concurrence table: one histogram of all entries less
+that of the diagonal gives the lambdas, a lookup table from lambda to
+label maps the whole table at once, and the diagonal is then set to 0.
 
 Two double counts tie the parameters together: v*r = b*k, and
 sum_i n_i * lambda_i = r(k-1). Both are theorems for valid inputs, so
@@ -107,17 +110,20 @@ def classify(s: IncidenceStructure) -> PairClassification:
             v=1, lambdas=(), n=(), relation=np.zeros((1, 1), dtype=np.int64)
         )
     conc = concurrence(s)
-    off = ~np.eye(v, dtype=bool)
-    # the distinct concurrences in ascending order; np.unique would do,
-    # but its first call imports numpy.ma (15 ms with numpy 2.4), a cost
-    # every fresh process would pay
-    lambdas = tuple(np.flatnonzero(np.bincount(conc[off])).tolist())
-    relation = np.zeros((v, v), dtype=np.int64)
-    for label, lam in enumerate(lambdas, start=1):
-        relation[(conc == lam) & off] = label
+    # the distinct off-diagonal concurrences in ascending order; np.unique
+    # would do, but its first call imports numpy.ma (15 ms with numpy
+    # 2.4), a cost every fresh process would pay
+    hist = np.bincount(conc.ravel())
+    hist -= np.bincount(conc.diagonal(), minlength=hist.size)
+    present = np.flatnonzero(hist)
+    lambdas = tuple(present.tolist())
+    label_of = np.zeros(hist.size, dtype=np.int64)
+    label_of[present] = np.arange(1, present.size + 1)
+    relation = label_of[conc]
+    np.fill_diagonal(relation, 0)
     counts_per_class = []
     for label in range(1, len(lambdas) + 1):
-        counts = (relation == label).sum(axis=1)
+        counts = np.count_nonzero(relation == label, axis=1)
         low, high = int(counts.argmin()), int(counts.argmax())
         if counts[low] != counts[high]:
             raise NotPbibdError(

@@ -294,6 +294,16 @@ def test_parse_error_names_the_first_bad_token_in_row_major_order():
     assert str(err.value) == "bad entry token '2' at row 0, column 2"
 
 
+def test_parse_names_a_token_of_several_valid_characters():
+    # '00' is made of valid characters; only its length makes it bad
+    with pytest.raises(ValueError) as err:
+        parse_matrix("1 2\n00 1\n")
+    assert str(err.value) == "bad entry token '00' at row 0, column 0"
+    with pytest.raises(ValueError) as err:
+        parse_matrix("2 2\n1 0\n0 1.\n")
+    assert str(err.value) == "bad entry token '1.' at row 1, column 1"
+
+
 def test_parse_checks_dimensions_before_tokens():
     # rows * cols = 1 entry, so the header passes the count check
     with pytest.raises(DimensionError, match="dimensions must be positive, got -1x-1"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from biplane_schemes.binmat import BinaryMatrix, constant, doubled, identity, path_loop
+from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.incidence import IncidenceStructure, StructureError
 from biplane_schemes.pbibd import (
     ExpectationError,
@@ -117,6 +118,45 @@ def test_classify_doubled_at_v1000():
     for _ in range(2000):
         p, q = rng.randrange(1000), rng.randrange(1000)
         assert conc[p, q] == d.row_dot(p, q)
+
+
+def relabel(m, seed):
+    """m with its points and its blocks relabelled by seeded permutations,
+    and the point permutation p (point i becomes point p[i])."""
+    rng = random.Random(seed)
+    p, q = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    return m.permute(p, q), p
+
+
+RELABEL_CASES = [*CORES_16, CORES_12[0], *(doubled(m) for m in range(3, 41))]
+
+
+@pytest.mark.parametrize("index", range(len(RELABEL_CASES)))
+def test_classify_is_invariant_under_relabelling(index):
+    m = RELABEL_CASES[index]
+    c = classify(struct(m))
+    for seed in range(3):
+        relabelled, p = relabel(m, 100 * index + seed)
+        r = classify(struct(relabelled))
+        assert (r.lambdas, r.n) == (c.lambdas, c.n)
+        moved = np.empty_like(c.relation)
+        moved[np.ix_(p, p)] = c.relation
+        assert np.array_equal(r.relation, moved)
+
+
+def test_classify_rejects_every_relabelling_of_the_boundary_core():
+    with pytest.raises(NotPbibdError) as err:
+        classify(struct(CORES_12[1]))
+    e = err.value
+    for seed in range(5):
+        with pytest.raises(NotPbibdError) as again:
+            classify(struct(relabel(CORES_12[1], seed)[0]))
+        f = again.value
+        assert (f.label, f.lam, f.count_a, f.count_b) == (
+            e.label, e.lam, e.count_a, e.count_b
+        )
 
 
 def test_verify_pbibd_report():
