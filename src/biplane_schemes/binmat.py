@@ -5,8 +5,11 @@ holding the entry in column j. The scalar product of two rows is then a
 single AND plus popcount, which is where verification and search spend
 nearly all of their time. Whole-matrix work starts from the packed
 rows too: numpy conversions, column sums and the table of all row dots
-and the text grid from each row's little-endian bytes. No step of it
-loops over single entries in Python. The table of row dots reads each
+and the text grid from each row's little-endian bytes, and an ASCII
+grid text is checked and packed as bytes. None of these loops over
+single entries in Python; only a grid text that is not ASCII, or that
+the byte check rejects, is split into one string per token, to parse
+it or to name its first error. The table of row dots reads each
 64-bit word position's occupancy: a sparse matrix such as D_m costs
 work in proportion to its nonzero words, not to rows^2 x words.
 
@@ -140,7 +143,7 @@ class BinaryMatrix:
         return [row.bit_count() for row in self.bits]
 
     def col_sums(self) -> list[int]:
-        return self.to_numpy().sum(axis=0).tolist()
+        return self._unpacked().sum(axis=0, dtype=np.int64).tolist()
 
     def row_dot(self, i: int, j: int) -> int:
         """Number of columns where rows i and j are both 1."""
@@ -524,7 +527,55 @@ def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
-    """Inverse of format_matrix; '.' is accepted as a synonym for 0."""
+    """Inverse of format_matrix; '.' is accepted as a synonym for 0.
+
+    Tokens are separated as by str.split(): by runs of any whitespace,
+    Unicode included. A body that is ASCII is checked and packed as
+    bytes (_pack_grid), with no Python object per entry. Any other
+    text, and any text that check rejects, goes to the token-by-token
+    diagnosis, which packs a valid body with non-ASCII whitespace and
+    otherwise raises the first error, in this order: header, entry
+    count, dimensions, then the first bad token in row-major order.
+    """
+    head = text.split(None, 2)
+    if len(head) == 3 and head[2].isascii():
+        try:
+            rows, cols = int(head[0]), int(head[1])
+        except ValueError:
+            rows = cols = 0
+        if rows >= 1 and cols >= 1:
+            packed = _pack_grid(head[2].encode("ascii"), rows, cols)
+            if packed is not None:
+                return BinaryMatrix(rows, cols, packed)
+    return _parse_tokens(text)
+
+
+# the ASCII characters that str.split() treats as whitespace
+_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+
+
+def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[tuple[int, ...]]:
+    """The packed rows of an ASCII grid body, or None unless it holds
+    exactly rows * cols tokens, each a single 0, 1 or '.'."""
+    digits = body.translate(None, _WHITESPACE)
+    if len(digits) != rows * cols or digits.translate(None, b"01."):
+        return None
+    # what is left are token bytes (all above ' ') and whitespace bytes
+    # (all at or below it); two token bytes side by side would be one
+    # token of several characters
+    is_token = np.frombuffer(body, dtype=np.uint8) > ord(" ")
+    if np.any(is_token[1:] & is_token[:-1]):
+        return None
+    ones = np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1")
+    raw = np.packbits(ones, axis=1, bitorder="little").tobytes()
+    width = (cols + 7) // 8
+    return tuple(
+        int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(rows)
+    )
+
+
+def _parse_tokens(text: str) -> BinaryMatrix:
+    """parse_matrix one str.split() token at a time."""
     rows, cols, body = _grid_tokens(text, "matrix")
     if rows < 1 or cols < 1:
         raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")

@@ -62,6 +62,11 @@ THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 # requested explicitly; k = 8 exhausts in under a second
 LONG_RUN_K = 9
 
+# verify and extract take matrices of at most this many rows (points):
+# verify builds v x v int64 tables, 8 bytes an entry, and 5000 points
+# make 200 MB each; the largest benchmarked input has 1000
+MAX_POINTS = 5000
+
 
 class CliInputError(Exception):
     """Bad file, bad value, or unreadable input."""
@@ -82,9 +87,15 @@ def _read_text(path: str) -> str:
 
 def _read_matrix(path: str) -> BinaryMatrix:
     try:
-        return parse_matrix(_read_text(path))
+        m = parse_matrix(_read_text(path))
     except (ValueError, DimensionError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
+    if m.rows > MAX_POINTS:
+        raise CliInputError(
+            f"{path}: v = {m.rows} points is above the cap of {MAX_POINTS}"
+            " (verify and extract build v x v tables)"
+        )
+    return m
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from biplane_schemes import binmat
 from biplane_schemes.binmat import (
     BinaryMatrix,
     DimensionError,
@@ -274,6 +275,10 @@ def test_format_parse_round_trip():
 
 def test_parse_accepts_dots():
     assert parse_matrix("2 2\n1 .\n. 1\n") == identity(2)
+
+
+def test_parse_deletes_the_ascii_whitespace_str_split_splits_on():
+    assert sorted(binmat._WHITESPACE) == [c for c in range(128) if chr(c).isspace()]
 
 
 def test_parse_errors():

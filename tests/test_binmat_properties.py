@@ -7,13 +7,25 @@ BOUNDARY also runs as an explicit example, whatever hypothesis draws.
 Uniform random bits leave almost no 64-bit word position with half its
 rows zero, so row_dots is also checked on sparse rows (0 to 3 ones in
 up to 200 columns) and relabelled D_m, where it adds blocks of rows.
+
+parse_matrix is checked against the str.split() tokenizer it replaced,
+on grids with every kind of whitespace run, glued and bad tokens, wrong
+entry counts and bad headers.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from biplane_schemes.binmat import BinaryMatrix, doubled, format_matrix, parse_matrix
+from biplane_schemes import binmat
+from biplane_schemes.binmat import (
+    BinaryMatrix,
+    DimensionError,
+    doubled,
+    format_matrix,
+    parse_matrix,
+)
 from biplane_schemes.incidence import IncidenceStructure, balance
 
 BOUNDARY = (7, 8, 9, 63, 64, 65)
@@ -134,3 +146,93 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
         " ".join(map(str, row)) + "\n" for row in m.to_lists()
     )
     assert format_matrix(m) == expected
+
+
+# every character str.split() splits on below 0x80, CRLF, and three
+# non-ASCII ones: NEL, no-break space and the ideographic space
+ASCII_SEPARATORS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
+                    " ", "\r\n")
+SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000")
+BAD_TOKENS = ("00", "1.", "10", "..", "2", "x", "-1", "\x00", "\x1b", "0\x1b", "\xe9", "\uff11")
+BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1")
+
+
+def split_oracle(text: str) -> BinaryMatrix:
+    """parse_matrix as one str.split() token at a time, with its messages."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("missing 'rows cols' header")
+    try:
+        rows, cols = int(tokens[0]), int(tokens[1])
+    except ValueError as exc:
+        raise ValueError(f"malformed header {tokens[:2]!r}") from exc
+    body = tokens[2:]
+    if len(body) != rows * cols:
+        raise ValueError(
+            f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(body)}"
+        )
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
+    values = {"0": 0, ".": 0, "1": 1}
+    for index, tok in enumerate(body):
+        if tok not in values:
+            i, j = divmod(index, cols)
+            raise ValueError(f"bad entry token {tok!r} at row {i}, column {j}")
+    return BinaryMatrix.from_rows(
+        [[values[tok] for tok in body[i * cols:(i + 1) * cols]] for i in range(rows)]
+    )
+
+
+@st.composite
+def grid_texts(draw) -> str:
+    """A grid text: valid, or spoilt in one way (glued or bad tokens, too
+    few or too many entries, a bad header)."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    spoil = draw(st.sampled_from(("none", "glued", "token", "count", "header")))
+    alphabet = draw(st.sampled_from((ASCII_SEPARATORS, SEPARATORS)))
+    run = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map("".join)
+    count = rows * cols
+    if spoil == "count":
+        count = draw(st.integers(0, rows * cols + 3).filter(lambda n: n != rows * cols))
+    elif spoil == "header":
+        count = draw(st.integers(0, 4))
+    tokens = draw(st.lists(st.sampled_from("01."), min_size=count, max_size=count))
+    if spoil == "token" and tokens:
+        for _ in range(draw(st.integers(1, 2))):
+            tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(BAD_TOKENS))
+    header = f"{rows} {cols}"
+    if spoil == "header":
+        header = draw(st.sampled_from(BAD_HEADERS))
+    gaps = [draw(run) for _ in tokens]
+    if spoil == "glued" and len(tokens) > 1:
+        # join neighbours into tokens of several characters: the text
+        # still holds rows * cols characters of 0, 1 and '.'
+        for index in draw(st.sets(st.integers(1, len(tokens) - 1), min_size=1)):
+            gaps[index] = ""
+    body = "".join(gap + tok for gap, tok in zip(gaps, tokens))
+    return draw(st.sampled_from(("", " ", "\n"))) + header + body + draw(run)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(grid_texts())
+@example("2 2\r\n1\t0\r\n.\t1\r\n")
+@example("2 2\n1\x1c0\x1d.\x1e1\x1f")
+@example("1 2\n00")
+@example("2 2\n1\u30000\n0\xa01\x85")
+@example("1 1")
+@example("-1 -1\n2\n")
+def test_parse_matrix_matches_the_split_tokenizer(text):
+    with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as slow:
+        got = outcome(parse_matrix, text)
+    expected = outcome(split_oracle, text)
+    assert got == expected
+    if isinstance(expected, BinaryMatrix) and text.isascii():
+        # an ASCII grid that parses never needs the token-by-token path
+        assert not slow.called

@@ -83,6 +83,38 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", ["verify", "extract"])
+def test_matrix_above_the_point_cap_exits_2_before_any_table(tmp_path, capsys,
+                                                              monkeypatch, verb):
+    # 20000 x 1 all ones is regular and uniform, so verify would go on to
+    # the 20000 x 20000 concurrence table
+    def no_table(self):
+        raise AssertionError("a whole-matrix table was built")
+
+    monkeypatch.setattr(BinaryMatrix, "row_dots", no_table)
+    monkeypatch.setattr(BinaryMatrix, "_unpacked", no_table)
+    path = tmp_path / "tall.txt"
+    path.write_text("20000 1\n" + "1\n" * 20000)
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: v = 20000 points is above the cap of 5000"
+                   " (verify and extract build v x v tables)\n")
+
+
+def test_point_cap_boundary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_POINTS", 4)
+    at_cap, above = tmp_path / "at.txt", tmp_path / "above.txt"
+    at_cap.write_text("4 1\n" + "1\n" * 4)
+    above.write_text("5 1\n" + "1\n" * 5)
+    code, payload, _ = run_json(capsys, "verify", str(at_cap))
+    assert (code, payload["kind"], payload["design"]["v"]) == (0, "pbibd", 4)
+    assert run_json(capsys, "extract", str(at_cap))[0] == 1
+    for verb in ("verify", "extract"):
+        code, out, err = run_cli(capsys, verb, str(above))
+        assert (code, out) == (2, "")
+        assert "v = 5 points is above the cap of 4" in err
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "bogus")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -50,6 +50,14 @@ NO_DEFICIT_FINGERPRINTS = {
     8: (251268, (45291, 159775, 0, 0, 84)),
 }
 
+# with partial_dot disabled: a 1 may then give the row a third meeting
+# with an earlier row, and only the three plane shows complete_dot that
+# meeting; without it these trees grow (k=7 to 1,145 nodes)
+NO_PARTIAL_DOT_FINGERPRINTS = {
+    7: (696, (0, 0, 210, 330, 65)),
+    8: (74181, (0, 0, 16634, 33484, 11660)),
+}
+
 # runs stopped at 300,000 nodes with mirror_dot disabled: deep trees for
 # the dot planes, with the counts of the dots-per-row loop they replaced
 NO_MIRROR_NODE_LIMIT_FINGERPRINTS = {
@@ -166,6 +174,14 @@ def test_without_mirror_dot_the_counts_are_unchanged():
 def test_without_deficit_the_counts_are_unchanged():
     for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
         out = run(k, disabled_rules=frozenset({"deficit", "mirror_dot"}))
+        assert out.exhausted
+        assert out.nodes_visited == nodes
+        assert out.prunes_by_rule == prunes(*counts)
+
+
+def test_without_partial_dot_complete_dot_sees_third_meetings():
+    for k, (nodes, counts) in NO_PARTIAL_DOT_FINGERPRINTS.items():
+        out = run(k, disabled_rules=frozenset({"partial_dot"}))
         assert out.exhausted
         assert out.nodes_visited == nodes
         assert out.prunes_by_rule == prunes(*counts)
