@@ -495,7 +495,7 @@ def is_perm_equivalent(
 # text format
 # ---------------------------------------------------------------------------
 
-_TOKEN_VALUES = {"0": 0, ".": 0, "1": 1}
+_TOKENS = frozenset("01.")
 
 
 def format_matrix(m: BinaryMatrix) -> str:
@@ -579,17 +579,11 @@ def _parse_tokens(text: str) -> BinaryMatrix:
     rows, cols, body = _grid_tokens(text, "matrix")
     if rows < 1 or cols < 1:
         raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
-    digits = "".join(body)
-    # the tokens are all valid exactly when each is one character and
-    # every character is a 0, a 1 or a '.'
-    if len(digits) != len(body) or (
-        digits.count("0") + digits.count("1") + digits.count(".") != len(digits)
-    ):
-        index = next(n for n, tok in enumerate(body) if tok not in _TOKEN_VALUES)
+    # valid tokens are ASCII, so a body with other characters has a bad one
+    joined = " ".join(body)
+    packed = _pack_grid(joined.encode("ascii"), rows, cols) if joined.isascii() else None
+    if packed is None:
+        index = next(n for n, tok in enumerate(body) if tok not in _TOKENS)
         i, j = divmod(index, cols)
         raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")
-    # row i is digits[i*cols:(i+1)*cols], column 0 first; int() reads the
-    # reversed row as binary, column 0 last
-    digits = digits.replace(".", "0")
-    packed = tuple(int(digits[i * cols:(i + 1) * cols][::-1], 2) for i in range(rows))
     return BinaryMatrix(rows, cols, packed)

@@ -260,11 +260,13 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
         raise PreconditionError("matrix is not in canonical form")
     k = cert.k
 
-    lemma1_ok, witness = check_lemma1(m, k)
-    if not lemma1_ok:
-        raise CounterexampleError(f"core line sums are not all 3: {witness}")
+    # the certificate stands for check_lemma1's hypotheses: m is square,
+    # canonical and has a full diagonal
     indices = extraction_indices(k)
     core = m.submatrix(indices, indices)
+    lemma1_ok, witness = check_core_sums(core)
+    if not lemma1_ok:
+        raise CounterexampleError(f"core line sums are not all 3: {witness}")
     if not core.is_symmetric():
         raise CounterexampleError("core of a symmetric matrix is not symmetric")
 

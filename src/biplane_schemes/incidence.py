@@ -30,6 +30,10 @@ class StructureError(ValueError):
         self.index = index
 
 
+class InconsistencyError(RuntimeError):
+    """A counting identity that is a theorem failed; this is a bug trap."""
+
+
 class UnsupportedBalanceError(ValueError):
     """balance() supports t in {1, 2} only."""
 
@@ -100,6 +104,27 @@ def balance(s: IncidenceStructure, t: int) -> Optional[int]:
     return int(pairs[0]) if (pairs == pairs[0]).all() else None
 
 
+def _regular_uniform(s: IncidenceStructure) -> tuple[int, int]:
+    """(r, k) of a regular uniform structure, with v*r = b*k rechecked.
+
+    Raises StructureError naming the first irregular point or
+    non-uniform block, and InconsistencyError if the double count fails.
+    """
+    sums = s.matrix.row_sums()
+    r = sums[0]
+    if sums.count(r) != len(sums):
+        bad = next(p for p, total in enumerate(sums) if total != r)
+        raise StructureError("point", bad, f"point {bad} degree {sums[bad]} != {r}")
+    sums = s.matrix.col_sums()
+    k = sums[0]
+    if sums.count(k) != len(sums):
+        bad = next(j for j, total in enumerate(sums) if total != k)
+        raise StructureError("block", bad, f"block {bad} size {sums[bad]} != {k}")
+    if s.v * r != s.b * k:
+        raise InconsistencyError(f"v*r = {s.v * r} but b*k = {s.b * k}")
+    return r, k
+
+
 def derive_parameters(s: IncidenceStructure) -> DesignParameters:
     """Parameters of a regular uniform structure, with identities rechecked.
 
@@ -108,31 +133,13 @@ def derive_parameters(s: IncidenceStructure) -> DesignParameters:
     carries lambda and the order r - lambda; otherwise both are None
     and the concurrence spectrum is the business of the pbibd module.
     """
-    m = s.matrix
-    row_sums = m.row_sums()
-    r = row_sums[0]
-    for p, total in enumerate(row_sums):
-        if total != r:
-            raise StructureError(
-                "point", p, f"point {p} lies on {total} blocks, point 0 on {r}"
-            )
-    col_sums = m.col_sums()
-    k = col_sums[0]
-    for blk, total in enumerate(col_sums):
-        if total != k:
-            raise StructureError(
-                "block", blk, f"block {blk} has {total} points, block 0 has {k}"
-            )
+    r, k = _regular_uniform(s)
     v, b = s.v, s.b
-    if v * r != b * k:
-        raise RuntimeError(
-            f"double count broken: v*r = {v * r} but b*k = {b * k}"
-        )
     lam = balance(s, 2)
     order = None
     if lam is not None and v > 1:
         if r * (k - 1) != lam * (v - 1):
-            raise RuntimeError(
+            raise InconsistencyError(
                 f"pair count broken: r(k-1) = {r * (k - 1)} but lambda(v-1) = {lam * (v - 1)}"
             )
         order = r - lam

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .binmat import BinaryMatrix
-from .incidence import IncidenceStructure, StructureError, regularity, uniformity
+from .incidence import InconsistencyError, IncidenceStructure, _regular_uniform
 
 
 class NotPbibdError(Exception):
@@ -51,10 +51,6 @@ class NotPbibdError(Exception):
 
 class ExpectationError(ValueError):
     """The classification disagrees with an expected class count."""
-
-
-class InconsistencyError(RuntimeError):
-    """A counting identity that is a theorem failed; this is a bug trap."""
 
 
 @dataclass(eq=False)
@@ -151,21 +147,10 @@ def _pbibd_report(
     s: IncidenceStructure, c: Optional[PairClassification], expect_d: Optional[int]
 ) -> dict:
     """verify_pbibd for a caller that may already hold classify(s) as c."""
-    r = regularity(s)
-    if r is None:
-        sums = s.matrix.row_sums()
-        bad = next(p for p, t in enumerate(sums) if t != sums[0])
-        raise StructureError("point", bad, f"point {bad} degree {sums[bad]} != {sums[0]}")
-    k = uniformity(s)
-    if k is None:
-        sums = s.matrix.col_sums()
-        bad = next(j for j, t in enumerate(sums) if t != sums[0])
-        raise StructureError("block", bad, f"block {bad} size {sums[bad]} != {sums[0]}")
+    r, k = _regular_uniform(s)
     if c is None:
         c = classify(s)
     v, b = s.v, s.b
-    if v * r != b * k:
-        raise InconsistencyError(f"v*r = {v * r} but b*k = {b * k}")
     if v > 1:
         weighted = sum(n_i * lam_i for n_i, lam_i in zip(c.n, c.lambdas))
         if weighted != r * (k - 1):

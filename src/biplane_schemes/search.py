@@ -16,7 +16,6 @@ the columns from the right gives h1[c] and h2[c], the earlier rows
 with at least 1 and at least 2 ones right of column c. The search
 prunes on:
 
-  row_fill     a row cannot reach sum k with the positions left to it
   partial_dot  a 1 in column c would make some earlier row meet the
                row 3 times (twos & a); also checked when a row starts
   deficit      some earlier row p can no longer meet the row twice:
@@ -29,6 +28,12 @@ prunes on:
                of column i and its diagonal are already final, so if
                they meet such a p twice, the 1 is pruned. The columns
                this blocks are found once per row
+
+No rule checks that a row can still reach sum k: every column but
+column 0 holds two head ones and no tail row has a 1 in column 0, so
+the head rows still owe the row twice the ones it needs, and a row
+that cannot reach k leaves some head row to deficit (or, past k,
+gives one a third meeting, which partial_dot sees).
 
 Any subset can be disabled (the solution set never changes, only the
 node count). Two further checks are correctness, not pruning, and
@@ -61,10 +66,10 @@ from .biplane import (
     verify_biplane,
 )
 
-DISABLEABLE_RULES = ("row_fill", "partial_dot", "deficit", "mirror_dot")
+DISABLEABLE_RULES = ("partial_dot", "deficit", "mirror_dot")
 _COUNTER_KEYS = DISABLEABLE_RULES + ("complete_dot",)
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 
 class SearchBugError(RuntimeError):
@@ -140,7 +145,6 @@ class _Searcher:
         self.colmask = [
             sum(((self.rows[p] >> c) & 1) << p for p in range(k)) for c in range(self.v)
         ]
-        self.row_fill = "row_fill" not in disabled
         self.partial_dot = "partial_dot" not in disabled
         self.deficit = "deficit" not in disabled
         self.mirror_dot = "mirror_dot" not in disabled
@@ -165,9 +169,6 @@ class _Searcher:
         rows, colmask, v = self.rows, self.colmask, self.v
         base = rows[i]
         need = self.k - base.bit_count()
-        if (need < 0 or need > v - i - 1) and self.row_fill:
-            self.prunes["row_fill"] += 1
-            return
         # the dot planes: earlier rows meeting row i at least 1, 2, 3 times
         ones = twos = three = 0
         for p in range(i):
@@ -227,9 +228,6 @@ class _Searcher:
             if need == 0:
                 self._complete_row(i, twos, three)
                 return
-            if v - c < need and self.row_fill:
-                prunes["row_fill"] += 1
-                return
             if c == v:
                 return
             a = colmask[c]
@@ -268,6 +266,11 @@ class _Searcher:
             self.branch_sink.append(self.rows[i])
             return
 
+        self._descend(i)
+
+    def _descend(self, i: int) -> None:
+        """Mirror the finished row i into the later rows and columns,
+        explore row i + 1, then undo the mirror."""
         row_bits = self.rows[i]
         mirrored = [c for c in range(i + 1, self.v) if (row_bits >> c) & 1]
         for c in mirrored:
@@ -296,14 +299,6 @@ class _Searcher:
         self.branch_sink = None
         return sink
 
-    def apply_branch(self, branch_bits: int) -> None:
-        """Fix the first tail row to an enumerated completion."""
-        self.rows[self.k] = branch_bits
-        for c in range(self.k + 1, self.v):
-            if (branch_bits >> c) & 1:
-                self.rows[c] |= 1 << self.k
-                self.colmask[c] |= 1 << self.k
-
 
 def _run_branch(job: tuple) -> tuple:
     """Run the subtree under one completion of the first tail row.
@@ -317,8 +312,8 @@ def _run_branch(job: tuple) -> tuple:
     searcher.node_limit = node_budget
     searcher.max_solutions = solution_budget
     searcher.stopped = any(b is not None and b <= 0 for b in (node_budget, solution_budget))
-    searcher.apply_branch(branch_bits)
-    searcher.explore_row(k + 1)
+    searcher.rows[k] = branch_bits
+    searcher._descend(k)
     return searcher.nodes, searcher.prunes, searcher.solutions, searcher.stopped
 
 

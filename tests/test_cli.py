@@ -262,8 +262,14 @@ def _schema_1(state):
 
 
 def _schema_2(state):
+    _schema_3(state)
     state["schema_version"] = 2
     del state["prunes"]["mirror_dot"]
+
+
+def _schema_3(state):
+    state["schema_version"] = 3
+    state["prunes"]["row_fill"] = 0
 
 
 @pytest.mark.parametrize("spoil", [
@@ -271,12 +277,13 @@ def _schema_2(state):
     lambda state: '{"schema_version":1,"k":6}',
     lambda state: _schema_1(state),
     lambda state: _schema_2(state),
+    lambda state: _schema_3(state),
     lambda state: state.pop("done"),
     lambda state: state["prunes"].pop("deficit"),
     lambda state: state.__setitem__("done", [0, 0]),
     lambda state: state.__setitem__("done", [7]),
-], ids=["not json", "mismatched", "schema 1", "schema 2", "missing key", "prune keys",
-        "done repeats", "done out of range"])
+], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "missing key",
+        "prune keys", "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"
     assert run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))[0] == 0

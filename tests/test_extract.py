@@ -183,6 +183,15 @@ def test_extract_design_preconditions():
     assert "k >= 6" in str(err.value)
 
 
+def test_extract_design_traps_core_line_sums(monkeypatch):
+    # Lemma 1 is a theorem for the inputs extract_design accepts, so a
+    # core line sum other than 3 is a counterexample, not bad input
+    monkeypatch.setattr(
+        extract, "check_core_sums", lambda core: (False, {"axis": "row", "index": 0, "sum": 2}))
+    with pytest.raises(CounterexampleError, match="core line sums are not all 3"):
+        extract_design(assemble_b4c())
+
+
 def test_family_generate():
     for m in range(3, 9):
         structure, rep = family_generate(m)

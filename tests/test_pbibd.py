@@ -7,9 +7,10 @@ import pytest
 
 from biplane_schemes.binmat import BinaryMatrix, constant, doubled, identity, path_loop
 from biplane_schemes.fixtures import CORES_12, CORES_16
-from biplane_schemes.incidence import IncidenceStructure, StructureError
+from biplane_schemes.incidence import IncidenceStructure, StructureError, derive_parameters
 from biplane_schemes.pbibd import (
     ExpectationError,
+    InconsistencyError,
     NotPbibdError,
     classify,
     concurrence,
@@ -177,19 +178,37 @@ def test_verify_pbibd_expectation():
         verify_pbibd(s, expect_d=2)
 
 
-def test_verify_pbibd_requires_regular_uniform():
-    with pytest.raises(StructureError) as err:
-        verify_pbibd(struct(BinaryMatrix.from_rows([[1, 1], [1, 0]])))
-    assert err.value.kind == "point"
+# (rows, kind, index, message) of the first irregular point or
+# non-uniform block; the second and fourth inputs fail past line 1
+IRREGULAR = (
+    ([[1, 1], [1, 0]], "point", 1, "point 1 degree 1 != 2"),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 1]],
+     "point", 3, "point 3 degree 1 != 2"),
+    ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
+     "block", 1, "block 1 size 3 != 2"),
+    ([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]], "block", 3, "block 3 size 0 != 2"),
+)
 
-    with pytest.raises(StructureError) as err:
-        verify_pbibd(struct(BinaryMatrix.from_rows([
-            [1, 1, 0, 0],
-            [1, 1, 0, 0],
-            [0, 1, 1, 0],
-            [0, 0, 1, 1],
-        ])))
-    assert err.value.kind == "block"
+
+def test_verify_pbibd_requires_regular_uniform():
+    # verify_pbibd and derive_parameters share one check, so both name
+    # the same line with the same message
+    for rows, kind, index, message in IRREGULAR:
+        s = struct(BinaryMatrix.from_rows(rows))
+        for check in (verify_pbibd, derive_parameters):
+            with pytest.raises(StructureError) as err:
+                check(s)
+            assert (err.value.kind, err.value.index, str(err.value)) == (kind, index, message)
+
+
+def test_double_count_trap_is_shared(monkeypatch):
+    # v*r = b*k is a theorem for a regular uniform structure; fake block
+    # sizes that break it and both entry points hit the same trap
+    monkeypatch.setattr(BinaryMatrix, "col_sums", lambda m: [m.rows + 1] * m.cols)
+    s = struct(doubled(4))
+    for check in (verify_pbibd, derive_parameters):
+        with pytest.raises(InconsistencyError, match=r"v\*r = 24 but b\*k = 72"):
+            check(s)
 
 
 def test_sum_identity_values():

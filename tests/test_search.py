@@ -27,43 +27,44 @@ TRIVIAL_SOLUTION = BinaryMatrix.from_rows([
 ])
 
 
-COUNTERS = ("row_fill", "partial_dot", "deficit", "mirror_dot", "complete_dot")
+COUNTERS = ("partial_dot", "deficit", "mirror_dot", "complete_dot")
 
 # nodes and prunes per counter of the exhausted search, on every run path
 FINGERPRINTS = {
-    6: (51, (0, 25, 16, 0, 0)),
-    7: (563, (0, 338, 185, 14, 0)),
-    8: (33784, (0, 22366, 8908, 1683, 42)),
+    6: (51, (25, 16, 0, 0)),
+    7: (563, (338, 185, 14, 0)),
+    8: (33784, (22366, 8908, 1683, 42)),
 }
 
 # the same with mirror_dot disabled: the counts of the search without it
 NO_MIRROR_FINGERPRINTS = {
-    6: (51, (0, 25, 16, 0, 0)),
-    7: (673, (0, 424, 221, 0, 0)),
-    8: (48280, (0, 34703, 12750, 0, 42)),
+    6: (51, (25, 16, 0, 0)),
+    7: (673, (424, 221, 0, 0)),
+    8: (48280, (34703, 12750, 0, 42)),
 }
 
-# with deficit disabled as well: the counts of the search without both
+# with deficit disabled as well: partial_dot is then the only pruning
+# rule, and nothing cuts a row short that can no longer reach sum k
 NO_DEFICIT_FINGERPRINTS = {
-    6: (104, (23, 48, 0, 0, 0)),
-    7: (2452, (526, 1372, 0, 0, 0)),
-    8: (251268, (45291, 159775, 0, 0, 84)),
+    6: (130, (58, 0, 0, 0)),
+    7: (3209, (1797, 0, 0, 0)),
+    8: (336000, (218795, 0, 0, 84)),
 }
 
 # with partial_dot disabled: a 1 may then give the row a third meeting
 # with an earlier row, and only the three plane shows complete_dot that
 # meeting; without it these trees grow (k=7 to 1,145 nodes)
 NO_PARTIAL_DOT_FINGERPRINTS = {
-    7: (696, (0, 0, 210, 330, 65)),
-    8: (74181, (0, 0, 16634, 33484, 11660)),
+    7: (696, (0, 210, 330, 65)),
+    8: (74181, (0, 16634, 33484, 11660)),
 }
 
 # runs stopped at 300,000 nodes with mirror_dot disabled: deep trees for
 # the dot planes, with the counts of the dots-per-row loop they replaced
 NO_MIRROR_NODE_LIMIT_FINGERPRINTS = {
-    9: (0, 230984, 66465, 0, 552),
-    10: (0, 236593, 60840, 0, 659),
-    11: (0, 236102, 56425, 0, 160),
+    9: (230984, 66465, 0, 552),
+    10: (236593, 60840, 0, 659),
+    11: (236102, 56425, 0, 160),
 }
 
 
@@ -152,7 +153,7 @@ def rule_subsets():
 
 def test_monotone_pruning():
     subsets = rule_subsets()
-    assert len(subsets) == 16
+    assert len(subsets) == 8
     for k in (3, 4, 5, 6, 7):
         base = run(k)
         for disabled in subsets:
@@ -171,7 +172,7 @@ def test_without_mirror_dot_the_counts_are_unchanged():
         assert out.prunes_by_rule == prunes(*counts)
 
 
-def test_without_deficit_the_counts_are_unchanged():
+def test_without_deficit_only_partial_dot_prunes():
     for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
         out = run(k, disabled_rules=frozenset({"deficit", "mirror_dot"}))
         assert out.exhausted
@@ -195,21 +196,6 @@ def test_deep_node_limited_counts_are_unchanged():
         assert out.prunes_by_rule == prunes(*counts)
 
 
-def test_row_fill_is_redundant_under_deficit():
-    # with deficit on, row_fill prunes nothing that the other rules would
-    # not prune at the same node, so disabling it changes no counter
-    for k in range(3, 9):
-        for others in rule_subsets():
-            if others - {"partial_dot", "mirror_dot"}:
-                continue
-            kept = run(k, disabled_rules=others)
-            dropped = run(k, disabled_rules=others | {"row_fill"})
-            assert kept.prunes_by_rule["row_fill"] == 0
-            assert dropped.nodes_visited == kept.nodes_visited, (k, others)
-            assert dropped.prunes_by_rule == kept.prunes_by_rule, (k, others)
-            assert [m.bits for m in dropped.solutions] == [m.bits for m in kept.solutions]
-
-
 def test_parallel_matches_sequential(tmp_path):
     for k, (nodes, counts) in FINGERPRINTS.items():
         paths = {
@@ -231,7 +217,7 @@ def test_node_limit():
         out = run(7, node_limit=100, threads=threads)
         assert not out.exhausted
         assert out.nodes_visited == 100
-        assert out.prunes_by_rule == prunes(0, 54, 21, 1, 0)
+        assert out.prunes_by_rule == prunes(54, 21, 1, 0)
         assert out.solutions == ()
 
 
@@ -307,7 +293,7 @@ def test_checkpoint_resume(tmp_path):
         partial = run(7, node_limit=400, checkpoint=path)
         assert not partial.exhausted
         state = json.loads(open(path).read())
-        assert state["schema_version"] == 3
+        assert state["schema_version"] == 4
         assert 0 < len(state["done"]) < len(state["branches"])
 
         resumed = run(7, threads=threads, checkpoint=path)
@@ -374,8 +360,15 @@ def schema_1(state):
 
 def schema_2(state):
     # what the search wrote before the mirror_dot rule had a counter
+    schema_3(state)
     state["schema_version"] = 2
     del state["prunes"]["mirror_dot"]
+
+
+def schema_3(state):
+    # what the search wrote while it still had the row_fill rule
+    state["schema_version"] = 3
+    state["prunes"]["row_fill"] = 0
 
 
 def drop(key):
@@ -391,16 +384,17 @@ def put_prune(key, value):
 
 
 BAD_CHECKPOINTS = {
-    "schema 1": (schema_1, "schema 1, expected 3"),
-    "schema 2": (schema_2, "schema 2, expected 3"),
+    "schema 1": (schema_1, "schema 1, expected 4"),
+    "schema 2": (schema_2, "schema 2, expected 4"),
+    "schema 3": (schema_3, "schema 3, expected 4"),
     "no schema": (drop("schema_version"), "schema None"),
     "no done": (drop("done"), "lacks the keys ['done']"),
     "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
     "prunes lack deficit": (lambda s: s["prunes"].pop("deficit"), "prune counters"),
     "prunes lack mirror_dot": (lambda s: s["prunes"].pop("mirror_dot"), "prune counters"),
-    "extra prune key": (put_prune("future_row", 0), "prune counters"),
+    "extra prune key": (put_prune("row_fill", 0), "prune counters"),
     "negative prune": (put_prune("deficit", -1), "prune counters"),
-    "prunes not a dict": (put("prunes", [0, 0, 0, 0, 0]), "prune counters"),
+    "prunes not a dict": (put("prunes", [0, 0, 0, 0]), "prune counters"),
     "nodes not a count": (put("nodes", "51"), "node count"),
     "done repeats": (put("done", [0, 0]), "done list"),
     "done out of range": (put("done", [1]), "done list"),
