@@ -13,8 +13,8 @@ The package is organized like the underlying mathematics:
              and Bose-Mesner closure
   extract    the principal-core pipeline: line-sum lemma, two-neighbor
              lemma, core extraction, and the doubled design family
-  search     exhaustive pruned backtracking over symmetric canonical
-             completions, with parallel subtrees and checkpoints
+  search     exhaustive row-at-a-time backtracking over symmetric
+             canonical completions, with parallel subtrees and checkpoints
   fixtures   built-in reference tables and their on-disk writer
   cli        the command-line front end
 """
@@ -93,7 +93,6 @@ from .extract import (
     family_generate,
 )
 from .search import (
-    DISABLEABLE_RULES,
     CheckpointError,
     SearchBugError,
     SearchConfig,
@@ -125,7 +124,6 @@ __all__ = [
     "CORES_16",
     "CheckpointError",
     "CounterexampleError",
-    "DISABLEABLE_RULES",
     "DesignParameters",
     "DimensionError",
     "ExpectationError",

@@ -2,47 +2,36 @@
 
 The head rows and columns of a canonical matrix are forced, and so is
 the diagonal once full trace is required, so the only freedom is the
-upper triangle of the tail block. The search fills tail rows top to
-bottom, cell by cell, and mirrors a finished row across the diagonal.
+upper triangle of the tail block. Tail row i belongs to pair column
+i = {s, t} of the labels 1..k-1. Its forced entries, head columns s and
+t and the diagonal, already meet head rows 0, s and t twice each, and
+every other head row u has its ones in column 0 and the pair columns
+that contain u. So the row's k - 3 free ones are pair columns that
+avoid s and t and hold each of the other k - 3 labels exactly twice:
+the edges of a 2-factor (a 2-regular graph) on those labels. Conversely
+each such 2-factor completes the row to sum k, meeting every head row
+exactly twice.
 
-While row i is filled, its meetings with the earlier (complete) rows
-are three bit planes over those rows, passed down by value: ones,
-twos and three hold the rows that meet row i at least 1, 2 and 3
-times (three saturates). A 1 in column c, with a the earlier rows
-that have a 1 there, turns them into ones | a, twos | (ones & a) and
-three | (twos & a), so every node costs a constant number of integer
-operations and nothing is undone. When a row starts, one scan over
-the columns from the right gives h1[c] and h2[c], the earlier rows
-with at least 1 and at least 2 ones right of column c. The search
-prunes on:
+The search therefore places whole tail rows, top to bottom, and mirrors
+each placed row across the diagonal. A row's candidates are its
+2-factors mapped to its pair columns, built once per k; has[c] holds,
+as the bits of one integer, the candidates with a 1 in column c. When
+the search reaches row i, symmetry has fixed its entries left of the
+diagonal, and each earlier tail row p already meets it d times. A
+candidate is kept when it agrees with the fixed entries and has exactly
+2 - d ones in p's columns right of the diagonal, for every p. Those
+ones are counted for all candidates at once in three bit planes
+(candidates with at least 1, 2 and 3 of them): a column c turns them
+into ones | has[c], twos | (ones & has[c]) and three | (twos & has[c]).
 
-  partial_dot  a 1 in column c would make some earlier row meet the
-               row 3 times (twos & a); also checked when a row starts
-  deficit      some earlier row p can no longer meet the row twice:
-               it meets it d < 2 times and has fewer than 2 - d ones
-               right of the current column, read off h1 and h2; checked
-               for every p when a row starts, then on each 0 entry for
-               the rows in a (a 1 entry never makes a deficit worse)
-  mirror_dot   a 1 at (i, c) becomes a 1 at (c, i), which meets every
-               earlier row p with a 1 in column i; row c's entries left
-               of column i and its diagonal are already final, so if
-               they meet such a p twice, the 1 is pruned. The columns
-               this blocks are found once per row
+Every filter is exact, so no pruning rule is needed and every pair of
+tail rows is checked exactly once, when the later one is placed. A node
+is one placed row; complete_dot counts the candidates that agreed with
+the fixed entries but would meet some earlier row other than twice.
+Emitted solutions are re-verified through the independent biplane
+verifier; disagreement raises SearchBugError.
 
-No rule checks that a row can still reach sum k: every column but
-column 0 holds two head ones and no tail row has a 1 in column 0, so
-the head rows still owe the row twice the ones it needs, and a row
-that cannot reach k leaves some head row to deficit (or, past k,
-gives one a third meeting, which partial_dot sees).
-
-Any subset can be disabled (the solution set never changes, only the
-node count). Two further checks are correctness, not pruning, and
-cannot be disabled: completed rows must sum to exactly k, and every
-completed row pair must meet in exactly 2 columns. Emitted solutions
-are re-verified through the independent biplane verifier; disagreement
-raises SearchBugError.
-
-The first tail row's completions partition the space into disjoint
+The first tail row's candidates partition the space into disjoint
 subtrees. One loop runs them in order, in this process or on worker
 processes, merges their counters and solutions, and after each one
 records the finished subtrees in the checkpoint file.
@@ -50,6 +39,7 @@ records the finished subtrees in the checkpoint file.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -66,10 +56,9 @@ from .biplane import (
     verify_biplane,
 )
 
-DISABLEABLE_RULES = ("partial_dot", "deficit", "mirror_dot")
-_COUNTER_KEYS = DISABLEABLE_RULES + ("complete_dot",)
+_COUNTER_KEYS = ("complete_dot",)
 
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 
 
 class SearchBugError(RuntimeError):
@@ -134,31 +123,76 @@ def _base_rows(k: int) -> list[int]:
     return rows
 
 
+def _two_factors(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every 2-regular graph on the labels 0..m-1, as sorted edge tuples.
+
+    The cycle through the lowest label left is chosen first; its second
+    label is below its last, so each cycle is listed once.
+    """
+    found: list[tuple[tuple[int, int], ...]] = []
+
+    def cycles(path: list[int], left: tuple[int, ...], edges: list) -> None:
+        if len(path) >= 3 and path[1] < path[-1]:
+            closed = zip(path, path[1:] + path[:1])
+            rest(left, edges + [(min(a, b), max(a, b)) for a, b in closed])
+        for n, x in enumerate(left):
+            cycles(path + [x], left[:n] + left[n + 1:], edges)
+
+    def rest(left: tuple[int, ...], edges: list) -> None:
+        if not left:
+            found.append(tuple(sorted(edges)))
+        else:
+            cycles([left[0]], left[1:], edges)
+
+    rest(tuple(range(m)), [])
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """For each tail row k..v-1: its candidates (its 2-factors as bits
+    over its pair columns), has[c] (the bitset of candidates with a 1 in
+    column c) and the bitmask of the columns any candidate uses."""
+    pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
+    column = {pair: 1 + n for n, pair in enumerate(pairs)}
+    factors = _two_factors(k - 3)
+    # one edge of the generic labels 0..k-4 -> the factors that hold it
+    holding: dict[tuple[int, int], int] = {}
+    for j, edges in enumerate(factors):
+        for e in edges:
+            holding[e] = holding.get(e, 0) | (1 << j)
+    tables = []
+    for s, t in pairs[k - 1:]:
+        labels = [u for u in range(1, k) if u not in (s, t)]
+        where = {(a, b): column[labels[a], labels[b]] for a, b in holding}
+        bit = {e: 1 << c for e, c in where.items()}
+        cands = tuple(sum(map(bit.__getitem__, edges)) for edges in factors)
+        has = [0] * head_width(k)
+        for e, c in where.items():
+            has[c] = holding[e]
+        tables.append((cands, tuple(has), sum(bit.values())))
+    return tuple(tables)
+
+
 class _Searcher:
     """Mutable depth-first state for one search (or one subtree of it)."""
 
-    def __init__(self, k: int, disabled: frozenset[str]):
+    def __init__(self, k: int):
         self.k = k
         self.v = head_width(k)
         self.rows = _base_rows(k)
-        # bit p of colmask[c]: completed row p has a 1 in column c
-        self.colmask = [
-            sum(((self.rows[p] >> c) & 1) << p for p in range(k)) for c in range(self.v)
-        ]
-        self.partial_dot = "partial_dot" not in disabled
-        self.deficit = "deficit" not in disabled
-        self.mirror_dot = "mirror_dot" not in disabled
+        self.tables = _completion_tables(k)
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
         self.solutions: list[tuple[int, ...]] = []
         self.node_limit: Optional[int] = None
         self.max_solutions: Optional[int] = None
         self.stopped = False
-        # branch collection: when set, completions of the first tail row
-        # are appended here instead of being explored further
+        # branch collection: when set, candidates of the first tail row
+        # that survive are appended here instead of being explored further
         self.branch_sink: Optional[list[int]] = None
 
-    # -- depth-first fill ----------------------------------------------------
+    # -- depth-first search, one row per node --------------------------------
 
     def explore_row(self, i: int) -> None:
         if self.stopped:
@@ -166,120 +200,71 @@ class _Searcher:
         if i == self.v:
             self._record_solution()
             return
-        rows, colmask, v = self.rows, self.colmask, self.v
-        base = rows[i]
-        need = self.k - base.bit_count()
-        # the dot planes: earlier rows meeting row i at least 1, 2, 3 times
-        ones = twos = three = 0
-        for p in range(i):
-            d = (base & rows[p]).bit_count()
-            if d:
-                ones |= 1 << p
-                if d > 1:
-                    twos |= 1 << p
-                    if d > 2:
-                        three |= 1 << p
-        if self.partial_dot and three:
-            self.prunes["partial_dot"] += 1
-            return
-        # h1[c], h2[c]: earlier rows with at least 1, 2 ones right of column c
-        h1 = [0] * v
-        h2 = [0] * v
-        right1 = right2 = 0
-        for c in range(v - 1, i - 1, -1):
-            h1[c] = right1
-            h2[c] = right2
-            right2 |= right1 & colmask[c]
-            right1 |= colmask[c]
-        if self.deficit and ((1 << i) - 1) & ~(twos | (h1[i] & (ones | h2[i]))):
-            self.prunes["deficit"] += 1
-            return
-        # mirror: the columns c > i where a 1 at (i, c) is doomed. Its
-        # mirror at (c, i) meets every earlier row p in colmask[i], and
-        # row c's final entries may already meet such a p twice: at
-        # column c, where rows[p] has a 1, and at each j < i where rows[p]
-        # has a 1 and, by symmetry, rows[j] has a 1 at column c. Counted
-        # for every c at once, as bit planes over the columns.
-        mirror = 0
-        if self.mirror_dot:
-            below = (1 << i) - 1
-            for p in range(i):
-                if (colmask[i] >> p) & 1:
-                    once = rows[p]
-                    js = rows[p] & below
-                    while js:
-                        j = (js & -js).bit_length() - 1
-                        js &= js - 1
-                        mirror |= once & rows[j]
-                        once |= rows[j]
-            mirror &= ~((2 << i) - 1)
-        self._fill(i, i + 1, need, ones, twos, three, h1, h2, mirror)
+        rows, k = self.rows, self.k
+        cands, has, columns = self.tables[i - k]
+        row = rows[i]
+        alive = (1 << len(cands)) - 1
+        # entries left of the diagonal are the mirrors of earlier rows;
+        # outside the row's own columns both sides hold only zeros
+        fixed = columns & ((1 << i) - 1)
+        while fixed:
+            low = fixed & -fixed
+            fixed ^= low
+            c = low.bit_length() - 1
+            alive &= has[c] if row & low else ~has[c]
+        agreeing = alive.bit_count()
+        right = columns & ~((2 << i) - 1)
+        for p in range(k, i):
+            if not alive:
+                break
+            ones = twos = three = 0
+            rest = rows[p] & right
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                a = has[low.bit_length() - 1]
+                three |= twos & a
+                twos |= ones & a
+                ones |= a
+            owed = 2 - (row & rows[p]).bit_count()
+            if owed == 0:
+                alive &= ~ones
+            elif owed == 1:
+                alive &= ones & ~twos
+            elif owed == 2:
+                alive &= twos & ~three
+            else:
+                alive = 0
+        self.prunes["complete_dot"] += agreeing - alive.bit_count()
 
-    def _fill(self, i: int, c: int, need: int, ones: int, twos: int, three: int,
-              h1: list[int], h2: list[int], mirror: int) -> None:
-        """Decide entries (i, c), (i, c+1), ... of row i; each pass of the
-        loop is one node, whose 0-branch is the next pass."""
-        v, colmask, prunes, limit = self.v, self.colmask, self.prunes, self.node_limit
-        while True:
+        limit = self.node_limit
+        sink = self.branch_sink if i == k else None
+        while alive:
+            low = alive & -alive
+            alive ^= low
             self.nodes += 1
             if limit is not None and self.nodes >= limit:
                 self.stopped = True
                 return
-            if need == 0:
-                self._complete_row(i, twos, three)
-                return
-            if c == v:
-                return
-            a = colmask[c]
-
-            # branch: entry (i, c) = 1, mirrored later at (c, i); it adds
-            # a meeting with every earlier row in a
-            if self.partial_dot and twos & a:
-                prunes["partial_dot"] += 1
-            elif self.mirror_dot and (mirror >> c) & 1:
-                prunes["mirror_dot"] += 1
+            rows[i] = row | cands[low.bit_length() - 1]
+            if sink is not None:
+                sink.append(rows[i])
             else:
-                bit = 1 << c
-                self.rows[i] |= bit
-                self._fill(i, c + 1, need - 1, ones | a, twos | (ones & a), three | (twos & a),
-                           h1, h2, mirror)
-                self.rows[i] ^= bit
-                if self.stopped:
-                    return
-
-            # branch: entry (i, c) = 0. An earlier row p in a can still
-            # meet row i twice if it already does, or if it has a one
-            # right of c and either one meeting or two such ones
-            if self.deficit and a & ~(twos | (h1[c] & (ones | h2[c]))):
-                prunes["deficit"] += 1
+                self._descend(i)
+            rows[i] = row
+            if self.stopped:
                 return
-            c += 1
-
-    def _complete_row(self, i: int, twos: int, three: int) -> None:
-        # correctness gate, never disabled: every earlier row meets row i
-        # exactly twice
-        if three or twos != (1 << i) - 1:
-            self.prunes["complete_dot"] += 1
-            return
-
-        if self.branch_sink is not None and i == self.k:
-            self.branch_sink.append(self.rows[i])
-            return
-
-        self._descend(i)
 
     def _descend(self, i: int) -> None:
-        """Mirror the finished row i into the later rows and columns,
-        explore row i + 1, then undo the mirror."""
+        """Mirror the placed row i into the later rows, explore row
+        i + 1, then undo the mirror."""
         row_bits = self.rows[i]
         mirrored = [c for c in range(i + 1, self.v) if (row_bits >> c) & 1]
         for c in mirrored:
             self.rows[c] |= 1 << i
-            self.colmask[c] |= 1 << i
         self.explore_row(i + 1)
         for c in mirrored:
             self.rows[c] &= ~(1 << i)
-            self.colmask[c] &= ~(1 << i)
 
     def _record_solution(self) -> None:
         self.solutions.append(tuple(self.rows))
@@ -292,7 +277,7 @@ class _Searcher:
     # -- branch plumbing -----------------------------------------------------
 
     def collect_branches(self) -> list[int]:
-        """Enumerate completions of the first tail row without descending."""
+        """Enumerate the placements of the first tail row without descending."""
         sink: list[int] = []
         self.branch_sink = sink
         self.explore_row(self.k)
@@ -301,14 +286,14 @@ class _Searcher:
 
 
 def _run_branch(job: tuple) -> tuple:
-    """Run the subtree under one completion of the first tail row.
+    """Run the subtree under one placement of the first tail row.
 
-    job is (k, branch_bits, disabled, node_budget, solution_budget). A
-    budget of None is unlimited; one at or below 0 stops the branch
-    before its first node. Returns (nodes, prunes, solutions, stopped).
+    job is (k, branch_bits, node_budget, solution_budget). A budget of
+    None is unlimited; one at or below 0 stops the branch before its
+    first node. Returns (nodes, prunes, solutions, stopped).
     """
-    k, branch_bits, disabled, node_budget, solution_budget = job
-    searcher = _Searcher(k, disabled)
+    k, branch_bits, node_budget, solution_budget = job
+    searcher = _Searcher(k)
     searcher.node_limit = node_budget
     searcher.max_solutions = solution_budget
     searcher.stopped = any(b is not None and b <= 0 for b in (node_budget, solution_budget))
@@ -351,7 +336,7 @@ def _load_checkpoint(path: str, fresh: dict) -> dict:
     missing = sorted(set(fresh) - set(state))
     if missing:
         raise CheckpointError(f"checkpoint {path} lacks the keys {missing}")
-    if state["k"] != fresh["k"] or state["disabled_rules"] != fresh["disabled_rules"]:
+    if state["k"] != fresh["k"]:
         raise CheckpointError(f"checkpoint {path} belongs to a different search")
     if state["branches"] != fresh["branches"]:
         raise CheckpointError(f"checkpoint {path} branch list does not match this search")
@@ -397,38 +382,31 @@ def _write_checkpoint(path: str, state: dict) -> None:
 def search_symmetric_canonical(
     cfg: SearchConfig,
     *,
-    disabled_rules: frozenset[str] = frozenset(),
     checkpoint: Optional[str] = None,
 ) -> SearchOutcome:
     """Run the search described by cfg and return a verified outcome.
 
-    disabled_rules may name any of DISABLEABLE_RULES; correctness
-    checks stay on regardless. With several threads, subtrees run to
-    completion, on at most one worker process per subtree (in this
-    process when there is only one), so max_solutions then truncates
-    the merged result instead of stopping early; counters still add up
-    to the sequential totals. A node_limit forces in-process execution. A
-    checkpoint works with either: it is rewritten after each finished
-    subtree, in branch order, and a rerun on the same file skips the
-    subtrees it lists; a file that is malformed or belongs to another
-    search raises CheckpointError.
+    With several threads, subtrees run to completion, on at most one
+    worker process per subtree (in this process when there is only
+    one), so max_solutions then truncates the merged result instead of
+    stopping early; counters still add up to the sequential totals. A
+    node_limit forces in-process execution. A checkpoint works with
+    either: it is rewritten after each finished subtree, in branch
+    order, and a rerun on the same file skips the subtrees it lists; a
+    file that is malformed or belongs to another search raises
+    CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
     """
-    unknown = set(disabled_rules) - set(DISABLEABLE_RULES)
-    if unknown:
-        raise ValueError(f"unknown pruning rules: {sorted(unknown)}")
-    disabled = frozenset(disabled_rules)
     start = time.perf_counter()
 
-    enumerator = _Searcher(cfg.k, disabled)
+    enumerator = _Searcher(cfg.k)
     enumerator.node_limit = cfg.node_limit
     branches = enumerator.collect_branches()
     state = {
         "schema_version": CHECKPOINT_SCHEMA,
         "k": cfg.k,
-        "disabled_rules": sorted(disabled),
         "branches": branches,
         "done": [],
         "nodes": enumerator.nodes,
@@ -452,7 +430,7 @@ def search_symmetric_canonical(
                 node_budget = cfg.node_limit - state["nodes"]
             if budgeted and cfg.max_solutions is not None:
                 solution_budget = cfg.max_solutions - len(state["solutions"])
-            yield cfg.k, branches[index], disabled, node_budget, solution_budget
+            yield cfg.k, branches[index], node_budget, solution_budget
 
     stopped = enumerator.stopped
     # a pool pays off only with two subtrees or more to share

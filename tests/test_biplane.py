@@ -174,7 +174,7 @@ def test_verify_balance_rejection():
     assert swapped is not None
     with pytest.raises(VerificationError) as err:
         verify_biplane(swapped)
-    assert err.value.axiom in ("row-balance", "column-balance")
+    assert err.value.axiom == "row-balance"
     assert len(err.value.witness) == 3
 
 

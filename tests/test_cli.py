@@ -233,7 +233,7 @@ def test_search_k8_needs_no_long_run(capsys):
     assert code == 0
     assert payload["exhausted"] is True
     assert payload["solution_count"] == 0
-    assert payload["nodes_visited"] == 33784
+    assert payload["nodes_visited"] == 744
 
 
 def test_search_threads_env(tmp_path, capsys, monkeypatch):
@@ -268,8 +268,15 @@ def _schema_2(state):
 
 
 def _schema_3(state):
+    _schema_4(state)
     state["schema_version"] = 3
     state["prunes"]["row_fill"] = 0
+
+
+def _schema_4(state):
+    state["schema_version"] = 4
+    state["disabled_rules"] = []
+    state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
 
 
 @pytest.mark.parametrize("spoil", [
@@ -278,11 +285,12 @@ def _schema_3(state):
     lambda state: _schema_1(state),
     lambda state: _schema_2(state),
     lambda state: _schema_3(state),
+    lambda state: _schema_4(state),
     lambda state: state.pop("done"),
-    lambda state: state["prunes"].pop("deficit"),
+    lambda state: state["prunes"].pop("complete_dot"),
     lambda state: state.__setitem__("done", [0, 0]),
     lambda state: state.__setitem__("done", [7]),
-], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "missing key",
+], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "schema 4", "missing key",
         "prune keys", "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"

@@ -9,9 +9,14 @@ import pytest
 
 import biplane_schemes.search as search_mod
 from biplane_schemes.binmat import BinaryMatrix
-from biplane_schemes.biplane import VerificationError, assemble_b4c, head_width
+from biplane_schemes.biplane import (
+    VerificationError,
+    assemble_b4c,
+    canonical_head,
+    head_width,
+    verify_biplane,
+)
 from biplane_schemes.search import (
-    DISABLEABLE_RULES,
     CheckpointError,
     SearchBugError,
     SearchConfig,
@@ -27,44 +32,21 @@ TRIVIAL_SOLUTION = BinaryMatrix.from_rows([
 ])
 
 
-COUNTERS = ("partial_dot", "deficit", "mirror_dot", "complete_dot")
+COUNTERS = ("complete_dot",)
 
 # nodes and prunes per counter of the exhausted search, on every run path
 FINGERPRINTS = {
-    6: (51, (25, 16, 0, 0)),
-    7: (563, (338, 185, 14, 0)),
-    8: (33784, (22366, 8908, 1683, 42)),
+    6: (10, (0,)),
+    7: (29, (49,)),
+    8: (744, (6276,)),
 }
 
-# the same with mirror_dot disabled: the counts of the search without it
-NO_MIRROR_FINGERPRINTS = {
-    6: (51, (25, 16, 0, 0)),
-    7: (673, (424, 221, 0, 0)),
-    8: (48280, (34703, 12750, 0, 42)),
-}
-
-# with deficit disabled as well: partial_dot is then the only pruning
-# rule, and nothing cuts a row short that can no longer reach sum k
-NO_DEFICIT_FINGERPRINTS = {
-    6: (130, (58, 0, 0, 0)),
-    7: (3209, (1797, 0, 0, 0)),
-    8: (336000, (218795, 0, 0, 84)),
-}
-
-# with partial_dot disabled: a 1 may then give the row a third meeting
-# with an earlier row, and only the three plane shows complete_dot that
-# meeting; without it these trees grow (k=7 to 1,145 nodes)
-NO_PARTIAL_DOT_FINGERPRINTS = {
-    7: (696, (0, 210, 330, 65)),
-    8: (74181, (0, 16634, 33484, 11660)),
-}
-
-# runs stopped at 300,000 nodes with mirror_dot disabled: deep trees for
-# the dot planes, with the counts of the dots-per-row loop they replaced
-NO_MIRROR_NODE_LIMIT_FINGERPRINTS = {
-    9: (230984, 66465, 0, 552),
-    10: (236593, 60840, 0, 659),
-    11: (236102, 56425, 0, 160),
+# runs stopped at 10,000 nodes: deep trees, which exhausted runs at
+# k <= 8 do not reach; at k=11 the first 3,507 nodes place the first row
+NODE_LIMIT_FINGERPRINTS = {
+    9: (622635,),
+    10: (4383708,),
+    11: (22762744,),
 }
 
 
@@ -73,13 +55,8 @@ def prunes(*counts):
 
 
 def run(k, **kwargs):
-    disabled = kwargs.pop("disabled_rules", frozenset())
     checkpoint = kwargs.pop("checkpoint", None)
-    return search_symmetric_canonical(
-        SearchConfig(k=k, **kwargs),
-        disabled_rules=disabled,
-        checkpoint=checkpoint,
-    )
+    return search_symmetric_canonical(SearchConfig(k=k, **kwargs), checkpoint=checkpoint)
 
 
 def test_config_validation():
@@ -91,8 +68,6 @@ def test_config_validation():
         SearchConfig(k=4, node_limit=0)
     with pytest.raises(ValueError):
         SearchConfig(k=4, threads=0)
-    with pytest.raises(ValueError):
-        search_symmetric_canonical(SearchConfig(k=4), disabled_rules=frozenset({"bogus"}))
 
 
 def test_k3_unique_trivial_solution():
@@ -143,56 +118,102 @@ def test_determinism():
     assert [m.bits for m in a.solutions] == [m.bits for m in b.solutions]
 
 
-def rule_subsets():
-    return [
-        frozenset(subset)
-        for size in range(len(DISABLEABLE_RULES) + 1)
-        for subset in itertools.combinations(DISABLEABLE_RULES, size)
-    ]
+def test_two_factor_counts():
+    # 2-regular graphs on m labels, OEIS A001205
+    counts = [1, 0, 0, 1, 3, 12, 70, 465, 3507]
+    assert [len(search_mod._two_factors(m)) for m in range(9)] == counts
+    for m in range(9):
+        for edges in search_mod._two_factors(m):
+            degree = [0] * m
+            for a, b in edges:
+                degree[a] += 1
+                degree[b] += 1
+            assert degree == [2] * m
 
 
-def test_monotone_pruning():
-    subsets = rule_subsets()
-    assert len(subsets) == 8
-    for k in (3, 4, 5, 6, 7):
-        base = run(k)
-        for disabled in subsets:
-            relaxed = run(k, disabled_rules=disabled)
-            assert relaxed.exhausted
-            assert [m.bits for m in relaxed.solutions] == [m.bits for m in base.solutions]
-            assert relaxed.nodes_visited >= base.nodes_visited
-            assert all(relaxed.prunes_by_rule[rule] == 0 for rule in disabled)
+def test_candidates_are_the_brute_force_completions():
+    # every way to put k - 3 ones into a tail row's tail columns that
+    # meets each head row exactly twice is a candidate, and no other is
+    for k in range(3, 9):
+        v = head_width(k)
+        head = canonical_head(k).bits
+        base = search_mod._base_rows(k)
+        for i, (cands, has, columns) in enumerate(search_mod._completion_tables(k), start=k):
+            free = [c for c in range(k, v) if c != i]
+            found = set()
+            for cells in itertools.combinations(free, k - 3):
+                bits = sum(1 << c for c in cells)
+                if all(((base[i] | bits) & h).bit_count() == 2 for h in head):
+                    found.add(bits)
+            assert sorted(cands) == sorted(found), (k, i)
+            assert len(set(cands)) == len(cands)
+            for c in range(v):
+                assert has[c] == sum(1 << j for j, bits in enumerate(cands) if bits >> c & 1)
+            assert columns == sum(1 << c for c in range(v) if has[c])
 
 
-def test_without_mirror_dot_the_counts_are_unchanged():
-    for k, (nodes, counts) in NO_MIRROR_FINGERPRINTS.items():
-        out = run(k, disabled_rules=frozenset({"mirror_dot"}))
-        assert out.exhausted
-        assert out.nodes_visited == nodes
-        assert out.prunes_by_rule == prunes(*counts)
+def gewirtz_b9e():
+    """The order-9 biplane b9e as a symmetric canonical matrix, built
+    from the extended binary Golay code.
+
+    The octads through coordinates 0 and 1, less those two, are the 77
+    hexads of S(3,6,22); the 56 that avoid coordinate 2, adjacent when
+    disjoint, form the Gewirtz graph SRG(56,10,0,2), and its adjacency
+    matrix plus I is the biplane. Relabelling around vertex 0 (first
+    itself, then its 10 neighbours, then the other common neighbour of
+    each pair of them, pairs in lexicographic order) gives the canonical
+    form.
+    """
+    g = 0b110001110101  # 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11
+    octads = []
+    for msg in range(1 << 12):
+        word = 0
+        for d in range(12):
+            if msg >> d & 1:
+                word ^= g << d
+        word |= (word.bit_count() & 1) << 23
+        if word.bit_count() == 8:
+            octads.append(word)
+    assert len(octads) == 759
+    hexads = [w >> 2 for w in octads if w & 0b11 == 0b11]
+    vertices = [h for h in hexads if not h & 1]
+    assert (len(hexads), len(vertices)) == (77, 56)
+    adjacent = [[a != b and not a & b for b in vertices] for a in vertices]
+    neighbours = [y for y in range(56) if adjacent[0][y]]
+    order = [0] + neighbours
+    for a, b in itertools.combinations(neighbours, 2):
+        (z,) = [z for z in range(1, 56) if adjacent[a][z] and adjacent[b][z]]
+        order.append(z)
+    return BinaryMatrix.from_rows(
+        [[int(a == b or adjacent[a][b]) for b in order] for a in order])
 
 
-def test_without_deficit_only_partial_dot_prunes():
-    for k, (nodes, counts) in NO_DEFICIT_FINGERPRINTS.items():
-        out = run(k, disabled_rules=frozenset({"deficit", "mirror_dot"}))
-        assert out.exhausted
-        assert out.nodes_visited == nodes
-        assert out.prunes_by_rule == prunes(*counts)
+def test_seeded_b9e_completes_to_itself():
+    b9e = gewirtz_b9e()
+    cert = verify_biplane(b9e)
+    assert (cert.k, cert.v) == (11, 56)
+    assert cert.canonical and cert.full_trace and cert.symmetric
 
-
-def test_without_partial_dot_complete_dot_sees_third_meetings():
-    for k, (nodes, counts) in NO_PARTIAL_DOT_FINGERPRINTS.items():
-        out = run(k, disabled_rules=frozenset({"partial_dot"}))
-        assert out.exhausted
-        assert out.nodes_visited == nodes
-        assert out.prunes_by_rule == prunes(*counts)
+    # fix the first 4 tail rows, and their mirrors in the later rows
+    k, v, depth = 11, 56, 4
+    searcher = search_mod._Searcher(k)
+    seeded = ((1 << (k + depth)) - 1) ^ ((1 << k) - 1)
+    for i in range(k, v):
+        if i < k + depth:
+            searcher.rows[i] = b9e.bits[i]
+        else:
+            searcher.rows[i] |= b9e.bits[i] & seeded
+    searcher.explore_row(k + depth)
+    assert searcher.solutions == [b9e.bits]
+    assert searcher.nodes == 483
+    assert searcher.prunes == {"complete_dot": 1378292}
 
 
 def test_deep_node_limited_counts_are_unchanged():
-    for k, counts in NO_MIRROR_NODE_LIMIT_FINGERPRINTS.items():
-        out = run(k, node_limit=300_000, disabled_rules=frozenset({"mirror_dot"}))
+    for k, counts in NODE_LIMIT_FINGERPRINTS.items():
+        out = run(k, node_limit=10_000)
         assert not out.exhausted
-        assert out.nodes_visited == 300_000
+        assert out.nodes_visited == 10_000
         assert out.prunes_by_rule == prunes(*counts)
 
 
@@ -214,10 +235,10 @@ def test_parallel_matches_sequential(tmp_path):
 
 def test_node_limit():
     for threads in (1, 2):  # a node limit runs in process either way
-        out = run(7, node_limit=100, threads=threads)
+        out = run(8, node_limit=100, threads=threads)
         assert not out.exhausted
         assert out.nodes_visited == 100
-        assert out.prunes_by_rule == prunes(54, 21, 1, 0)
+        assert out.prunes_by_rule == prunes(745)
         assert out.solutions == ()
 
 
@@ -290,10 +311,10 @@ def test_checkpoint_resume(tmp_path):
     clean = run(7)
     for threads in (1, 2):
         path = str(tmp_path / f"progress{threads}.json")
-        partial = run(7, node_limit=400, checkpoint=path)
+        partial = run(7, node_limit=15, checkpoint=path)
         assert not partial.exhausted
         state = json.loads(open(path).read())
-        assert state["schema_version"] == 4
+        assert state["schema_version"] == 5
         assert 0 < len(state["done"]) < len(state["branches"])
 
         resumed = run(7, threads=threads, checkpoint=path)
@@ -347,8 +368,6 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     run(6, checkpoint=path)
     with pytest.raises(CheckpointError, match="different search"):
         run(7, checkpoint=path)
-    with pytest.raises(CheckpointError, match="different search"):
-        run(6, checkpoint=path, disabled_rules=frozenset({"deficit"}))
 
 
 def schema_1(state):
@@ -367,8 +386,16 @@ def schema_2(state):
 
 def schema_3(state):
     # what the search wrote while it still had the row_fill rule
+    schema_4(state)
     state["schema_version"] = 3
     state["prunes"]["row_fill"] = 0
+
+
+def schema_4(state):
+    # what the cell-by-cell search wrote, with its three pruning rules
+    state["schema_version"] = 4
+    state["disabled_rules"] = []
+    state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
 
 
 def drop(key):
@@ -384,17 +411,17 @@ def put_prune(key, value):
 
 
 BAD_CHECKPOINTS = {
-    "schema 1": (schema_1, "schema 1, expected 4"),
-    "schema 2": (schema_2, "schema 2, expected 4"),
-    "schema 3": (schema_3, "schema 3, expected 4"),
+    "schema 1": (schema_1, "schema 1, expected 5"),
+    "schema 2": (schema_2, "schema 2, expected 5"),
+    "schema 3": (schema_3, "schema 3, expected 5"),
+    "schema 4": (schema_4, "schema 4, expected 5"),
     "no schema": (drop("schema_version"), "schema None"),
     "no done": (drop("done"), "lacks the keys ['done']"),
     "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
-    "prunes lack deficit": (lambda s: s["prunes"].pop("deficit"), "prune counters"),
-    "prunes lack mirror_dot": (lambda s: s["prunes"].pop("mirror_dot"), "prune counters"),
-    "extra prune key": (put_prune("row_fill", 0), "prune counters"),
-    "negative prune": (put_prune("deficit", -1), "prune counters"),
-    "prunes not a dict": (put("prunes", [0, 0, 0, 0]), "prune counters"),
+    "prunes lack complete_dot": (lambda s: s["prunes"].pop("complete_dot"), "prune counters"),
+    "extra prune key": (put_prune("deficit", 0), "prune counters"),
+    "negative prune": (put_prune("complete_dot", -1), "prune counters"),
+    "prunes not a dict": (put("prunes", [0]), "prune counters"),
     "nodes not a count": (put("nodes", "51"), "node count"),
     "done repeats": (put("done", [0, 0]), "done list"),
     "done out of range": (put("done", [1]), "done list"),
@@ -438,7 +465,7 @@ def test_outcome_report():
     assert rep["v"] == head_width(4)
     assert rep["solution_count"] == 0
     assert rep["exhausted"] is True
-    assert set(rep["prunes_by_rule"]) >= set(DISABLEABLE_RULES)
+    assert set(rep["prunes_by_rule"]) == set(COUNTERS)
     assert rep["solutions"] == []
     assert "solutions" not in out.report(include_solutions=False)
 
