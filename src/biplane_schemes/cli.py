@@ -48,6 +48,7 @@ from .scheme import (
     parse_relation,
 )
 from .search import (
+    _POOL_AFTER_NODES,
     CheckpointError,
     SearchBugError,
     SearchConfig,
@@ -58,8 +59,9 @@ SCHEMA_VERSION = 1
 
 THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 
-# searches from this block size on can run for hours and must be
-# requested explicitly; k = 8 exhausts in under a second
+# searches from this block size on must be requested explicitly: k = 8
+# exhausts in milliseconds and k = 9 in seconds, but an unseeded k = 11
+# tree holds an estimated 10^16 nodes, out of reach
 LONG_RUN_K = 9
 
 # verify and extract take matrices of at most this many rows (points):
@@ -155,8 +157,9 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.k >= LONG_RUN_K and not args.long_run:
         raise CliInputError(
-            f"k = {args.k} searches can run for hours; pass --long-run "
-            f"(ideally with --checkpoint) to proceed"
+            f"k = {args.k} searches may not finish (k = 9 exhausts in seconds,"
+            f" an unseeded k = 11 search is out of reach); pass --long-run"
+            f" (ideally with --checkpoint) to proceed"
         )
     threads = args.threads
     if threads is None:
@@ -242,11 +245,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="block size, k >= 3")
     p.add_argument("--max-solutions", type=int, help="stop after this many solutions")
     p.add_argument("--node-limit", type=int, help="stop after this many search nodes")
-    p.add_argument("--threads", type=int, help=f"worker count (default ${THREADS_ENV} or 1)")
+    p.add_argument("--threads", type=int,
+                   help=f"worker count (default ${THREADS_ENV} or 1); workers start only"
+                        f" once a search passes {_POOL_AFTER_NODES:,} nodes")
     p.add_argument("--checkpoint", help="progress file for resumable runs")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
-                   help=f"required for k >= {LONG_RUN_K}, whose searches can run for hours")
+                   help=f"required for k >= {LONG_RUN_K}: k = 9 exhausts in seconds,"
+                        " an unseeded k = 11 search is out of reach")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scheme", help="check a relation table for the scheme axioms")

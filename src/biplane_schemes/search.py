@@ -32,9 +32,12 @@ Emitted solutions are re-verified through the independent biplane
 verifier; disagreement raises SearchBugError.
 
 The first tail row's candidates partition the space into disjoint
-subtrees. One loop runs them in order, in this process or on worker
-processes, merges their counters and solutions, and after each one
-records the finished subtrees in the checkpoint file.
+subtrees. One loop runs them in order, merges their counters and
+solutions, and after each one records the finished subtrees in the
+checkpoint file. With several threads the subtrees run in this process
+until the search has visited _POOL_AFTER_NODES nodes; the rest, if two
+or more, then go to a pool of worker processes. So a small search never
+pays to start workers, and a resumed big one starts them at once.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ from .biplane import (
 _COUNTER_KEYS = ("complete_dot",)
 
 CHECKPOINT_SCHEMA = 5
+
+# nodes a search visits in process before it hands its remaining
+# subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
+# cores; the row search visits 50-100k nodes/s at k=9, so k <= 8 (744
+# nodes) never pools and k=9 pools after 0.1-0.2 s of its 1-2 s
+_POOL_AFTER_NODES = 10_000
 
 
 class SearchBugError(RuntimeError):
@@ -112,7 +121,8 @@ class SearchOutcome:
         return out
 
 
-def _base_rows(k: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _base_rows(k: int) -> tuple[int, ...]:
     """The forced part of every row: the head rows, then each tail row's
     head-column prefix (the head's transpose) and its diagonal bit."""
     head = canonical_head(k).bits
@@ -120,7 +130,7 @@ def _base_rows(k: int) -> list[int]:
     for i in range(k, head_width(k)):
         prefix = sum(((head[j] >> i) & 1) << j for j in range(k))
         rows.append(prefix | (1 << i))
-    return rows
+    return tuple(rows)
 
 
 def _two_factors(m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -180,7 +190,7 @@ class _Searcher:
     def __init__(self, k: int):
         self.k = k
         self.v = head_width(k)
-        self.rows = _base_rows(k)
+        self.rows = list(_base_rows(k))
         self.tables = _completion_tables(k)
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
@@ -386,10 +396,12 @@ def search_symmetric_canonical(
 ) -> SearchOutcome:
     """Run the search described by cfg and return a verified outcome.
 
-    With several threads, subtrees run to completion, on at most one
-    worker process per subtree (in this process when there is only
-    one), so max_solutions then truncates the merged result instead of
-    stopping early; counters still add up to the sequential totals. A
+    With several threads, subtrees run to completion, so max_solutions
+    then truncates the merged result instead of stopping early; counters
+    still add up to the sequential totals. They run in this process, in
+    branch order, until the search has visited _POOL_AFTER_NODES nodes
+    (a resumed search counts its checkpoint's); the remaining ones, if
+    two or more, then run on at most one worker process each. A
     node_limit forces in-process execution. A checkpoint works with
     either: it is rewritten after each finished subtree, in branch
     order, and a rerun on the same file skips the subtrees it lists; a
@@ -419,25 +431,34 @@ def search_symmetric_canonical(
     todo = [] if enumerator.stopped else [i for i in range(len(branches)) if i not in done]
     budgeted = cfg.threads == 1 or cfg.node_limit is not None
 
-    def jobs():
-        # builtin map asks for each job only after the previous result is
-        # merged, so in-process budgets see the running totals; the pool
-        # takes every job up front, so its jobs get no budgets, and
-        # neither do they when a lone subtree skips the pool
-        for index in todo:
-            node_budget = solution_budget = None
-            if budgeted and cfg.node_limit is not None:
-                node_budget = cfg.node_limit - state["nodes"]
-            if budgeted and cfg.max_solutions is not None:
-                solution_budget = cfg.max_solutions - len(state["solutions"])
-            yield cfg.k, branches[index], node_budget, solution_budget
+    def job(index: int) -> tuple:
+        # in-process budgets see the running totals, as each job is made
+        # only after the previous result is merged; threaded runs give
+        # no budgets, as their pool takes every job up front
+        node_budget = solution_budget = None
+        if budgeted and cfg.node_limit is not None:
+            node_budget = cfg.node_limit - state["nodes"]
+        if budgeted and cfg.max_solutions is not None:
+            solution_budget = cfg.max_solutions - len(state["solutions"])
+        return cfg.k, branches[index], node_budget, solution_budget
+
+    pool = None
+
+    def results():
+        nonlocal pool
+        for n, index in enumerate(todo):
+            # a pool pays off only for a big search with two subtrees or
+            # more left to share
+            if not budgeted and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
+                rest = todo[n:]
+                pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
+                yield from zip(rest, pool.map(_run_branch, map(job, rest)))
+                return
+            yield index, _run_branch(job(index))
 
     stopped = enumerator.stopped
-    # a pool pays off only with two subtrees or more to share
-    pool = None if budgeted or len(todo) < 2 else ProcessPoolExecutor(min(cfg.threads, len(todo)))
     try:
-        results = (map if pool is None else pool.map)(_run_branch, jobs())
-        for index, (nodes, prunes, solutions, branch_stopped) in zip(todo, results):
+        for index, (nodes, prunes, solutions, branch_stopped) in results():
             state["nodes"] += nodes
             for key in _COUNTER_KEYS:
                 state["prunes"][key] += prunes[key]

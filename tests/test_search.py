@@ -269,7 +269,21 @@ def counting_pools(monkeypatch):
     return pools
 
 
+def pools_at_writes(monkeypatch, pools):
+    """Record, at each checkpoint write, how many pools have started."""
+    seen = []
+    write = search_mod._write_checkpoint
+
+    def recording_write(target, state):
+        seen.append(len(pools))
+        write(target, state)
+
+    monkeypatch.setattr(search_mod, "_write_checkpoint", recording_write)
+    return seen
+
+
 def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
     pools = counting_pools(monkeypatch)
     run(7, threads=2, checkpoint=str(tmp_path / "progress.json"))
     assert pools == [(2,)]
@@ -288,6 +302,58 @@ def test_a_lone_subtree_skips_the_pool(monkeypatch):
     assert pools == []
 
 
+def test_small_searches_skip_the_pool(monkeypatch):
+    # k=7 and k=8 exhaust in far fewer nodes than a pool is worth
+    pools = counting_pools(monkeypatch)
+    for k in (7, 8):
+        nodes, counts = FINGERPRINTS[k]
+        out = run(k, threads=2)
+        assert out.exhausted
+        assert out.nodes_visited == nodes
+        assert out.prunes_by_rule == prunes(*counts)
+        assert out.solutions == ()
+    assert pools == []
+
+
+def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
+    seq_path = str(tmp_path / "sequential.json")
+    seq = run(8, checkpoint=seq_path)
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 100)
+    pools = counting_pools(monkeypatch)
+    seen = pools_at_writes(monkeypatch, pools)
+    path = str(tmp_path / "progress.json")
+    out = run(8, threads=2, checkpoint=path)
+    # 12 enumerator nodes and 61 per subtree: 73 after the first subtree,
+    # 134 after the second, so the other 10 go to the pool
+    assert pools == [(2,)]
+    assert seen == [0, 0] + [1] * 10
+    assert out.exhausted
+    assert out.nodes_visited == seq.nodes_visited
+    assert out.prunes_by_rule == seq.prunes_by_rule
+    assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions]
+    assert json.loads(open(path).read())["done"] == json.loads(open(seq_path).read())["done"]
+
+
+def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "progress.json")
+    run(8, node_limit=300, checkpoint=path)
+    state = json.loads(open(path).read())
+    assert state["nodes"] == 12 + 4 * 61
+    assert state["done"] == [0, 1, 2, 3]
+
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 200)
+    pools = counting_pools(monkeypatch)
+    seen = pools_at_writes(monkeypatch, pools)
+    out = run(8, threads=2, checkpoint=path)
+    assert pools == [(2,)]
+    assert seen == [1] * 8  # every remaining subtree ran on the pool
+    nodes, counts = FINGERPRINTS[8]
+    assert out.exhausted
+    assert out.nodes_visited == nodes
+    assert out.prunes_by_rule == prunes(*counts)
+    assert out.solutions == ()
+
+
 def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
     futures = []
 
@@ -299,6 +365,7 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
     def full_disk(target, state):
         raise OSError("no space left on device")
 
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
     monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
     with pytest.raises(OSError):
@@ -338,6 +405,7 @@ def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
             raise Killed
         write(target, state)
 
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
     monkeypatch.setattr(search_mod, "_write_checkpoint", write_once_then_die)
     with pytest.raises(Killed):
         run(7, threads=2, checkpoint=path)
