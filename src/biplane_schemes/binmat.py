@@ -5,13 +5,18 @@ holding the entry in column j. The scalar product of two rows is then a
 single AND plus popcount, which is where verification and search spend
 nearly all of their time. Whole-matrix work starts from the packed
 rows too: numpy conversions, column sums and the table of all row dots
-and the text grid from each row's little-endian bytes, and an ASCII
-grid text is checked and packed as bytes. None of these loops over
-single entries in Python; only a grid text that is not ASCII, or that
-the byte check rejects, is split into one string per token, to parse
-it or to name its first error. The table of row dots reads each
-64-bit word position's occupancy: a sparse matrix such as D_m costs
-work in proportion to its nonzero words, not to rows^2 x words.
+and the text grid from each row's little-endian bytes. The
+rearrangements (transpose, submatrix, permute, and is_symmetric as a
+transpose) go through one bridge: _unpacked() turns the rows into a
+uint8 grid, numpy moves the entries, and _pack() packs the grid back,
+as it does for from_numpy and an ASCII grid text. Only the per-entry
+oracles that the tests compare these kernels against (to_lists,
+col_sum, row_dot) and from_rows, which checks outside input, loop over
+single entries in Python; a grid text that is not ASCII, or that the
+byte check rejects, is split into one string per token, to parse it or
+to name its first error. The table of row dots reads each 64-bit word
+position's occupancy: a sparse matrix such as D_m costs work in
+proportion to its nonzero words, not to rows^2 x words.
 
 Constructors cover the named matrix families used throughout the
 package: J (constant), I (identity), C- (anti-diagonal), L (path with
@@ -107,11 +112,7 @@ class BinaryMatrix:
         if len(bad):
             entry = a[tuple(bad[0])].item()
             raise ValueError(f"entry {entry!r} is not 0 or 1")
-        packed = np.packbits(a.astype(np.uint8), axis=1, bitorder="little")
-        return BinaryMatrix(
-            a.shape[0], a.shape[1],
-            tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
-        )
+        return BinaryMatrix(a.shape[0], a.shape[1], _pack(a.astype(np.uint8)))
 
     # -- element access ------------------------------------------------------
 
@@ -194,26 +195,12 @@ class BinaryMatrix:
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             raise ShapeError("is_symmetric requires a square matrix")
-        return all(
-            (self.bits[i] >> j) & 1 == (self.bits[j] >> i) & 1
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def column_bits(self, j: int) -> int:
-        """Column j packed as an int with bit i = row i."""
-        self._check_col(j)
-        acc = 0
-        for i, row in enumerate(self.bits):
-            acc |= ((row >> j) & 1) << i
-        return acc
+        return self.transpose() == self
 
     # -- derived matrices ----------------------------------------------------
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(
-            self.cols, self.rows, tuple(self.column_bits(j) for j in range(self.cols))
-        )
+        return BinaryMatrix(self.cols, self.rows, _pack(self._unpacked().T))
 
     def submatrix(
         self, row_idx: Sequence[int], col_idx: Sequence[int]
@@ -225,13 +212,8 @@ class BinaryMatrix:
             self._check_row(i)
         for j in col_idx:
             self._check_col(j)
-        packed = []
-        for i in row_idx:
-            acc = 0
-            for pos, j in enumerate(col_idx):
-                acc |= ((self.bits[i] >> j) & 1) << pos
-            packed.append(acc)
-        return BinaryMatrix(len(row_idx), len(col_idx), tuple(packed))
+        grid = self._unpacked()[np.ix_(row_idx, col_idx)]
+        return BinaryMatrix(len(row_idx), len(col_idx), _pack(grid))
 
     def permute(
         self, row_perm: Sequence[int], col_perm: Sequence[int]
@@ -239,14 +221,9 @@ class BinaryMatrix:
         """Return B with B[row_perm[i], col_perm[j]] = self[i, j]."""
         rp = _validated_perm(row_perm, self.rows, "row")
         cp = _validated_perm(col_perm, self.cols, "column")
-        packed = [0] * self.rows
-        for i in range(self.rows):
-            src = self.bits[i]
-            acc = 0
-            for j in range(self.cols):
-                acc |= ((src >> j) & 1) << cp[j]
-            packed[rp[i]] = acc
-        return BinaryMatrix(self.rows, self.cols, tuple(packed))
+        grid = np.empty((self.rows, self.cols), dtype=np.uint8)
+        grid[np.ix_(rp, cp)] = self._unpacked()
+        return BinaryMatrix(self.rows, self.cols, _pack(grid))
 
     # -- conversions ---------------------------------------------------------
 
@@ -272,6 +249,18 @@ class BinaryMatrix:
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+def _pack(grid: np.ndarray) -> tuple[int, ...]:
+    """The packed rows of a 2-d grid of 0s and 1s: the inverse of
+    BinaryMatrix._unpacked()."""
+    raw = np.packbits(grid, axis=1, bitorder="little")
+    width = raw.shape[1]
+    data = raw.tobytes()
+    return tuple(
+        int.from_bytes(data[i * width:(i + 1) * width], "little")
+        for i in range(raw.shape[0])
+    )
 
 
 def _validated_perm(perm: Sequence[int], n: int, which: str) -> list[int]:
@@ -418,8 +407,8 @@ def is_perm_equivalent(
         return None
 
     n = a.rows
-    dots_a = [[(a.bits[i] & a.bits[j]).bit_count() for j in range(n)] for i in range(n)]
-    dots_b = [[(b.bits[i] & b.bits[j]).bit_count() for j in range(n)] for i in range(n)]
+    dots_a = a.row_dots().tolist()
+    dots_b = b.row_dots().tolist()
 
     def signature(dots, sums, i):
         profile = sorted(dots[i][j] for j in range(n) if j != i)
@@ -443,13 +432,12 @@ def is_perm_equivalent(
 
     def complete_columns() -> Optional[tuple[int, ...]]:
         # pull b's columns back through the row map, then match equal columns
-        cols_a = [tuple((a.bits[i] >> j) & 1 for i in range(n)) for j in range(a.cols)]
+        pulled = BinaryMatrix(n, b.cols, tuple(b.bits[r] for r in assigned))
         pool: dict = defaultdict(list)
-        for c in range(b.cols):
-            vec = tuple((b.bits[assigned[i]] >> c) & 1 for i in range(n))
+        for c, vec in enumerate(pulled.transpose().bits):
             pool[vec].append(c)
         col_perm = [0] * a.cols
-        for j, vec in enumerate(cols_a):
+        for j, vec in enumerate(a.transpose().bits):
             bucket = pool.get(vec)
             if not bucket:
                 return None
@@ -566,12 +554,7 @@ def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[tuple[int, ...]]:
     is_token = np.frombuffer(body, dtype=np.uint8) > ord(" ")
     if np.any(is_token[1:] & is_token[:-1]):
         return None
-    ones = np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1")
-    raw = np.packbits(ones, axis=1, bitorder="little").tobytes()
-    width = (cols + 7) // 8
-    return tuple(
-        int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(rows)
-    )
+    return _pack(np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1"))
 
 
 def _parse_tokens(text: str) -> BinaryMatrix:

@@ -7,6 +7,12 @@ Its incidence matrix is in canonical form when the first k rows equal
 the forced head matrix and the first k columns equal that head's
 transpose. A matrix has full trace when its whole diagonal is ones.
 
+A (0,1) matrix A is a symmetric biplane matrix with full trace exactly
+when A - I is the adjacency matrix of a strongly regular graph
+SRG(1 + C(k,2), k-1, 0, 2): with A symmetric, A^2 = (k-2)I + 2J is the
+same statement as (A - I)^2 = (k-1)I + 2(J - I - (A - I)). At k = 6
+that graph is the Clebsch graph, at k = 11 the Gewirtz graph.
+
 assemble_b4c() builds the classical order-4 biplane on 16 points from
 its block pieces; it is symmetric, canonical, and has full trace.
 """
@@ -15,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .binmat import (
     BinaryMatrix,
@@ -95,11 +103,11 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
             "square", (m.rows, m.cols), f"matrix is {m.rows}x{m.cols}, not square"
         )
     v = m.rows
-    k = m.row_sum(0)
+    sums = m.row_sums()
+    k = sums[0]
     if k < 1:
         raise VerificationError("row-regularity", (0, 0), "row 0 is all zeros")
-    for i in range(v):
-        s = m.row_sum(i)
+    for i, s in enumerate(sums):
         if s != k:
             raise VerificationError(
                 "row-regularity", (i, s), f"row {i} sums to {s}, row 0 to {k}"
@@ -113,13 +121,17 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
         raise VerificationError(
             "point-count", (v, k), f"{v} points but 1 + C({k},2) = {head_width(k)}"
         )
-    for i in range(v):
-        for j in range(i + 1, v):
-            d = m.row_dot(i, j)
-            if d != 2:
-                raise VerificationError(
-                    "row-balance", (i, j, d), f"rows {i},{j} share {d} columns, want 2"
-                )
+    # the table is symmetric, so its first bad entry in row-major order
+    # is the first bad pair i < j
+    dots = m.row_dots()
+    np.fill_diagonal(dots, 2)
+    bad = np.argwhere(dots != 2)
+    if len(bad):
+        i, j = bad[0].tolist()
+        d = int(dots[i, j])
+        raise VerificationError(
+            "row-balance", (i, j, d), f"rows {i},{j} share {d} columns, want 2"
+        )
     return BiplaneCertificate(
         k=k,
         v=v,
@@ -163,13 +175,7 @@ def has_canonical_form(m: BinaryMatrix) -> bool:
     if k < 3:
         raise ShapeError(f"width {m.rows} gives block size {k}, below 3")
     head = canonical_head(k)
-    if any(m.bits[i] != head.bits[i] for i in range(k)):
-        return False
-    return all(
-        (m.bits[i] >> j) & 1 == (head.bits[j] >> i) & 1
-        for i in range(k, m.rows)
-        for j in range(k)
-    )
+    return m.bits[:k] == head.bits and m.transpose().bits[:k] == head.bits
 
 
 def assemble_b4c() -> BinaryMatrix:

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .binmat import BinaryMatrix, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, verify_biplane, VerificationError
 from .incidence import IncidenceStructure
@@ -76,12 +78,10 @@ def check_core_sums(core: BinaryMatrix) -> tuple[bool, Optional[dict]]:
     This is the lenient entry point for cores supplied directly,
     without the surrounding canonical matrix.
     """
-    for i in range(core.rows):
-        s = core.row_sum(i)
+    for i, s in enumerate(core.row_sums()):
         if s != 3:
             return False, {"axis": "row", "index": i, "sum": s}
-    for j in range(core.cols):
-        s = core.col_sum(j)
+    for j, s in enumerate(core.col_sums()):
         if s != 3:
             return False, {"axis": "column", "index": j, "sum": s}
     return True, None
@@ -142,22 +142,25 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
     m = a.rows
     if m < 3:
         raise HypothesisError(f"order {m} below 3; a 2x2 line-sum-2 matrix is all ones")
-    for i in range(m):
-        if a.row_sum(i) != 2:
-            raise HypothesisError(f"row {i} sums to {a.row_sum(i)}, want 2")
-    for j in range(m):
-        if a.col_sum(j) != 2:
-            raise HypothesisError(f"column {j} sums to {a.col_sum(j)}, want 2")
-    for i in range(m):
-        for j in range(i + 1, m):
-            if a.row_dot(i, j) >= 2:
-                raise HypothesisError(
-                    f"rows {i} and {j} share {a.row_dot(i, j)} columns; "
-                    "a 2x2 all-ones block is excluded"
-                )
+    for i, s in enumerate(a.row_sums()):
+        if s != 2:
+            raise HypothesisError(f"row {i} sums to {s}, want 2")
+    for j, s in enumerate(a.col_sums()):
+        if s != 2:
+            raise HypothesisError(f"column {j} sums to {s}, want 2")
+    # the table is symmetric, so its first shared pair in row-major
+    # order is the first pair i < j
+    dots = a.row_dots()
+    np.fill_diagonal(dots, 0)
+    shared = np.argwhere(dots >= 2)
+    if len(shared):
+        i, j = shared[0].tolist()
+        raise HypothesisError(
+            f"rows {i} and {j} share {dots[i, j]} columns; "
+            "a 2x2 all-ones block is excluded"
+        )
 
-    for i in range(m):
-        ones = sum(1 for j in range(m) if j != i and a.row_dot(i, j) == 1)
+    for i, ones in enumerate((dots == 1).sum(axis=1).tolist()):
         if ones != 2:
             raise CounterexampleError(
                 f"row {i} has scalar product 1 with {ones} rows, want exactly 2"

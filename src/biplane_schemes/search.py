@@ -32,7 +32,11 @@ Emitted solutions are re-verified through the independent biplane
 verifier; disagreement raises SearchBugError.
 
 The first tail row's candidates partition the space into disjoint
-subtrees. One loop runs them in order, merges their counters and
+subtrees, the branches. That row has no earlier tail row to meet and
+no fixed entry among its columns, so every candidate fits: the
+branches are its candidates, each counted as one node, and a node
+limit that trips among them stops the search before any subtree runs.
+One loop runs the subtrees in order, merges their counters and
 solutions, and after each one records the finished subtrees in the
 checkpoint file. With several threads the subtrees run in this process
 until the search has visited _POOL_AFTER_NODES nodes; the rest, if two
@@ -125,12 +129,9 @@ class SearchOutcome:
 def _base_rows(k: int) -> tuple[int, ...]:
     """The forced part of every row: the head rows, then each tail row's
     head-column prefix (the head's transpose) and its diagonal bit."""
-    head = canonical_head(k).bits
-    rows = list(head)
-    for i in range(k, head_width(k)):
-        prefix = sum(((head[j] >> i) & 1) << j for j in range(k))
-        rows.append(prefix | (1 << i))
-    return tuple(rows)
+    head = canonical_head(k)
+    prefixes = head.transpose().bits[k:]
+    return head.bits + tuple(p | (1 << i) for i, p in enumerate(prefixes, start=k))
 
 
 def _two_factors(m: int) -> list[tuple[tuple[int, int], ...]]:
@@ -185,7 +186,7 @@ def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], 
 
 
 class _Searcher:
-    """Mutable depth-first state for one search (or one subtree of it)."""
+    """Mutable depth-first state for one subtree of the search."""
 
     def __init__(self, k: int):
         self.k = k
@@ -198,9 +199,6 @@ class _Searcher:
         self.node_limit: Optional[int] = None
         self.max_solutions: Optional[int] = None
         self.stopped = False
-        # branch collection: when set, candidates of the first tail row
-        # that survive are appended here instead of being explored further
-        self.branch_sink: Optional[list[int]] = None
 
     # -- depth-first search, one row per node --------------------------------
 
@@ -248,7 +246,6 @@ class _Searcher:
         self.prunes["complete_dot"] += agreeing - alive.bit_count()
 
         limit = self.node_limit
-        sink = self.branch_sink if i == k else None
         while alive:
             low = alive & -alive
             alive ^= low
@@ -257,10 +254,7 @@ class _Searcher:
                 self.stopped = True
                 return
             rows[i] = row | cands[low.bit_length() - 1]
-            if sink is not None:
-                sink.append(rows[i])
-            else:
-                self._descend(i)
+            self._descend(i)
             rows[i] = row
             if self.stopped:
                 return
@@ -283,16 +277,6 @@ class _Searcher:
             and len(self.solutions) >= self.max_solutions
         ):
             self.stopped = True
-
-    # -- branch plumbing -----------------------------------------------------
-
-    def collect_branches(self) -> list[int]:
-        """Enumerate the placements of the first tail row without descending."""
-        sink: list[int] = []
-        self.branch_sink = sink
-        self.explore_row(self.k)
-        self.branch_sink = None
-        return sink
 
 
 def _run_branch(job: tuple) -> tuple:
@@ -413,22 +397,26 @@ def search_symmetric_canonical(
     """
     start = time.perf_counter()
 
-    enumerator = _Searcher(cfg.k)
-    enumerator.node_limit = cfg.node_limit
-    branches = enumerator.collect_branches()
+    # each branch is a node; a limit that trips at branch L stops the
+    # search there, with the L - 1 branches before it listed
+    row = _base_rows(cfg.k)[cfg.k]
+    branches = [row | cand for cand in _completion_tables(cfg.k)[0][0]]
+    stopped = cfg.node_limit is not None and cfg.node_limit <= len(branches)
+    if stopped:
+        branches = branches[: cfg.node_limit - 1]
     state = {
         "schema_version": CHECKPOINT_SCHEMA,
         "k": cfg.k,
         "branches": branches,
         "done": [],
-        "nodes": enumerator.nodes,
-        "prunes": enumerator.prunes,
+        "nodes": cfg.node_limit if stopped else len(branches),
+        "prunes": dict.fromkeys(_COUNTER_KEYS, 0),
         "solutions": [],
     }
     if checkpoint is not None and os.path.exists(checkpoint):
         state = _load_checkpoint(checkpoint, state)
     done = set(state["done"])
-    todo = [] if enumerator.stopped else [i for i in range(len(branches)) if i not in done]
+    todo = [] if stopped else [i for i in range(len(branches)) if i not in done]
     budgeted = cfg.threads == 1 or cfg.node_limit is not None
 
     def job(index: int) -> tuple:
@@ -456,7 +444,6 @@ def search_symmetric_canonical(
                 return
             yield index, _run_branch(job(index))
 
-    stopped = enumerator.stopped
     try:
         for index, (nodes, prunes, solutions, branch_stopped) in results():
             state["nodes"] += nodes

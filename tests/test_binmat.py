@@ -101,13 +101,6 @@ def test_transpose_involution_and_numpy_agreement():
         assert np.array_equal(m.transpose().to_numpy(), m.to_numpy().T)
 
 
-def test_column_bits_matches_transpose():
-    m = path_loop(6)
-    t = m.transpose()
-    for j in range(6):
-        assert m.column_bits(j) == t.bits[j]
-
-
 def test_submatrix():
     m = BinaryMatrix.from_rows([
         [1, 0, 1, 0],

@@ -1,5 +1,6 @@
-"""Property tests: the whole-matrix kernels of BinaryMatrix against the
-per-entry oracles (to_lists, col_sum, row_dot), and the text round trip.
+"""Property tests: the whole-matrix kernels and rearrangements of
+BinaryMatrix against the per-entry oracles (to_lists, col_sum, row_dot),
+and the text round trip.
 
 Shapes run from 1 to 70 rows and columns, so they cross the byte (8)
 and word (64) boundaries of the packed rows. Every pair of sizes in
@@ -16,12 +17,14 @@ entry counts and bad headers.
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from biplane_schemes import binmat
 from biplane_schemes.binmat import (
     BinaryMatrix,
     DimensionError,
+    ShapeError,
     doubled,
     format_matrix,
     parse_matrix,
@@ -103,6 +106,72 @@ def test_col_sums_match_col_sum(m):
 def test_row_dots_match_row_dot(m):
     expected = [[m.row_dot(i, j) for j in range(m.rows)] for i in range(m.rows)]
     assert m.row_dots().tolist() == expected
+
+
+def seeded(m: BinaryMatrix) -> random.Random:
+    return random.Random(str((m.rows, m.cols, m.bits)))
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+def test_transpose_matches_to_lists(m):
+    assert m.transpose().to_lists() == [list(col) for col in zip(*m.to_lists())]
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+def test_permute_matches_to_lists(m):
+    rng = seeded(m)
+    p, q = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    expected = [[0] * m.cols for _ in range(m.rows)]
+    for i, row in enumerate(m.to_lists()):
+        for j, entry in enumerate(row):
+            expected[p[i]][q[j]] = entry
+    assert m.permute(p, q).to_lists() == expected
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+def test_submatrix_matches_to_lists(m):
+    # random index lists, in any order and with repeats
+    rng = seeded(m)
+    rows = [rng.randrange(m.rows) for _ in range(rng.randint(1, m.rows + 3))]
+    cols = [rng.randrange(m.cols) for _ in range(rng.randint(1, m.cols + 3))]
+    entries = m.to_lists()
+    expected = [[entries[i][j] for j in cols] for i in rows]
+    assert m.submatrix(rows, cols).to_lists() == expected
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+def test_is_symmetric_matches_to_lists(m):
+    def oracle(s):
+        entries = s.to_lists()
+        return entries == [list(col) for col in zip(*entries)]
+
+    if m.rows != m.cols:
+        with pytest.raises(ShapeError):
+            m.is_symmetric()
+    else:
+        assert m.is_symmetric() == oracle(m)
+    # the upper triangle of m's leading square mirrored, and the same
+    # with one entry off the diagonal flipped
+    n = min(m.rows, m.cols)
+    entries = m.to_lists()
+    mirrored = [[entries[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    assert BinaryMatrix.from_rows(mirrored).is_symmetric()
+    if n > 1:
+        i, j = seeded(m).sample(range(n), 2)
+        mirrored[i][j] ^= 1
+        flipped = BinaryMatrix.from_rows(mirrored)
+        assert not flipped.is_symmetric()
+        assert not oracle(flipped)
 
 
 @kernel_settings

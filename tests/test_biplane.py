@@ -1,5 +1,8 @@
 """Biplane verification, the canonical head, and the assembled order-4 biplane."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from biplane_schemes.binmat import (
@@ -20,6 +23,7 @@ from biplane_schemes.biplane import (
     head_width,
     verify_biplane,
 )
+from biplane_schemes.search import SearchConfig, search_symmetric_canonical
 
 # 2-(7,4,2): rows are points, columns are the complements of the seven
 # triples {0,1,2},{0,3,4},{0,5,6},{1,3,5},{1,4,6},{2,3,6},{2,4,5}
@@ -150,32 +154,59 @@ def test_verify_names_the_first_bad_column():
     assert str(err.value) == "column 1 sums to 3, rows sum to 2"
 
 
+def swapped_order_2_biplane() -> BinaryMatrix:
+    """order_2_biplane with its first 2x2 pattern [[1, 0], [0, 1]]
+    turned into [[0, 1], [1, 0]]: every line sum stays, but pair
+    balance breaks somewhere."""
+    rows = order_2_biplane().to_lists()
+    i1, i2, j1, j2 = next(
+        (i1, i2, j1, j2)
+        for i1, i2 in itertools.combinations(range(7), 2)
+        for j1, j2 in itertools.combinations(range(7), 2)
+        if (rows[i1][j1], rows[i1][j2], rows[i2][j1], rows[i2][j2]) == (1, 0, 0, 1)
+    )
+    rows[i1][j1], rows[i1][j2], rows[i2][j1], rows[i2][j2] = 0, 1, 1, 0
+    return BinaryMatrix.from_rows(rows)
+
+
 def test_verify_balance_rejection():
-    # a line-sum-preserving 2x2 swap breaks pair balance somewhere
-    m = order_2_biplane()
-    rows = m.to_lists()
-    swapped = None
-    for i1 in range(7):
-        for i2 in range(i1 + 1, 7):
-            for j1 in range(7):
-                for j2 in range(j1 + 1, 7):
-                    if (rows[i1][j1], rows[i1][j2], rows[i2][j1], rows[i2][j2]) == (1, 0, 0, 1):
-                        alt = [row[:] for row in rows]
-                        alt[i1][j1], alt[i1][j2] = 0, 1
-                        alt[i2][j1], alt[i2][j2] = 1, 0
-                        swapped = BinaryMatrix.from_rows(alt)
-                        break
-                if swapped:
-                    break
-            if swapped:
-                break
-        if swapped:
-            break
-    assert swapped is not None
+    swapped = swapped_order_2_biplane()
     with pytest.raises(VerificationError) as err:
         verify_biplane(swapped)
     assert err.value.axiom == "row-balance"
-    assert len(err.value.witness) == 3
+    # the first bad pair i < j in row-major order
+    assert err.value.witness == (0, 1, 3)
+    assert str(err.value) == "rows 0,1 share 3 columns, want 2"
+
+
+def is_srg_plus_identity(m: BinaryMatrix) -> bool:
+    """A - I is the adjacency matrix of an SRG(1 + C(k,2), k-1, 0, 2),
+    with k the first row sum: symmetric with zero diagonal, and
+    (A - I)^2 = (k-1)I + 2(J - I - (A - I)). Plain numpy products, so
+    it shares no code with verify_biplane or row_dots."""
+    a = m.to_numpy()
+    v, k = len(a), int(a[0].sum())
+    i = np.eye(v, dtype=np.int64)
+    g = a - i
+    return (
+        np.array_equal(g, g.T)
+        and not np.diagonal(g).any()
+        and np.array_equal(g @ g, (k - 1) * i + 2 * (np.ones_like(g) - i - g))
+    )
+
+
+def test_srg_oracle_agrees_with_verify_biplane(gewirtz_b9e):
+    (k6,) = search_symmetric_canonical(SearchConfig(k=6)).solutions
+    # the Clebsch graph twice, then the Gewirtz graph
+    for m, k in ((assemble_b4c(), 6), (k6, 6), (gewirtz_b9e, 11)):
+        assert is_srg_plus_identity(m)
+        cert = verify_biplane(m)
+        assert cert.k == k and cert.symmetric and cert.full_trace
+
+    swapped = swapped_order_2_biplane()
+    assert not is_srg_plus_identity(swapped)
+    with pytest.raises(VerificationError):
+        verify_biplane(swapped)
 
 
 def test_has_canonical_form():
@@ -184,6 +215,10 @@ def test_has_canonical_form():
     shuffled = m.permute(
         list(range(14)) + [15, 14], list(range(16)))
     assert not has_canonical_form(shuffled)
+    # the head rows are right, but tail row 10 has a 1 in head column 0
+    rows = m.to_lists()
+    rows[10][0] = 1
+    assert not has_canonical_form(BinaryMatrix.from_rows(rows))
     with pytest.raises(ShapeError):
         has_canonical_form(constant(3, 4, 1))
     with pytest.raises(ShapeError):

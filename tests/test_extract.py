@@ -96,19 +96,34 @@ def test_check_lemma2_cycles():
 
 
 def test_check_lemma2_hypotheses():
-    with pytest.raises(HypothesisError):
-        check_lemma2(constant(2, 3, 1))
-    with pytest.raises(HypothesisError):
-        check_lemma2(path_loop(2))  # 2x2 all ones
-    with pytest.raises(HypothesisError):
-        check_lemma2(identity(4))
-    with pytest.raises(HypothesisError):
-        check_lemma2(BinaryMatrix.from_rows([
+    excluded = "a 2x2 all-ones block is excluded"
+    cases = [
+        (constant(2, 3, 1), "matrix is 2x3, not square"),
+        (path_loop(2), "order 2 below 3; a 2x2 line-sum-2 matrix is all ones"),
+        (identity(4), "row 0 sums to 1, want 2"),
+        (BinaryMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, 0]]),
+         "row 2 sums to 1, want 2"),
+        (BinaryMatrix.from_rows([[1, 1, 0], [1, 0, 1], [1, 1, 0]]),
+         "column 0 sums to 3, want 2"),
+        (BinaryMatrix.from_rows([
             [1, 1, 0, 0],
             [1, 1, 0, 0],
             [0, 0, 1, 1],
             [0, 0, 1, 1],
-        ]))
+        ]), f"rows 0 and 1 share 2 columns; {excluded}"),
+        # line sums 2; rows 1 and 3 are the one pair that shares two columns
+        (BinaryMatrix.from_rows([
+            [1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 0],
+            [1, 0, 0, 0, 1],
+            [0, 0, 1, 1, 0],
+            [0, 1, 0, 0, 1],
+        ]), f"rows 1 and 3 share 2 columns; {excluded}"),
+    ]
+    for a, message in cases:
+        with pytest.raises(HypothesisError) as err:
+            check_lemma2(a)
+        assert str(err.value) == message
 
 
 def test_extract_design_full_pipeline():

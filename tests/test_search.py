@@ -152,44 +152,8 @@ def test_candidates_are_the_brute_force_completions():
             assert columns == sum(1 << c for c in range(v) if has[c])
 
 
-def gewirtz_b9e():
-    """The order-9 biplane b9e as a symmetric canonical matrix, built
-    from the extended binary Golay code.
-
-    The octads through coordinates 0 and 1, less those two, are the 77
-    hexads of S(3,6,22); the 56 that avoid coordinate 2, adjacent when
-    disjoint, form the Gewirtz graph SRG(56,10,0,2), and its adjacency
-    matrix plus I is the biplane. Relabelling around vertex 0 (first
-    itself, then its 10 neighbours, then the other common neighbour of
-    each pair of them, pairs in lexicographic order) gives the canonical
-    form.
-    """
-    g = 0b110001110101  # 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11
-    octads = []
-    for msg in range(1 << 12):
-        word = 0
-        for d in range(12):
-            if msg >> d & 1:
-                word ^= g << d
-        word |= (word.bit_count() & 1) << 23
-        if word.bit_count() == 8:
-            octads.append(word)
-    assert len(octads) == 759
-    hexads = [w >> 2 for w in octads if w & 0b11 == 0b11]
-    vertices = [h for h in hexads if not h & 1]
-    assert (len(hexads), len(vertices)) == (77, 56)
-    adjacent = [[a != b and not a & b for b in vertices] for a in vertices]
-    neighbours = [y for y in range(56) if adjacent[0][y]]
-    order = [0] + neighbours
-    for a, b in itertools.combinations(neighbours, 2):
-        (z,) = [z for z in range(1, 56) if adjacent[a][z] and adjacent[b][z]]
-        order.append(z)
-    return BinaryMatrix.from_rows(
-        [[int(a == b or adjacent[a][b]) for b in order] for a in order])
-
-
-def test_seeded_b9e_completes_to_itself():
-    b9e = gewirtz_b9e()
+def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
+    b9e = gewirtz_b9e
     cert = verify_biplane(b9e)
     assert (cert.k, cert.v) == (11, 56)
     assert cert.canonical and cert.full_trace and cert.symmetric
@@ -233,13 +197,28 @@ def test_parallel_matches_sequential(tmp_path):
             assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions], name
 
 
+# (k, node limit) -> (nodes, complete_dot). The first tail row's
+# candidates are the branches and count one node each (k=8 has 12 of
+# them, k=3 one and k=11 3,507), so most of these runs stop at or just
+# past that row
+NODE_LIMITS = {
+    (8, 5): (5, 0),
+    (8, 12): (12, 0),
+    (8, 13): (13, 7),
+    (8, 100): (100, 745),
+    (3, 1): (1, 0),
+    (11, 100): (100, 0),
+}
+
+
 def test_node_limit():
-    for threads in (1, 2):  # a node limit runs in process either way
-        out = run(8, node_limit=100, threads=threads)
-        assert not out.exhausted
-        assert out.nodes_visited == 100
-        assert out.prunes_by_rule == prunes(745)
-        assert out.solutions == ()
+    for (k, limit), (nodes, complete_dot) in NODE_LIMITS.items():
+        for threads in (1, 2):  # a node limit runs in process either way
+            out = run(k, node_limit=limit, threads=threads)
+            assert not out.exhausted, (k, limit)
+            assert out.nodes_visited == nodes, (k, limit)
+            assert out.prunes_by_rule == prunes(complete_dot), (k, limit)
+            assert out.solutions == ()
 
 
 def test_max_solutions_stops_early():
