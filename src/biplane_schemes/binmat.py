@@ -4,19 +4,21 @@ A matrix is an immutable tuple of Python ints, one int per row, bit j
 holding the entry in column j. The scalar product of two rows is then a
 single AND plus popcount, which is where verification and search spend
 nearly all of their time. Whole-matrix work starts from the packed
-rows too: numpy conversions, column sums and the table of all row dots
-and the text grid from each row's little-endian bytes. The
-rearrangements (transpose, submatrix, permute, and is_symmetric as a
-transpose) go through one bridge: _unpacked() turns the rows into a
-uint8 grid, numpy moves the entries, and _pack() packs the grid back,
-as it does for from_numpy and an ASCII grid text. Only the per-entry
-oracles that the tests compare these kernels against (to_lists,
-col_sum, row_dot) and from_rows, which checks outside input, loop over
-single entries in Python; a grid text that is not ASCII, or that the
-byte check rejects, is split into one string per token, to parse it or
-to name its first error. The table of row dots reads each 64-bit word
-position's occupancy: a sparse matrix such as D_m costs work in
-proportion to its nonzero words, not to rows^2 x words.
+rows too: numpy conversions, column sums, the positions of the ones,
+the table of all row dots and the text grid from each row's
+little-endian bytes. The rearrangements (transpose, submatrix,
+permute, and is_symmetric as a transpose) go through one bridge:
+_unpacked() turns the rows into a uint8 grid, numpy moves the entries,
+and _pack() packs the grid back, as it does for from_numpy and an
+ASCII grid text. Only the per-entry oracles that the tests compare
+these kernels against (to_lists, col_sum, row_dot) and from_rows,
+which checks outside input, loop over single entries in Python; a grid
+text that is not ASCII, or that the byte check rejects, is split into
+one string per token, to parse it or to name its first error. The
+table of row dots reads each 64-bit word position's occupancy: a
+sparse matrix such as D_m costs work in proportion to its nonzero
+words, not to rows^2 x words. nonzero() unpacks only the nonzero
+bytes, so for D_m it costs rows x cols / 8 byte reads and no table.
 
 Constructors cover the named matrix families used throughout the
 package: J (constant), I (identity), C- (anti-diagonal), L (path with
@@ -234,6 +236,19 @@ class BinaryMatrix:
 
     def to_numpy(self) -> np.ndarray:
         return self._unpacked().astype(np.int64)
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and column indices of the 1 entries, in row-major
+        order, as np.nonzero gives them for the grid. Only the nonzero
+        bytes of the packed rows are unpacked, so a sparse matrix costs
+        rows x cols / 8 byte reads plus 8 per nonzero byte."""
+        width = (self.cols + 7) // 8
+        data = self._row_bytes(width).ravel()
+        # flatnonzero is several times faster on bools than on uint8
+        at = np.flatnonzero(data != 0)
+        bits = np.flatnonzero(np.unpackbits(data[at], bitorder="little").view(bool))
+        at = at[bits >> 3]
+        return at // width, (at % width) * 8 + (bits & 7)
 
     def _unpacked(self) -> np.ndarray:
         """The entries as a rows x cols uint8 array of 0s and 1s."""

@@ -65,8 +65,11 @@ THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 LONG_RUN_K = 9
 
 # verify and extract take matrices of at most this many rows (points):
-# verify builds v x v int64 tables, 8 bytes an entry, and 5000 points
-# make 200 MB each; the largest benchmarked input has 1000
+# the classification's relation is a v x v int64 table, 8 bytes an
+# entry, and 5000 points make 200 MB. For a sparse input it is the only
+# one; a dense input also has its v x v concurrence table built by the
+# classification, and by the biplane check when v = 1 + C(k,2). The
+# largest benchmarked input has 1000 points; CI runs 5000
 MAX_POINTS = 5000
 
 

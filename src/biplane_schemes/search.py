@@ -397,24 +397,26 @@ def search_symmetric_canonical(
     """
     start = time.perf_counter()
 
-    # each branch is a node; a limit that trips at branch L stops the
-    # search there, with the L - 1 branches before it listed
     row = _base_rows(cfg.k)[cfg.k]
     branches = [row | cand for cand in _completion_tables(cfg.k)[0][0]]
-    stopped = cfg.node_limit is not None and cfg.node_limit <= len(branches)
-    if stopped:
-        branches = branches[: cfg.node_limit - 1]
     state = {
         "schema_version": CHECKPOINT_SCHEMA,
         "k": cfg.k,
         "branches": branches,
         "done": [],
-        "nodes": cfg.node_limit if stopped else len(branches),
+        "nodes": len(branches),
         "prunes": dict.fromkeys(_COUNTER_KEYS, 0),
         "solutions": [],
     }
+    stopped = False
     if checkpoint is not None and os.path.exists(checkpoint):
+        # the branch list is the search's, whatever the node limit; the
+        # limit applies to the nodes the checkpoint has counted
         state = _load_checkpoint(checkpoint, state)
+    elif cfg.node_limit is not None and cfg.node_limit <= len(branches):
+        # each branch is a node, so a fresh search stops at branch L
+        stopped = True
+        state["nodes"] = cfg.node_limit
     done = set(state["done"])
     todo = [] if stopped else [i for i in range(len(branches)) if i not in done]
     budgeted = cfg.threads == 1 or cfg.node_limit is not None

@@ -7,7 +7,8 @@ and word (64) boundaries of the packed rows. Every pair of sizes in
 BOUNDARY also runs as an explicit example, whatever hypothesis draws.
 Uniform random bits leave almost no 64-bit word position with half its
 rows zero, so row_dots is also checked on sparse rows (0 to 3 ones in
-up to 200 columns) and relabelled D_m, where it adds blocks of rows.
+up to 200 columns) and relabelled D_m, where it adds blocks of rows;
+nonzero, which unpacks only the nonzero bytes, is checked on both.
 
 parse_matrix is checked against the str.split() tokenizer it replaced,
 on grids with every kind of whitespace run, glued and bad tokens, wrong
@@ -180,6 +181,26 @@ def test_is_symmetric_matches_to_lists(m):
 def test_row_dots_match_row_dot_on_sparse_words(m):
     expected = [[m.row_dot(i, j) for j in range(m.rows)] for i in range(m.rows)]
     assert m.row_dots().tolist() == expected
+
+
+def ones_in_row_major_order(m: BinaryMatrix) -> list[tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(m.to_lists()) for j, entry in enumerate(row) if entry]
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+def test_nonzero_matches_to_lists(m):
+    rows, cols = m.nonzero()
+    assert list(zip(rows.tolist(), cols.tolist())) == ones_in_row_major_order(m)
+
+
+@kernel_settings
+@given(sparse_matrices())
+@sparse_examples
+def test_nonzero_matches_to_lists_on_sparse_words(m):
+    rows, cols = m.nonzero()
+    assert list(zip(rows.tolist(), cols.tolist())) == ones_in_row_major_order(m)
 
 
 @kernel_settings

@@ -1,17 +1,35 @@
-"""Concurrence classification and PBIBD verification."""
+"""Concurrence classification and PBIBD verification.
+
+classify() has two ways, from the concurrence table and from the point
+pairs inside each block; the differential tests run both on the same
+inputs and require the same classification or the same NotPbibdError.
+"""
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from biplane_schemes.binmat import BinaryMatrix, constant, doubled, identity, path_loop
+from biplane_schemes import pbibd
+from biplane_schemes.binmat import (
+    BinaryMatrix,
+    assemble,
+    constant,
+    doubled,
+    identity,
+    path_loop,
+)
+from biplane_schemes.biplane import assemble_b4c
 from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.incidence import IncidenceStructure, StructureError, derive_parameters
 from biplane_schemes.pbibd import (
     ExpectationError,
     InconsistencyError,
     NotPbibdError,
+    _block_members,
+    _classify_pairs,
+    _classify_table,
     classify,
     concurrence,
     verify_pbibd,
@@ -110,15 +128,34 @@ def test_not_pbibd_witness_is_the_first_extreme_points():
     )
 
 
-def test_classify_doubled_at_v1000():
+def refuse_row_dots(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the concurrence table was built")
+    monkeypatch.setattr(BinaryMatrix, "row_dots", refuse)
+
+
+def test_classify_doubled_at_v1000(monkeypatch):
+    # D_500 and a relabelled copy are classified from their block pairs,
+    # without the 1000 x 1000 concurrence table
     d = doubled(500)
-    c = classify(struct(d))
+    relabelled, _ = relabel(d, 500)
+    with monkeypatch.context() as patch:
+        refuse_row_dots(patch)
+        c = classify(struct(d))
+        r = classify(struct(relabelled))
     assert (c.v, c.lambdas, c.n) == (1000, (0, 1, 2), (995, 2, 2))
+    assert (r.v, r.lambdas, r.n) == (c.v, c.lambdas, c.n)
     conc = concurrence(struct(d))
     rng = random.Random(2000)
     for _ in range(2000):
         p, q = rng.randrange(1000), rng.randrange(1000)
         assert conc[p, q] == d.row_dot(p, q)
+        for m, classes in ((d, c), (relabelled, r)):
+            label = classes.relation_of(p, q)
+            if p == q:
+                assert label == 0
+            else:
+                assert classes.lambdas[label - 1] == m.row_dot(p, q)
 
 
 def relabel(m, seed):
@@ -217,3 +254,104 @@ def test_sum_identity_values():
         rep = verify_pbibd(struct(doubled(m)))
         total = sum(n * l for n, l in zip(rep["n"], rep["lambda"]))
         assert total == rep["r"] * (rep["k"] - 1) == 6
+
+
+# -- the two ways of classify() ------------------------------------------------
+
+
+def outcome(run) -> tuple:
+    """What a classify path returns: (v, lambdas, n, relation), or the
+    fields and message of its NotPbibdError."""
+    try:
+        c = run()
+    except NotPbibdError as e:
+        return ("not a PBIBD", e.label, e.lam, e.point_a, e.count_a, e.point_b, e.count_b,
+                str(e))
+    assert c.relation.dtype == np.int64 and c.relation.shape == (c.v, c.v)
+    return (c.v, c.lambdas, c.n, c.relation)
+
+
+def both_ways(m: BinaryMatrix) -> tuple:
+    """The common outcome of both classify paths on m; fails unless they agree."""
+    table = outcome(lambda: _classify_table(struct(m)))
+    pairs = outcome(lambda: _classify_pairs(m.rows, *_block_members(m)))
+    if table[0] == "not a PBIBD":
+        assert pairs == table
+    else:
+        assert pairs[:3] == table[:3]
+        assert np.array_equal(pairs[3], table[3])
+    return table
+
+
+@st.composite
+def incidence_matrices(draw) -> BinaryMatrix:
+    """Up to 40 x 40; each row's ones are uniform bits or at most three
+    columns, so blocks run from empty to full."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    sparse = st.lists(st.integers(0, cols - 1), max_size=3).map(
+        lambda js: sum(1 << j for j in set(js)))
+    row = draw(st.sampled_from((st.integers(0, (1 << cols) - 1), sparse)))
+    return BinaryMatrix(rows, cols, tuple(draw(st.lists(row, min_size=rows, max_size=rows))))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(incidence_matrices())
+@example(BinaryMatrix(1, 5, (0b10110,)))  # a single point
+@example(BinaryMatrix(6, 1, (1, 0, 1, 1, 0, 1)))  # a single block
+@example(BinaryMatrix(4, 3, (0b001, 0b001, 0b100, 0b100)))  # an empty block
+@example(BinaryMatrix(3, 2, (0, 0, 0)))  # no incidences at all
+@example(BinaryMatrix(3, 2, (0b11, 0b11, 0b11)))  # no pair of concurrence 0
+def test_classify_paths_agree_on_drawn_matrices(m):
+    both_ways(m)
+
+
+@pytest.mark.parametrize("index", range(len(RELABEL_CASES)))
+def test_classify_paths_agree_on_relabel_cases(index):
+    m = RELABEL_CASES[index]
+    for case in (m, relabel(m, index)[0]):
+        assert both_ways(case)[0] == case.rows
+
+
+def test_classify_paths_reject_the_boundary_core_alike():
+    assert both_ways(CORES_12[1])[0] == "not a PBIBD"
+
+
+def test_classify_paths_agree_on_a_large_witness(monkeypatch):
+    # D_497 + J_3 is regular and uniform on 997 points but no PBIBD:
+    # the J_3 points miss 994 points, the others 992
+    m = assemble([[doubled(497), constant(994, 3, 0)],
+                  [constant(3, 994, 0), constant(3, 3, 1)]])
+    m = relabel(m, 997)[0]
+    expected = both_ways(m)
+    assert expected[:3] == ("not a PBIBD", 1, 0)
+    assert {expected[4], expected[6]} == {994, 992}
+    with monkeypatch.context() as patch:
+        refuse_row_dots(patch)
+        assert outcome(lambda: classify(struct(m))) == expected
+
+
+def circulant(v: int, width: int) -> BinaryMatrix:
+    return BinaryMatrix(v, v, tuple(
+        sum(1 << ((i + j) % v) for j in range(width)) for i in range(v)))
+
+
+def test_classify_picks_its_way_from_the_input(monkeypatch):
+    taken = []
+    for way in ("_classify_table", "_classify_pairs"):
+        run = getattr(pbibd, way)
+        monkeypatch.setattr(pbibd, way, lambda *a, way=way, run=run: taken.append(way) or run(*a))
+
+    def way_of(m):
+        taken.clear()
+        outcome(lambda: classify(struct(m)))
+        return taken
+
+    low = pbibd._PAIRS_MIN_POINTS
+    single_block = BinaryMatrix(low, low, (1,) * low)  # sum k_b^2 = v^2
+    for m in (doubled(3), *CORES_12, *CORES_16, assemble_b4c(),  # small tables
+              doubled(low // 2 - 1),  # sparse, but below the point floor
+              circulant(low, 10),  # 10 x 10 pairs per point: not below v^2
+              single_block):  # sparse by its ones, not by its pairs
+        assert way_of(m) == ["_classify_table"], m.rows
+    for m in (doubled(low // 2), circulant(low, 9), doubled(500)):
+        assert way_of(m) == ["_classify_pairs"], m.rows

@@ -401,6 +401,30 @@ def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
     assert resumed.solutions == ()
 
 
+def test_a_node_limit_reads_a_checkpoint_of_the_same_search(tmp_path):
+    # the stored branch list does not depend on the node limit: a limit
+    # below the first-row branch count reads a finished k=8 checkpoint
+    # as any other limit does
+    path = str(tmp_path / "progress.json")
+    full = run(8, checkpoint=path)
+    nodes, _ = FINGERPRINTS[8]
+    for limit in (1, 5, 12, 13, 100):
+        again = run(8, node_limit=limit, checkpoint=path)
+        assert again.exhausted, limit
+        assert (again.nodes_visited, again.prunes_by_rule) == (nodes, full.prunes_by_rule)
+
+    # on an unfinished checkpoint, such a limit stops the search before
+    # its next subtree, with the checkpoint's counts
+    partial_path = str(tmp_path / "partial.json")
+    partial = run(8, node_limit=300, checkpoint=partial_path)
+    state = json.loads(open(partial_path).read())
+    assert 0 < len(state["done"]) < len(state["branches"])
+    stopped = run(8, node_limit=5, checkpoint=partial_path)
+    assert not stopped.exhausted
+    assert stopped.nodes_visited == state["nodes"] < partial.nodes_visited
+    assert json.loads(open(partial_path).read()) == state
+
+
 def test_checkpoint_completed_run_short_circuits(tmp_path):
     path = str(tmp_path / "progress.json")
     first = run(6, checkpoint=path)
