@@ -121,6 +121,15 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
         raise VerificationError(
             "point-count", (v, k), f"{v} points but 1 + C({k},2) = {head_width(k)}"
         )
+    # a bad pair in row 0 is the first in row-major order, and scanning
+    # row 0 rejects most non-biplanes before the whole table is built
+    first = m.bits[0]
+    for j in range(1, v):
+        d = (first & m.bits[j]).bit_count()
+        if d != 2:
+            raise VerificationError(
+                "row-balance", (0, j, d), f"rows 0,{j} share {d} columns, want 2"
+            )
     # the table is symmetric, so its first bad entry in row-major order
     # is the first bad pair i < j
     dots = m.row_dots()

@@ -24,6 +24,19 @@ ones are counted for all candidates at once in three bit planes
 (candidates with at least 1, 2 and 3 of them): a column c turns them
 into ones | has[c], twos | (ones & has[c]) and three | (twos & has[c]).
 
+Right of row p's diagonal its entries are one of p's own candidates, so
+the planes for p depend only on i and on rest, p's ones in row i's
+columns right of the diagonal, and the plane that is kept only on
+owed = 2 - d. Each tail row therefore has a memo from (rest, owed) to
+the kept mask, filled on a miss by the plane loop. The memos live per
+process, like the tables: nothing is built at import, the first search
+at a k makes them, and each pool worker fills its own. owed < 0 keeps
+nothing and is not stored, so a memo holds at most 3 masks per rest
+that its row can meet. Counted from the tables, those rests number 367
+at k=8, 2,811 at k=9, 23,876 at k=10 and 224,147 at k=11, where a mask
+has up to 3,507 bits: a worst case of about 0.3 GB at k=11. Exhausting
+k=9 fills 1,612 masks.
+
 Every filter is exact, so no pruning rule is needed and every pair of
 tail rows is checked exactly once, when the later one is placed. A node
 is one placed row; complete_dot counts the candidates that agreed with
@@ -69,8 +82,8 @@ CHECKPOINT_SCHEMA = 5
 
 # nodes a search visits in process before it hands its remaining
 # subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
-# cores; the row search visits 50-100k nodes/s at k=9, so k <= 8 (744
-# nodes) never pools and k=9 pools after 0.1-0.2 s of its 1-2 s
+# cores; the row search visits 120-170k nodes/s at k=9, so k <= 8 (744
+# nodes) never pools and k=9 pools after 0.06-0.08 s of its 0.6-0.9 s
 _POOL_AFTER_NODES = 10_000
 
 
@@ -185,6 +198,28 @@ def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], 
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=None)
+def _meeting_masks(k: int) -> tuple[dict[int, int], ...]:
+    """One memo per tail row, filled by the searches of this process:
+    rest << 2 | owed -> _meeting_mask(has, rest, owed). A value depends
+    only on its key and k, so sharing the memos cannot change a result."""
+    return tuple({} for _ in range(head_width(k) - k))
+
+
+def _meeting_mask(has: tuple[int, ...], rest: int, owed: int) -> int:
+    """The bitset of candidates with exactly owed ones in the columns of
+    rest, for owed in 0..2."""
+    ones = twos = three = 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = has[low.bit_length() - 1]
+        three |= twos & a
+        twos |= ones & a
+        ones |= a
+    return (~ones, ones & ~twos, twos & ~three)[owed]
+
+
 class _Searcher:
     """Mutable depth-first state for one subtree of the search."""
 
@@ -193,6 +228,7 @@ class _Searcher:
         self.v = head_width(k)
         self.rows = list(_base_rows(k))
         self.tables = _completion_tables(k)
+        self.memo = _meeting_masks(k)
         self.nodes = 0
         self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
         self.solutions: list[tuple[int, ...]] = []
@@ -208,41 +244,10 @@ class _Searcher:
         if i == self.v:
             self._record_solution()
             return
-        rows, k = self.rows, self.k
-        cands, has, columns = self.tables[i - k]
+        rows = self.rows
         row = rows[i]
-        alive = (1 << len(cands)) - 1
-        # entries left of the diagonal are the mirrors of earlier rows;
-        # outside the row's own columns both sides hold only zeros
-        fixed = columns & ((1 << i) - 1)
-        while fixed:
-            low = fixed & -fixed
-            fixed ^= low
-            c = low.bit_length() - 1
-            alive &= has[c] if row & low else ~has[c]
-        agreeing = alive.bit_count()
-        right = columns & ~((2 << i) - 1)
-        for p in range(k, i):
-            if not alive:
-                break
-            ones = twos = three = 0
-            rest = rows[p] & right
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a = has[low.bit_length() - 1]
-                three |= twos & a
-                twos |= ones & a
-                ones |= a
-            owed = 2 - (row & rows[p]).bit_count()
-            if owed == 0:
-                alive &= ~ones
-            elif owed == 1:
-                alive &= ones & ~twos
-            elif owed == 2:
-                alive &= twos & ~three
-            else:
-                alive = 0
+        cands = self.tables[i - self.k][0]
+        alive, agreeing = self._kept(i)
         self.prunes["complete_dot"] += agreeing - alive.bit_count()
 
         limit = self.node_limit
@@ -259,16 +264,53 @@ class _Searcher:
             if self.stopped:
                 return
 
+    def _kept(self, i: int) -> tuple[int, int]:
+        """The bitset of row i's candidates that fit the rows above it,
+        and how many of them agree with the fixed entries."""
+        rows, k = self.rows, self.k
+        cands, has, columns = self.tables[i - k]
+        memo = self.memo[i - k]
+        row = rows[i]
+        alive = (1 << len(cands)) - 1
+        # entries left of the diagonal are the mirrors of earlier rows;
+        # outside the row's own columns both sides hold only zeros
+        fixed = columns & ((1 << i) - 1)
+        while fixed:
+            low = fixed & -fixed
+            fixed ^= low
+            c = low.bit_length() - 1
+            alive &= has[c] if row & low else ~has[c]
+        agreeing = alive.bit_count()
+        right = columns & ~((2 << i) - 1)
+        for p in range(k, i):
+            if not alive:
+                break
+            owed = 2 - (row & rows[p]).bit_count()
+            if owed < 0:
+                return 0, agreeing
+            rest = rows[p] & right
+            key = rest << 2 | owed
+            mask = memo.get(key)
+            if mask is None:
+                mask = memo[key] = _meeting_mask(has, rest, owed)
+            alive &= mask
+        return alive, agreeing
+
     def _descend(self, i: int) -> None:
         """Mirror the placed row i into the later rows, explore row
         i + 1, then undo the mirror."""
-        row_bits = self.rows[i]
-        mirrored = [c for c in range(i + 1, self.v) if (row_bits >> c) & 1]
-        for c in mirrored:
-            self.rows[c] |= 1 << i
+        rows, bit = self.rows, 1 << i
+        later = rows[i] >> (i + 1)
+        mirrored = []
+        while later:
+            low = later & -later
+            later ^= low
+            c = i + low.bit_length()
+            rows[c] |= bit
+            mirrored.append(c)
         self.explore_row(i + 1)
         for c in mirrored:
-            self.rows[c] &= ~(1 << i)
+            rows[c] ^= bit
 
     def _record_solution(self) -> None:
         self.solutions.append(tuple(self.rows))

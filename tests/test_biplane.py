@@ -179,6 +179,43 @@ def test_verify_balance_rejection():
     assert str(err.value) == "rows 0,1 share 3 columns, want 2"
 
 
+def test_verify_rejects_a_wide_circulant_at_row_0():
+    # rows of 45 consecutive ones on 1 + C(45,2) = 991 points: regular,
+    # of biplane width, but neighbouring rows share 44 columns
+    k, v = 45, 991
+    block, full = (1 << k) - 1, (1 << v) - 1
+    rows = tuple(((block << r) | (block >> (v - r))) & full for r in range(v))
+    with pytest.raises(VerificationError) as err:
+        verify_biplane(BinaryMatrix(v, v, rows))
+    assert err.value.axiom == "row-balance"
+    assert err.value.witness == (0, 1, 44)
+    assert str(err.value) == "rows 0,1 share 44 columns, want 2"
+
+
+def test_verify_names_a_first_bad_pair_past_row_0():
+    # swap a [[1, 0], [0, 1]] pattern below row 0 in two columns where
+    # row 0 holds the same entry: line sums and row 0's pairs all stay
+    rows = assemble_b4c().to_lists()
+    i1, i2, j1, j2 = next(
+        (i1, i2, j1, j2)
+        for i1, i2 in itertools.combinations(range(1, 16), 2)
+        for j1, j2 in itertools.combinations(range(16), 2)
+        if rows[0][j1] == rows[0][j2]
+        and (rows[i1][j1], rows[i1][j2], rows[i2][j1], rows[i2][j2]) == (1, 0, 0, 1)
+    )
+    rows[i1][j1], rows[i1][j2], rows[i2][j1], rows[i2][j2] = 0, 1, 1, 0
+    bad = [
+        (i, j, d)
+        for i, j in itertools.combinations(range(16), 2)
+        if (d := sum(a & b for a, b in zip(rows[i], rows[j]))) != 2
+    ]
+    assert bad and bad[0][0] > 0
+    with pytest.raises(VerificationError) as err:
+        verify_biplane(BinaryMatrix.from_rows(rows))
+    assert err.value.axiom == "row-balance"
+    assert err.value.witness == bad[0]
+
+
 def is_srg_plus_identity(m: BinaryMatrix) -> bool:
     """A - I is the adjacency matrix of an SRG(1 + C(k,2), k-1, 0, 2),
     with k the first row sum: symmetric with zero diagonal, and

@@ -152,14 +152,10 @@ def test_candidates_are_the_brute_force_completions():
             assert columns == sum(1 << c for c in range(v) if has[c])
 
 
-def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
-    b9e = gewirtz_b9e
-    cert = verify_biplane(b9e)
-    assert (cert.k, cert.v) == (11, 56)
-    assert cert.canonical and cert.full_trace and cert.symmetric
-
-    # fix the first 4 tail rows, and their mirrors in the later rows
-    k, v, depth = 11, 56, 4
+def seeded_searcher(b9e, depth):
+    """A k=11 searcher with b9e's first depth tail rows placed, and
+    their mirrors in the later rows."""
+    k, v = 11, 56
     searcher = search_mod._Searcher(k)
     seeded = ((1 << (k + depth)) - 1) ^ ((1 << k) - 1)
     for i in range(k, v):
@@ -168,9 +164,73 @@ def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
         else:
             searcher.rows[i] |= b9e.bits[i] & seeded
     searcher.explore_row(k + depth)
-    assert searcher.solutions == [b9e.bits]
-    assert searcher.nodes == 483
-    assert searcher.prunes == {"complete_dot": 1378292}
+    return searcher
+
+
+# tail rows of b9e fixed -> (nodes, complete_dot) of the completion
+SEEDED_B9E = {
+    4: (483, 1378292),
+    3: (22578, 76051122),
+}
+
+
+def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
+    b9e = gewirtz_b9e
+    cert = verify_biplane(b9e)
+    assert (cert.k, cert.v) == (11, 56)
+    assert cert.canonical and cert.full_trace and cert.symmetric
+
+    for depth, (nodes, complete_dot) in SEEDED_B9E.items():
+        searcher = seeded_searcher(b9e, depth)
+        assert searcher.solutions == [b9e.bits], depth
+        assert searcher.nodes == nodes, depth
+        assert searcher.prunes == {"complete_dot": complete_dot}, depth
+
+
+class DefinitionCheckedSearcher(search_mod._Searcher):
+    """Checks every node's kept candidates against the definition: a
+    candidate is kept when it agrees with the fixed entries and meets
+    every earlier tail row exactly twice."""
+
+    checked = 0
+
+    def _kept(self, i):
+        alive, agreeing = super()._kept(i)
+        cands, _, columns = self.tables[i - self.k]
+        row, fixed = self.rows[i], columns & ((1 << i) - 1)
+        agree = [j for j, cand in enumerate(cands) if cand & fixed == row & fixed]
+        kept = [j for j in agree if all(
+            ((row | cands[j]) & self.rows[p]).bit_count() == 2 for p in range(self.k, i))]
+        assert agreeing == len(agree)
+        assert alive == sum(1 << j for j in kept)
+        DefinitionCheckedSearcher.checked += 1
+        return alive, agreeing
+
+
+def test_kept_candidates_match_the_definition(monkeypatch):
+    monkeypatch.setattr(search_mod, "_Searcher", DefinitionCheckedSearcher)
+    # one check per node of an exhausted search; at k=10 the 465
+    # first-row nodes come first, and the first subtree runs 1,535 checks
+    # before the limit trips
+    for k, limit, checks in ((7, None, 29), (8, None, 744), (10, 2_000, 1535)):
+        DefinitionCheckedSearcher.checked = 0
+        out = run(k, node_limit=limit)
+        if k in FINGERPRINTS:
+            assert (out.nodes_visited, out.prunes_by_rule) == (
+                FINGERPRINTS[k][0], prunes(*FINGERPRINTS[k][1]))
+        assert DefinitionCheckedSearcher.checked == checks, k
+
+
+def test_the_memo_holds_at_most_three_masks_per_rest():
+    k = 8
+    tables = search_mod._completion_tables(k)
+    rests = 0
+    for n, (_, _, columns) in enumerate(tables):
+        right = columns & ~((2 << (k + n)) - 1)
+        rests += len({cand & right for cands, _, _ in tables[:n] for cand in cands})
+    assert rests == 367
+    run(k)
+    assert sum(map(len, search_mod._meeting_masks(k))) <= 3 * rests
 
 
 def test_deep_node_limited_counts_are_unchanged():
