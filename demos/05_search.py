@@ -5,10 +5,11 @@ Exhaustive search for symmetric canonical biplane matrices
 The search fixes the forced canonical head, keeps the diagonal all
 ones, and places whole tail rows: the free ones of each tail row form a
 2-factor on the labels outside its pair, so its candidates are those
-2-factors. A candidate is kept only when it agrees with the entries
-that earlier rows fixed by symmetry and meets every earlier row exactly
-twice. Each filter is exact, so an exhausted run is a proof of
-nonexistence for that block size.
+2-factors. Each unplaced row keeps the candidates that agree with the
+entries placed rows fixed by symmetry and meet every placed row exactly
+twice, and the row keeping the fewest is placed next. Each filter is
+exact, so an exhausted run is a proof of nonexistence for that block
+size.
 
 Orders 2 and 3 (k = 4, 5) admit no such matrix. Order 4 (k = 6) has
 exactly one, and it is the matrix assembled in demo 01.

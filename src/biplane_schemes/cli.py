@@ -59,10 +59,10 @@ SCHEMA_VERSION = 1
 
 THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 
-# searches from this block size on must be requested explicitly: k = 8
-# exhausts in milliseconds and k = 9 in seconds, but an unseeded k = 11
-# tree holds an estimated 10^16 nodes, out of reach
-LONG_RUN_K = 9
+# searches from this block size on must be requested explicitly: k = 10
+# exhausts in a quarter of a second, but k = 11 takes about 1.37M nodes
+# and minutes, and k = 12 more
+LONG_RUN_K = 11
 
 # verify and extract take matrices of at most this many rows (points):
 # the classification's relation is a v x v int64 table, 8 bytes an
@@ -160,8 +160,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.k >= LONG_RUN_K and not args.long_run:
         raise CliInputError(
-            f"k = {args.k} searches may not finish (k = 9 exhausts in seconds,"
-            f" an unseeded k = 11 search is out of reach); pass --long-run"
+            f"k = {args.k} searches run for minutes or more (k = 10 exhausts in"
+            f" a quarter of a second, k = 11 in about 1.37M nodes); pass --long-run"
             f" (ideally with --checkpoint) to proceed"
         )
     threads = args.threads
@@ -254,8 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="progress file for resumable runs")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
-                   help=f"required for k >= {LONG_RUN_K}: k = 9 exhausts in seconds,"
-                        " an unseeded k = 11 search is out of reach")
+                   help=f"required for k >= {LONG_RUN_K}: k = 10 exhausts in a quarter"
+                        " of a second, k = 11 takes about 1.37M nodes and minutes")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scheme", help="check a relation table for the scheme axioms")

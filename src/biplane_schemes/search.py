@@ -12,49 +12,59 @@ the edges of a 2-factor (a 2-regular graph) on those labels. Conversely
 each such 2-factor completes the row to sum k, meeting every head row
 exactly twice.
 
-The search therefore places whole tail rows, top to bottom, and mirrors
-each placed row across the diagonal. A row's candidates are its
-2-factors mapped to its pair columns, built once per k; has[c] holds,
-as the bits of one integer, the candidates with a 1 in column c. When
-the search reaches row i, symmetry has fixed its entries left of the
-diagonal, and each earlier tail row p already meets it d times. A
-candidate is kept when it agrees with the fixed entries and has exactly
-2 - d ones in p's columns right of the diagonal, for every p. Those
-ones are counted for all candidates at once in three bit planes
-(candidates with at least 1, 2 and 3 of them): a column c turns them
-into ones | has[c], twos | (ones & has[c]) and three | (twos & has[c]).
+The search therefore places whole tail rows and mirrors each placed
+row across the diagonal. A row's candidates are its 2-factors mapped to
+its pair columns, built once per k; has[c] holds, as the bits of one
+integer, the candidates with a 1 in column c.
 
-Right of row p's diagonal its entries are one of p's own candidates, so
-the planes for p depend only on i and on rest, p's ones in row i's
-columns right of the diagonal, and the plane that is kept only on
-owed = 2 - d. Each tail row therefore has a memo from (rest, owed) to
-the kept mask, filled on a miss by the plane loop. The memos live per
-process, like the tables: nothing is built at import, the first search
-at a k makes them, and each pool worker fills its own. owed < 0 keeps
-nothing and is not stored, so a memo holds at most 3 masks per rest
-that its row can meet. Counted from the tables, those rests number 367
-at k=8, 2,811 at k=9, 23,876 at k=10 and 224,147 at k=11, where a mask
-has up to 3,507 bits: a worst case of about 0.3 GB at k=11. Exhausting
-k=9 fills 1,612 masks.
+Each unplaced tail row keeps a mask, the bitset of its candidates that
+agree with the entries placed rows have fixed in it and meet every
+placed row exactly twice. Placing row i narrows the mask of every
+unplaced row j in two steps. The entry (i, j) is now fixed, so the mask
+keeps has[i] or its complement. And rows i and j must meet twice: if
+they meet d times in the columns already fixed in row j, and rest is
+row i's ones in j's still-free columns, the mask keeps the candidates
+with exactly owed = 2 - d ones in rest. Those ones are counted for all
+candidates at once in three bit planes (candidates with at least 1, 2
+and 3 of them): a column c turns them into ones | has[c],
+twos | (ones & has[c]) and three | (twos & has[c]). owed < 0, or a mask
+left empty, is a dead end.
 
-Every filter is exact, so no pruning rule is needed and every pair of
-tail rows is checked exactly once, when the later one is placed. A node
-is one placed row; complete_dot counts the candidates that agreed with
-the fixed entries but would meet some earlier row other than twice.
+The masks stay exact. The meeting mask ANDed in when row i is placed is
+a condition on row j's whole row, and later placements only fix entries
+of that row, so it never needs checking again: every pair of tail rows
+is checked exactly once, when the first of the two is placed, and no
+pruning rule is needed. The next row placed is the unplaced one whose
+mask keeps the fewest candidates, the lowest row on a tie. A node is
+one placed row. complete_dot counts, summed over every mask update, the
+candidates that agreed with the fixed entries but were removed by the
+meeting mask. Exhausting k=8 takes 12 nodes, k=9 190 and k=10 7,845.
 Emitted solutions are re-verified through the independent biplane
 verifier; disagreement raises SearchBugError.
 
-The first tail row's candidates partition the space into disjoint
-subtrees, the branches. That row has no earlier tail row to meet and
-no fixed entry among its columns, so every candidate fits: the
-branches are its candidates, each counted as one node, and a node
-limit that trips among them stops the search before any subtree runs.
+A meeting mask depends only on its row j, rest and owed, so each tail
+row has a memo from rest << 2 | owed to the mask, filled on a miss by
+the plane loop. The memos live per process, like the tables: nothing
+is built at import, the first search at a k makes them, and each pool
+worker fills its own. A memo stores at most _MEMO_MASKS_PER_ROW masks;
+once full, misses are computed and not stored. Exhausting k=10 stores
+15,372 masks, at most 1,729 in one row. At k=11 a mask has up to 3,507
+bits, and 100,000 nodes fill the capped memos with 175,904 masks, at
+about 140 MB peak RSS against 216 MB with no cap.
+
+At the root no row is placed, so every tail row keeps all of its
+candidates and the tie puts row k first. Its candidates partition the
+space into disjoint subtrees, the branches, each counted as one node;
+a node limit that trips among them stops the search before any
+subtree runs.
 One loop runs the subtrees in order, merges their counters and
 solutions, and after each one records the finished subtrees in the
 checkpoint file. With several threads the subtrees run in this process
 until the search has visited _POOL_AFTER_NODES nodes; the rest, if two
 or more, then go to a pool of worker processes. So a small search never
 pays to start workers, and a resumed big one starts them at once.
+Checkpoints have schema 6: the counts of a schema-5 file come from the
+fixed top-to-bottom row order, another tree, so it is refused.
 """
 
 from __future__ import annotations
@@ -78,13 +88,20 @@ from .biplane import (
 
 _COUNTER_KEYS = ("complete_dot",)
 
-CHECKPOINT_SCHEMA = 5
+CHECKPOINT_SCHEMA = 6
 
 # nodes a search visits in process before it hands its remaining
 # subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
-# cores; the row search visits 120-170k nodes/s at k=9, so k <= 8 (744
-# nodes) never pools and k=9 pools after 0.06-0.08 s of its 0.6-0.9 s
+# cores, and each builds its own tables; the search visits 40-80k
+# nodes/s at k=10 and about 10k at k=11. So k <= 10 (7,845 nodes) never
+# pools: k=10 on 2 threads takes 0.18-0.22 s in process, against
+# 0.27-0.32 s with the pool started at once. k=11 pools after about 1 s
 _POOL_AFTER_NODES = 10_000
+
+# masks a tail row's memo stores: at k <= 10 every mask fits, and at
+# k=11, where a mask takes about 0.5 kB, an unbroken run fills the 44
+# memos that can be read (180,224 masks) and peaks at 144 MB RSS
+_MEMO_MASKS_PER_ROW = 4096
 
 
 class SearchBugError(RuntimeError):
@@ -200,9 +217,10 @@ def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], 
 
 @functools.lru_cache(maxsize=None)
 def _meeting_masks(k: int) -> tuple[dict[int, int], ...]:
-    """One memo per tail row, filled by the searches of this process:
-    rest << 2 | owed -> _meeting_mask(has, rest, owed). A value depends
-    only on its key and k, so sharing the memos cannot change a result."""
+    """One memo per tail row, filled by the searches of this process up
+    to _MEMO_MASKS_PER_ROW entries: rest << 2 | owed ->
+    _meeting_mask(has, rest, owed). A value depends only on its key and
+    k, so sharing the memos cannot change a result."""
     return tuple({} for _ in range(head_width(k) - k))
 
 
@@ -236,20 +254,29 @@ class _Searcher:
         self.max_solutions: Optional[int] = None
         self.stopped = False
 
+    def root(self) -> tuple[dict[int, int], int]:
+        """The masks of the root, where every tail row keeps all of its
+        candidates, and the bits of the unplaced rows."""
+        everything = (1 << len(self.tables[0][0])) - 1
+        tail = range(self.k, self.v)
+        return dict.fromkeys(tail, everything), sum(1 << i for i in tail)
+
     # -- depth-first search, one row per node --------------------------------
 
-    def explore_row(self, i: int) -> None:
-        if self.stopped:
-            return
-        if i == self.v:
+    def explore(self, masks: dict[int, int], free: int) -> None:
+        """Place the unplaced row with the fewest kept candidates, the
+        lowest one on a tie, in each way its mask keeps. masks maps each
+        unplaced row to its kept candidates; free holds their bits."""
+        if not masks:
             self._record_solution()
             return
+        i = min(masks, key=lambda j: masks[j].bit_count())
+        alive = masks[i]
+        others = {j: mask for j, mask in masks.items() if j != i}
+        free ^= 1 << i
         rows = self.rows
         row = rows[i]
         cands = self.tables[i - self.k][0]
-        alive, agreeing = self._kept(i)
-        self.prunes["complete_dot"] += agreeing - alive.bit_count()
-
         limit = self.node_limit
         while alive:
             low = alive & -alive
@@ -259,58 +286,63 @@ class _Searcher:
                 self.stopped = True
                 return
             rows[i] = row | cands[low.bit_length() - 1]
-            self._descend(i)
+            self._descend(i, others, free)
             rows[i] = row
             if self.stopped:
                 return
 
-    def _kept(self, i: int) -> tuple[int, int]:
-        """The bitset of row i's candidates that fit the rows above it,
-        and how many of them agree with the fixed entries."""
-        rows, k = self.rows, self.k
-        cands, has, columns = self.tables[i - k]
-        memo = self.memo[i - k]
-        row = rows[i]
-        alive = (1 << len(cands)) - 1
-        # entries left of the diagonal are the mirrors of earlier rows;
-        # outside the row's own columns both sides hold only zeros
-        fixed = columns & ((1 << i) - 1)
-        while fixed:
-            low = fixed & -fixed
-            fixed ^= low
-            c = low.bit_length() - 1
-            alive &= has[c] if row & low else ~has[c]
-        agreeing = alive.bit_count()
-        right = columns & ~((2 << i) - 1)
-        for p in range(k, i):
-            if not alive:
-                break
-            owed = 2 - (row & rows[p]).bit_count()
-            if owed < 0:
-                return 0, agreeing
-            rest = rows[p] & right
-            key = rest << 2 | owed
-            mask = memo.get(key)
-            if mask is None:
-                mask = memo[key] = _meeting_mask(has, rest, owed)
-            alive &= mask
-        return alive, agreeing
-
-    def _descend(self, i: int) -> None:
-        """Mirror the placed row i into the later rows, explore row
-        i + 1, then undo the mirror."""
+    def _descend(self, i: int, masks: dict[int, int], free: int) -> None:
+        """Mirror the placed row i into the unplaced rows, narrow their
+        masks and explore them, then undo the mirror."""
         rows, bit = self.rows, 1 << i
-        later = rows[i] >> (i + 1)
+        later = rows[i] & free
         mirrored = []
         while later:
             low = later & -later
             later ^= low
-            c = i + low.bit_length()
+            c = low.bit_length() - 1
             rows[c] |= bit
             mirrored.append(c)
-        self.explore_row(i + 1)
+        narrowed = self._narrow(i, masks, free)
+        if narrowed is not None:
+            self.explore(narrowed, free)
         for c in mirrored:
             rows[c] ^= bit
+
+    def _narrow(self, i: int, masks: dict[int, int], free: int) -> Optional[dict[int, int]]:
+        """The masks of the unplaced rows once row i is placed, or None
+        when some row keeps no candidate."""
+        rows, k, tables, memos = self.rows, self.k, self.tables, self.memo
+        placed = rows[i]
+        narrowed = {}
+        rejected = 0
+        for j, mask in masks.items():
+            _, has, columns = tables[j - k]
+            # the entry (i, j) is now fixed
+            if columns >> i & 1:
+                mask &= has[i] if placed >> j & 1 else ~has[i]
+            # and row j must meet row i owed more times in its free columns
+            owed = 2 - (placed & rows[j]).bit_count()
+            if owed < 0:
+                meeting = 0
+            else:
+                rest = placed & columns & free
+                key = rest << 2 | owed
+                memo = memos[j - k]
+                meeting = memo.get(key)
+                if meeting is None:
+                    meeting = _meeting_mask(has, rest, owed)
+                    if len(memo) < _MEMO_MASKS_PER_ROW:
+                        memo[key] = meeting
+            agreeing = mask.bit_count()
+            mask &= meeting
+            rejected += agreeing - mask.bit_count()
+            if not mask:
+                narrowed = None
+                break
+            narrowed[j] = mask
+        self.prunes["complete_dot"] += rejected
+        return narrowed
 
     def _record_solution(self) -> None:
         self.solutions.append(tuple(self.rows))
@@ -333,8 +365,11 @@ def _run_branch(job: tuple) -> tuple:
     searcher.node_limit = node_budget
     searcher.max_solutions = solution_budget
     searcher.stopped = any(b is not None and b <= 0 for b in (node_budget, solution_budget))
+    masks, free = searcher.root()
+    del masks[k]
     searcher.rows[k] = branch_bits
-    searcher._descend(k)
+    if not searcher.stopped:
+        searcher._descend(k, masks, free ^ 1 << k)
     return searcher.nodes, searcher.prunes, searcher.solutions, searcher.stopped
 
 

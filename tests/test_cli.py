@@ -221,19 +221,22 @@ def test_search_solutions_out(tmp_path, capsys):
 
 
 def test_search_long_run_gate(capsys):
-    code, _, err = run_cli(capsys, "search", "--k", "9")
-    assert code == 2
-    assert "--long-run" in err
+    for k in ("11", "12"):
+        code, out, err = run_cli(capsys, "search", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert "--long-run" in err
     code, _, _ = run_cli(capsys, "search", "--k", "2")
     assert code == 2
 
 
-def test_search_k8_needs_no_long_run(capsys):
-    code, payload, _ = run_json(capsys, "search", "--k", "8")
+def test_search_k10_needs_no_long_run(capsys):
+    code, payload, _ = run_json(capsys, "search", "--k", "10")
     assert code == 0
     assert payload["exhausted"] is True
     assert payload["solution_count"] == 0
-    assert payload["nodes_visited"] == 744
+    assert payload["nodes_visited"] == 7845
+    assert payload["prunes_by_rule"] == {"complete_dot": 7_019_475}
 
 
 def test_search_threads_env(tmp_path, capsys, monkeypatch):
@@ -279,6 +282,12 @@ def _schema_4(state):
     state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
 
 
+def _schema_5(state):
+    # the fixed top-to-bottom row order wrote the same keys, counting
+    # the nodes and prunes of another tree
+    state["schema_version"] = 5
+
+
 @pytest.mark.parametrize("spoil", [
     lambda state: "{not json",
     lambda state: '{"schema_version":1,"k":6}',
@@ -286,11 +295,13 @@ def _schema_4(state):
     lambda state: _schema_2(state),
     lambda state: _schema_3(state),
     lambda state: _schema_4(state),
+    lambda state: _schema_5(state),
     lambda state: state.pop("done"),
     lambda state: state["prunes"].pop("complete_dot"),
     lambda state: state.__setitem__("done", [0, 0]),
     lambda state: state.__setitem__("done", [7]),
-], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "schema 4", "missing key",
+], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "schema 4", "schema 5",
+        "missing key",
         "prune keys", "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"

@@ -37,16 +37,18 @@ COUNTERS = ("complete_dot",)
 # nodes and prunes per counter of the exhausted search, on every run path
 FINGERPRINTS = {
     6: (10, (0,)),
-    7: (29, (49,)),
-    8: (744, (6276,)),
+    7: (3, (29,)),
+    8: (12, (912,)),
+    9: (190, (75353,)),
+    10: (7845, (7019475,)),
 }
 
-# runs stopped at 10,000 nodes: deep trees, which exhausted runs at
-# k <= 8 do not reach; at k=11 the first 3,507 nodes place the first row
+# (k, node limit) -> (complete_dot, solutions) of runs stopped deep in
+# trees that no exhausted tier-1 run reaches; at k=11 the first 3,507
+# nodes place the first row
 NODE_LIMIT_FINGERPRINTS = {
-    9: (622635,),
-    10: (4383708,),
-    11: (22762744,),
+    (10, 5_000): (4416111, 0),
+    (11, 10_000): (30783522, 24),
 }
 
 
@@ -96,6 +98,14 @@ def test_k7_exhausts_empty():
     out = run(7)
     assert out.exhausted
     assert out.solutions == ()
+
+
+def test_k10_exhausts_empty():
+    out = run(10)
+    assert out.exhausted
+    assert out.solutions == ()
+    assert out.nodes_visited == 7_845
+    assert out.prunes_by_rule == prunes(7_019_475)
 
 
 def test_reference_agreement():
@@ -153,24 +163,26 @@ def test_candidates_are_the_brute_force_completions():
 
 
 def seeded_searcher(b9e, depth):
-    """A k=11 searcher with b9e's first depth tail rows placed, and
-    their mirrors in the later rows."""
-    k, v = 11, 56
+    """A k=11 searcher whose first depth tail rows keep only b9e's
+    candidate, explored from the root."""
+    k = 11
     searcher = search_mod._Searcher(k)
-    seeded = ((1 << (k + depth)) - 1) ^ ((1 << k) - 1)
-    for i in range(k, v):
-        if i < k + depth:
-            searcher.rows[i] = b9e.bits[i]
-        else:
-            searcher.rows[i] |= b9e.bits[i] & seeded
-    searcher.explore_row(k + depth)
+    masks, free = searcher.root()
+    for i in range(k, k + depth):
+        cands, _, columns = searcher.tables[i - k]
+        masks[i] = 1 << cands.index(b9e.bits[i] & columns)
+    searcher.explore(masks, free)
     return searcher
 
 
-# tail rows of b9e fixed -> (nodes, complete_dot) of the completion
+# tail rows of b9e fixed -> (nodes, complete_dot, solutions) of the
+# completion, the seeded rows' nodes included. Two rows fix b9e; its
+# first row alone has 8 completions
 SEEDED_B9E = {
-    4: (483, 1378292),
-    3: (22578, 76051122),
+    4: (45, 94369, 1),
+    3: (46, 97986, 1),
+    2: (51, 103737, 1),
+    1: (921, 2267567, 8),
 }
 
 
@@ -180,65 +192,102 @@ def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
     assert (cert.k, cert.v) == (11, 56)
     assert cert.canonical and cert.full_trace and cert.symmetric
 
-    for depth, (nodes, complete_dot) in SEEDED_B9E.items():
+    for depth, (nodes, complete_dot, solutions) in SEEDED_B9E.items():
         searcher = seeded_searcher(b9e, depth)
-        assert searcher.solutions == [b9e.bits], depth
+        assert b9e.bits in searcher.solutions, depth
+        assert len(set(searcher.solutions)) == solutions, depth
         assert searcher.nodes == nodes, depth
         assert searcher.prunes == {"complete_dot": complete_dot}, depth
 
 
 class DefinitionCheckedSearcher(search_mod._Searcher):
-    """Checks every node's kept candidates against the definition: a
-    candidate is kept when it agrees with the fixed entries and meets
-    every earlier tail row exactly twice."""
+    """Checks every node by brute force over the candidates. Once a row
+    is placed, each unplaced row's mask must keep exactly the candidates
+    that agree with the fixed entries and meet every placed tail row
+    exactly twice, or, at a dead end, some unplaced row must keep none.
+    And the row placed next must be the unplaced row with the fewest
+    kept candidates, the lowest one on a tie."""
 
     checked = 0
 
-    def _kept(self, i):
-        alive, agreeing = super()._kept(i)
-        cands, _, columns = self.tables[i - self.k]
-        row, fixed = self.rows[i], columns & ((1 << i) - 1)
-        agree = [j for j, cand in enumerate(cands) if cand & fixed == row & fixed]
-        kept = [j for j in agree if all(
-            ((row | cands[j]) & self.rows[p]).bit_count() == 2 for p in range(self.k, i))]
-        assert agreeing == len(agree)
-        assert alive == sum(1 << j for j in kept)
+    def __init__(self, k):
+        super().__init__(k)
+        self.choices = []  # the row each unfinished explore must place
+
+    def _narrow(self, i, masks, free):
+        narrowed = super()._narrow(i, masks, free)
+        placed = [self.rows[p] for p in range(self.k, self.v) if not free >> p & 1]
+
+        def definition(j):
+            cands, _, columns = self.tables[j - self.k]
+            row, fixed = self.rows[j], columns & ~free
+            return sum(1 << n for n, cand in enumerate(cands) if (
+                cand & fixed == row & fixed
+                and all(((row | cand) & p).bit_count() == 2 for p in placed)))
+
+        if narrowed is None:
+            assert any(definition(j) == 0 for j in masks)
+        else:
+            assert narrowed == {j: definition(j) for j in masks}
         DefinitionCheckedSearcher.checked += 1
-        return alive, agreeing
+        return narrowed
+
+    def explore(self, masks, free):
+        fewest = min((mask.bit_count() for mask in masks.values()), default=None)
+        self.choices.append(next(
+            (j for j in sorted(masks) if masks[j].bit_count() == fewest), None))
+        super().explore(masks, free)
+        self.choices.pop()
+
+    def _descend(self, i, masks, free):
+        # a subtree's first placed row is its branch, a candidate of the
+        # root's choice: at the root every row keeps every candidate
+        assert i == (self.choices[-1] if self.choices else self.k)
+        super()._descend(i, masks, free)
 
 
 def test_kept_candidates_match_the_definition(monkeypatch):
     monkeypatch.setattr(search_mod, "_Searcher", DefinitionCheckedSearcher)
-    # one check per node of an exhausted search; at k=10 the 465
-    # first-row nodes come first, and the first subtree runs 1,535 checks
-    # before the limit trips
-    for k, limit, checks in ((7, None, 29), (8, None, 744), (10, 2_000, 1535)):
+    # one check per placed row, so one per node of an exhausted search;
+    # at k=10 the 465 first-row nodes are counted first, and the limit
+    # trips after 98 subtrees have placed their first row and 1,534 more
+    for k, limit, checks in ((7, None, 3), (8, None, 12), (9, None, 190),
+                             (10, 2_000, 1632)):
         DefinitionCheckedSearcher.checked = 0
         out = run(k, node_limit=limit)
-        if k in FINGERPRINTS:
+        if k in FINGERPRINTS and limit is None:
             assert (out.nodes_visited, out.prunes_by_rule) == (
                 FINGERPRINTS[k][0], prunes(*FINGERPRINTS[k][1]))
         assert DefinitionCheckedSearcher.checked == checks, k
 
 
-def test_the_memo_holds_at_most_three_masks_per_rest():
-    k = 8
-    tables = search_mod._completion_tables(k)
-    rests = 0
-    for n, (_, _, columns) in enumerate(tables):
-        right = columns & ~((2 << (k + n)) - 1)
-        rests += len({cand & right for cands, _, _ in tables[:n] for cand in cands})
-    assert rests == 367
-    run(k)
-    assert sum(map(len, search_mod._meeting_masks(k))) <= 3 * rests
+def test_the_memo_stores_at_most_its_cap_per_row(monkeypatch):
+    search_mod._meeting_masks.cache_clear()
+    run(10)
+    sizes = list(map(len, search_mod._meeting_masks(10)))
+    assert (sum(sizes), max(sizes)) == (15_372, 1_729)
+    assert max(sizes) <= search_mod._MEMO_MASKS_PER_ROW
+
+    # a full memo computes its misses without storing them, and the
+    # search is the same, down to no memo at all
+    nodes, counts = FINGERPRINTS[10]
+    for cap in (1_000, 0):
+        monkeypatch.setattr(search_mod, "_MEMO_MASKS_PER_ROW", cap)
+        search_mod._meeting_masks.cache_clear()
+        out = run(10)
+        assert max(map(len, search_mod._meeting_masks(10))) == cap
+        assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+        assert out.exhausted and out.solutions == ()
+    search_mod._meeting_masks.cache_clear()
 
 
 def test_deep_node_limited_counts_are_unchanged():
-    for k, counts in NODE_LIMIT_FINGERPRINTS.items():
-        out = run(k, node_limit=10_000)
+    for (k, limit), (complete_dot, solutions) in NODE_LIMIT_FINGERPRINTS.items():
+        out = run(k, node_limit=limit)
         assert not out.exhausted
-        assert out.nodes_visited == 10_000
-        assert out.prunes_by_rule == prunes(*counts)
+        assert out.nodes_visited == limit
+        assert out.prunes_by_rule == prunes(complete_dot)
+        assert len(out.solutions) == solutions
 
 
 def test_parallel_matches_sequential(tmp_path):
@@ -259,13 +308,15 @@ def test_parallel_matches_sequential(tmp_path):
 
 # (k, node limit) -> (nodes, complete_dot). The first tail row's
 # candidates are the branches and count one node each (k=8 has 12 of
-# them, k=3 one and k=11 3,507), so most of these runs stop at or just
-# past that row
+# them, k=9 70, k=10 465, k=3 one and k=11 3,507), so most of these
+# runs stop at or just past that row
 NODE_LIMITS = {
     (8, 5): (5, 0),
     (8, 12): (12, 0),
-    (8, 13): (13, 7),
-    (8, 100): (100, 745),
+    (9, 70): (70, 0),
+    (9, 73): (73, 2759),
+    (9, 100): (100, 19477),
+    (10, 500): (500, 44209),
     (3, 1): (1, 0),
     (11, 100): (100, 0),
 }
@@ -342,9 +393,9 @@ def test_a_lone_subtree_skips_the_pool(monkeypatch):
 
 
 def test_small_searches_skip_the_pool(monkeypatch):
-    # k=7 and k=8 exhaust in far fewer nodes than a pool is worth
+    # k=7 to k=10 exhaust in fewer nodes than a pool is worth
     pools = counting_pools(monkeypatch)
-    for k in (7, 8):
+    for k in (7, 8, 9, 10):
         nodes, counts = FINGERPRINTS[k]
         out = run(k, threads=2)
         assert out.exhausted
@@ -356,16 +407,17 @@ def test_small_searches_skip_the_pool(monkeypatch):
 
 def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
     seq_path = str(tmp_path / "sequential.json")
-    seq = run(8, checkpoint=seq_path)
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 100)
+    seq = run(10, checkpoint=seq_path)
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 480)
     pools = counting_pools(monkeypatch)
     seen = pools_at_writes(monkeypatch, pools)
     path = str(tmp_path / "progress.json")
-    out = run(8, threads=2, checkpoint=path)
-    # 12 enumerator nodes and 61 per subtree: 73 after the first subtree,
-    # 134 after the second, so the other 10 go to the pool
+    out = run(10, threads=2, checkpoint=path)
+    # 465 first-row nodes and 12 in each of the first subtrees: 477
+    # after the first subtree, 489 after the second, so the other 463
+    # go to the pool
     assert pools == [(2,)]
-    assert seen == [0, 0] + [1] * 10
+    assert seen == [0, 0] + [1] * 463
     assert out.exhausted
     assert out.nodes_visited == seq.nodes_visited
     assert out.prunes_by_rule == seq.prunes_by_rule
@@ -375,18 +427,19 @@ def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
 
 def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
     path = str(tmp_path / "progress.json")
-    run(8, node_limit=300, checkpoint=path)
+    run(10, node_limit=520, checkpoint=path)
     state = json.loads(open(path).read())
-    assert state["nodes"] == 12 + 4 * 61
+    # the fifth subtree holds 17 nodes and trips the limit
+    assert state["nodes"] == 465 + 4 * 12
     assert state["done"] == [0, 1, 2, 3]
 
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 200)
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 500)
     pools = counting_pools(monkeypatch)
     seen = pools_at_writes(monkeypatch, pools)
-    out = run(8, threads=2, checkpoint=path)
+    out = run(10, threads=2, checkpoint=path)
     assert pools == [(2,)]
-    assert seen == [1] * 8  # every remaining subtree ran on the pool
-    nodes, counts = FINGERPRINTS[8]
+    assert seen == [1] * 461  # every remaining subtree ran on the pool
+    nodes, counts = FINGERPRINTS[10]
     assert out.exhausted
     assert out.nodes_visited == nodes
     assert out.prunes_by_rule == prunes(*counts)
@@ -414,16 +467,16 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
 
 
 def test_checkpoint_resume(tmp_path):
-    clean = run(7)
+    clean = run(9)
     for threads in (1, 2):
         path = str(tmp_path / f"progress{threads}.json")
-        partial = run(7, node_limit=15, checkpoint=path)
+        partial = run(9, node_limit=100, checkpoint=path)
         assert not partial.exhausted
         state = json.loads(open(path).read())
-        assert state["schema_version"] == 5
+        assert state["schema_version"] == 6
         assert 0 < len(state["done"]) < len(state["branches"])
 
-        resumed = run(7, threads=threads, checkpoint=path)
+        resumed = run(9, threads=threads, checkpoint=path)
         assert resumed.exhausted
         assert resumed.nodes_visited == clean.nodes_visited
         assert resumed.prunes_by_rule == clean.prunes_by_rule
@@ -476,10 +529,10 @@ def test_a_node_limit_reads_a_checkpoint_of_the_same_search(tmp_path):
     # on an unfinished checkpoint, such a limit stops the search before
     # its next subtree, with the checkpoint's counts
     partial_path = str(tmp_path / "partial.json")
-    partial = run(8, node_limit=300, checkpoint=partial_path)
+    partial = run(9, node_limit=100, checkpoint=partial_path)
     state = json.loads(open(partial_path).read())
     assert 0 < len(state["done"]) < len(state["branches"])
-    stopped = run(8, node_limit=5, checkpoint=partial_path)
+    stopped = run(9, node_limit=5, checkpoint=partial_path)
     assert not stopped.exhausted
     assert stopped.nodes_visited == state["nodes"] < partial.nodes_visited
     assert json.loads(open(partial_path).read()) == state
@@ -529,6 +582,12 @@ def schema_4(state):
     state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
 
 
+def schema_5(state):
+    # what the fixed top-to-bottom row order wrote: the same keys, but
+    # the nodes and prunes of another tree
+    state["schema_version"] = 5
+
+
 def drop(key):
     return lambda state: state.pop(key)
 
@@ -542,10 +601,11 @@ def put_prune(key, value):
 
 
 BAD_CHECKPOINTS = {
-    "schema 1": (schema_1, "schema 1, expected 5"),
-    "schema 2": (schema_2, "schema 2, expected 5"),
-    "schema 3": (schema_3, "schema 3, expected 5"),
-    "schema 4": (schema_4, "schema 4, expected 5"),
+    "schema 1": (schema_1, "schema 1, expected 6"),
+    "schema 2": (schema_2, "schema 2, expected 6"),
+    "schema 3": (schema_3, "schema 3, expected 6"),
+    "schema 4": (schema_4, "schema 4, expected 6"),
+    "schema 5": (schema_5, "schema 5, expected 6"),
     "no schema": (drop("schema_version"), "schema None"),
     "no done": (drop("done"), "lacks the keys ['done']"),
     "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
