@@ -57,12 +57,14 @@ candidates and the tie puts row k first. Its candidates partition the
 space into disjoint subtrees, the branches, each counted as one node;
 a node limit that trips among them stops the search before any
 subtree runs.
-One loop runs the subtrees in order, merges their counters and
-solutions, and after each one records the finished subtrees in the
-checkpoint file. With several threads the subtrees run in this process
-until the search has visited _POOL_AFTER_NODES nodes; the rest, if two
-or more, then go to a pool of worker processes. So a small search never
-pays to start workers, and a resumed big one starts them at once.
+One loop runs the subtrees in order and merges their counters and
+solutions. It records the finished subtrees in the checkpoint file at
+most once every _CHECKPOINT_EVERY_S seconds, once more when it ends,
+and when an interrupt or a worker error escapes a subtree. With several
+threads the subtrees run in this process until the search has visited
+_POOL_AFTER_NODES nodes; the rest, if two or more, then go to a pool of
+worker processes. So a small search never pays to start workers, and a
+resumed big one starts them at once.
 Checkpoints have schema 6: the counts of a schema-5 file come from the
 fixed top-to-bottom row order, another tree, so it is refused.
 """
@@ -97,6 +99,13 @@ CHECKPOINT_SCHEMA = 6
 # pools: k=10 on 2 threads takes 0.18-0.22 s in process, against
 # 0.27-0.32 s with the pool started at once. k=11 pools after about 1 s
 _POOL_AFTER_NODES = 10_000
+
+# seconds between checkpoint writes. A write dumps the whole state: the
+# branch list (84 KB at k=11, 846 KB at k=12) and every solution so far
+# (2.5 MB by the end of k=11). Written after each of its 3,507 subtrees,
+# an unbroken k=11 run spent more time writing than searching. A hard
+# kill loses at most this much finished work
+_CHECKPOINT_EVERY_S = 1.0
 
 # masks a tail row's memo stores: at k <= 10 every mask fits, and at
 # k=11, where a mask takes about 0.5 kB, an unbroken run fills the 44
@@ -263,16 +272,16 @@ class _Searcher:
 
     # -- depth-first search, one row per node --------------------------------
 
-    def explore(self, masks: dict[int, int], free: int) -> None:
-        """Place the unplaced row with the fewest kept candidates, the
-        lowest one on a tie, in each way its mask keeps. masks maps each
-        unplaced row to its kept candidates; free holds their bits."""
-        if not masks:
+    def explore(self, i: Optional[int], masks: dict[int, int], free: int) -> None:
+        """Place row i in each way its mask keeps; i is the unplaced row
+        with the fewest kept candidates, the lowest one on a tie, or None
+        once every row is placed. masks maps each unplaced row, i
+        included, to its kept candidates, and loses i here; free holds
+        the unplaced rows' bits."""
+        if i is None:
             self._record_solution()
             return
-        i = min(masks, key=lambda j: masks[j].bit_count())
-        alive = masks[i]
-        others = {j: mask for j, mask in masks.items() if j != i}
+        alive = masks.pop(i)
         free ^= 1 << i
         rows = self.rows
         row = rows[i]
@@ -286,7 +295,7 @@ class _Searcher:
                 self.stopped = True
                 return
             rows[i] = row | cands[low.bit_length() - 1]
-            self._descend(i, others, free)
+            self._descend(i, masks, free)
             rows[i] = row
             if self.stopped:
                 return
@@ -305,17 +314,22 @@ class _Searcher:
             mirrored.append(c)
         narrowed = self._narrow(i, masks, free)
         if narrowed is not None:
-            self.explore(narrowed, free)
+            self.explore(*narrowed, free)
         for c in mirrored:
             rows[c] ^= bit
 
-    def _narrow(self, i: int, masks: dict[int, int], free: int) -> Optional[dict[int, int]]:
-        """The masks of the unplaced rows once row i is placed, or None
-        when some row keeps no candidate."""
+    def _narrow(
+        self, i: int, masks: dict[int, int], free: int
+    ) -> Optional[tuple[Optional[int], dict[int, int]]]:
+        """Once row i is placed: the unplaced row with the fewest kept
+        candidates (the lowest on a tie, as masks run in row order) and
+        the narrowed masks of the unplaced rows, or None when some row
+        keeps no candidate."""
         rows, k, tables, memos = self.rows, self.k, self.tables, self.memo
         placed = rows[i]
         narrowed = {}
         rejected = 0
+        fewest = chosen = None
         for j, mask in masks.items():
             _, has, columns = tables[j - k]
             # the entry (i, j) is now fixed
@@ -336,13 +350,16 @@ class _Searcher:
                         memo[key] = meeting
             agreeing = mask.bit_count()
             mask &= meeting
-            rejected += agreeing - mask.bit_count()
-            if not mask:
+            kept = mask.bit_count()
+            rejected += agreeing - kept
+            if not kept:
                 narrowed = None
                 break
+            if fewest is None or kept < fewest:
+                fewest, chosen = kept, j
             narrowed[j] = mask
         self.prunes["complete_dot"] += rejected
-        return narrowed
+        return None if narrowed is None else (chosen, narrowed)
 
     def _record_solution(self) -> None:
         self.solutions.append(tuple(self.rows))
@@ -446,7 +463,9 @@ def _load_checkpoint(path: str, fresh: dict) -> dict:
 def _write_checkpoint(path: str, state: dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+        # the same text as json.dump, which encodes in pure Python and
+        # took 4-6 times as long on a k=11 state
+        fh.write(json.dumps(state))
     os.replace(tmp, path)
 
 
@@ -464,10 +483,15 @@ def search_symmetric_canonical(
     (a resumed search counts its checkpoint's); the remaining ones, if
     two or more, then run on at most one worker process each. A
     node_limit forces in-process execution. A checkpoint works with
-    either: it is rewritten after each finished subtree, in branch
-    order, and a rerun on the same file skips the subtrees it lists; a
-    file that is malformed or belongs to another search raises
-    CheckpointError.
+    either: it lists the finished subtrees and their merged counts, and
+    a rerun on the same file skips the subtrees it lists. It is written
+    at most once every _CHECKPOINT_EVERY_S seconds, once when the loop
+    ends, and once when an exception other than a failed write escapes a
+    subtree, and only when some subtree finished since the last write;
+    a subtree that trips a limit leaves it with the counts from before
+    that subtree. A hard kill loses at most the subtrees finished since
+    the last write. A file that is malformed or belongs to another
+    search raises CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
@@ -510,32 +534,55 @@ def search_symmetric_canonical(
         return cfg.k, branches[index], node_budget, solution_budget
 
     pool = None
+    saved_at = time.perf_counter()
+
+    def save(force: bool) -> None:
+        # write only when some subtree finished since the last write, as
+        # state["done"] holds the subtrees the file lists
+        nonlocal saved_at
+        if checkpoint is None or len(done) == len(state["done"]):
+            return
+        if not force and time.perf_counter() - saved_at < _CHECKPOINT_EVERY_S:
+            return
+        state["done"] = sorted(done)
+        _write_checkpoint(checkpoint, state)
+        saved_at = time.perf_counter()
 
     def results():
         nonlocal pool
-        for n, index in enumerate(todo):
-            # a pool pays off only for a big search with two subtrees or
-            # more left to share
-            if not budgeted and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
-                rest = todo[n:]
-                pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
-                yield from zip(rest, pool.map(_run_branch, map(job, rest)))
-                return
-            yield index, _run_branch(job(index))
+        try:
+            for n, index in enumerate(todo):
+                # a pool pays off only for a big search with two subtrees
+                # or more left to share
+                if not budgeted and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
+                    rest = todo[n:]
+                    pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
+                    yield from zip(rest, pool.map(_run_branch, map(job, rest)))
+                    return
+                yield index, _run_branch(job(index))
+        except (Exception, KeyboardInterrupt):
+            # a subtree failed or was interrupted: keep the finished ones.
+            # A failed write is raised by the loop below, not here, so it
+            # is not retried
+            save(force=True)
+            raise
 
     try:
         for index, (nodes, prunes, solutions, branch_stopped) in results():
+            if branch_stopped:
+                # the file keeps the counts from before this subtree
+                stopped = True
+                save(force=True)
             state["nodes"] += nodes
             for key in _COUNTER_KEYS:
                 state["prunes"][key] += prunes[key]
             state["solutions"].extend(solutions)
             if branch_stopped:
-                stopped = True
                 break
             done.add(index)
-            if checkpoint is not None:
-                state["done"] = sorted(done)
-                _write_checkpoint(checkpoint, state)
+            save(force=False)
+        else:
+            save(force=True)
     finally:
         if pool is not None:
             # after a failure, drop the queued subtrees instead of running them

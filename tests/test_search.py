@@ -171,7 +171,7 @@ def seeded_searcher(b9e, depth):
     for i in range(k, k + depth):
         cands, _, columns = searcher.tables[i - k]
         masks[i] = 1 << cands.index(b9e.bits[i] & columns)
-    searcher.explore(masks, free)
+    searcher.explore(k, masks, free)  # row k keeps one candidate, the fewest
     return searcher
 
 
@@ -228,15 +228,15 @@ class DefinitionCheckedSearcher(search_mod._Searcher):
         if narrowed is None:
             assert any(definition(j) == 0 for j in masks)
         else:
-            assert narrowed == {j: definition(j) for j in masks}
+            assert narrowed[1] == {j: definition(j) for j in masks}
         DefinitionCheckedSearcher.checked += 1
         return narrowed
 
-    def explore(self, masks, free):
+    def explore(self, i, masks, free):
         fewest = min((mask.bit_count() for mask in masks.values()), default=None)
         self.choices.append(next(
             (j for j in sorted(masks) if masks[j].bit_count() == fewest), None))
-        super().explore(masks, free)
+        super().explore(i, masks, free)
         self.choices.pop()
 
     def _descend(self, i, masks, free):
@@ -406,6 +406,8 @@ def test_small_searches_skip_the_pool(monkeypatch):
 
 
 def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
+    # one checkpoint write after every subtree
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     seq_path = str(tmp_path / "sequential.json")
     seq = run(10, checkpoint=seq_path)
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 480)
@@ -426,6 +428,8 @@ def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
 
 
 def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
+    # one checkpoint write after every subtree
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     path = str(tmp_path / "progress.json")
     run(10, node_limit=520, checkpoint=path)
     state = json.loads(open(path).read())
@@ -447,6 +451,8 @@ def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
 
 
 def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
+    # one checkpoint write after every subtree
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     futures = []
 
     class RecordingPool(search_mod.ProcessPoolExecutor):
@@ -486,6 +492,8 @@ def test_checkpoint_resume(tmp_path):
 
 
 def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
+    # one checkpoint write after every subtree
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     path = str(tmp_path / "progress.json")
     write = search_mod._write_checkpoint
 
@@ -512,6 +520,99 @@ def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
     assert resumed.nodes_visited == nodes
     assert resumed.prunes_by_rule == prunes(*counts)
     assert resumed.solutions == ()
+
+
+def recording_writes(monkeypatch):
+    """Record the done list of every checkpoint write."""
+    written = []
+    write = search_mod._write_checkpoint
+
+    def recording_write(target, state):
+        written.append(list(state["done"]))
+        write(target, state)
+
+    monkeypatch.setattr(search_mod, "_write_checkpoint", recording_write)
+    return written
+
+
+def test_an_exhausted_search_writes_its_checkpoint_once(tmp_path, monkeypatch):
+    written = recording_writes(monkeypatch)
+    for k, (nodes, counts) in FINGERPRINTS.items():
+        for threads in (1, 2):
+            files = {}
+            for every in (0, float("inf")):
+                monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", every)
+                path = tmp_path / f"k{k}-{threads}-{every}.json"
+                written.clear()
+                out = run(k, threads=threads, checkpoint=str(path))
+                assert out.exhausted
+                assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+                files[every] = path.read_bytes()
+            # the one write leaves the file a write after every subtree does
+            branches = list(range(len(json.loads(files[0])["branches"])))
+            assert written == [branches], (k, threads)
+            assert files[float("inf")] == files[0], (k, threads)
+
+
+def test_a_tripped_limit_keeps_the_counts_before_its_subtree(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", float("inf"))
+    written = recording_writes(monkeypatch)
+    path = tmp_path / "progress.json"
+    # the fifth subtree holds 17 nodes and trips the limit
+    out = run(10, node_limit=520, checkpoint=str(path))
+    assert out.nodes_visited == 520
+    assert written == [[0, 1, 2, 3]]
+    state = json.loads(path.read_text())
+    assert (state["done"], state["nodes"]) == ([0, 1, 2, 3], 465 + 4 * 12)
+
+    # with no subtree finished there is nothing to write: a limit among
+    # the 465 first-row nodes, or one inside the first subtree
+    for limit in (100, 470):
+        written.clear()
+        fresh = tmp_path / f"limit{limit}.json"
+        run(10, node_limit=limit, checkpoint=str(fresh))
+        assert written == [] and not fresh.exists(), limit
+
+
+def test_an_interrupted_search_keeps_its_finished_subtrees(tmp_path, monkeypatch):
+    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", float("inf"))
+    run_branch = search_mod._run_branch
+    jobs = []
+
+    def interrupted_fifth(job):
+        jobs.append(job)
+        if len(jobs) == 5:
+            raise KeyboardInterrupt
+        return run_branch(job)
+
+    monkeypatch.setattr(search_mod, "_run_branch", interrupted_fifth)
+    path = tmp_path / "progress.json"
+    with pytest.raises(KeyboardInterrupt):
+        run(8, checkpoint=str(path))
+    assert json.loads(path.read_text())["done"] == [0, 1, 2, 3]
+
+    monkeypatch.setattr(search_mod, "_run_branch", run_branch)
+    resumed = run(8, checkpoint=str(path))
+    nodes, counts = FINGERPRINTS[8]
+    assert resumed.exhausted
+    assert (resumed.nodes_visited, resumed.prunes_by_rule) == (nodes, prunes(*counts))
+
+
+def test_a_failed_write_is_not_retried(tmp_path, monkeypatch):
+    calls = []
+
+    def full_disk(target, state):
+        calls.append(target)
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
+    # the write after the first subtree, or the one when the loop ends
+    for every in (0, float("inf")):
+        monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", every)
+        calls.clear()
+        with pytest.raises(OSError):
+            run(8, checkpoint=str(tmp_path / "progress.json"))
+        assert len(calls) == 1, every
 
 
 def test_a_node_limit_reads_a_checkpoint_of_the_same_search(tmp_path):
