@@ -77,9 +77,8 @@ class BinaryMatrix:
             raise DimensionError(
                 f"expected {self.rows} packed rows, got {len(self.bits)}"
             )
-        mask = (1 << self.cols) - 1
         for i, row in enumerate(self.bits):
-            if row < 0 or row & ~mask:
+            if row < 0 or row >> self.cols:
                 raise DimensionError(f"row {i} has bits outside {self.cols} columns")
 
     # -- construction -------------------------------------------------------

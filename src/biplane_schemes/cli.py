@@ -17,11 +17,17 @@ scheme as data ("scheme": null plus "scheme_witness"), with exit 0.
 
 The default worker count for search comes from BIPLANE_SCHEMES_THREADS
 when set.
+
+The argument parser is built on the first main() call and reused by
+every later call in the process; importing the module builds nothing.
+The process-pool machinery (concurrent.futures, multiprocessing) is
+imported only when a search starts a pool.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -69,7 +75,8 @@ LONG_RUN_K = 11
 # entry, and 5000 points make 200 MB. For a sparse input it is the only
 # one; a dense input also has its v x v concurrence table built by the
 # classification, and by the biplane check when v = 1 + C(k,2). The
-# largest benchmarked input has 1000 points; CI runs 5000
+# largest benchmarked input has 1000 points; CI runs 5000. family
+# writes 2m points, so it takes m of at most MAX_POINTS // 2
 MAX_POINTS = 5000
 
 
@@ -149,6 +156,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     if args.m < 3:
         raise CliInputError(f"family needs m >= 3, got {args.m}")
+    if args.m > MAX_POINTS // 2:
+        raise CliInputError(
+            f"family --m {args.m} makes {2 * args.m} points, above the cap of"
+            f" {MAX_POINTS} (verify and extract build v x v tables)"
+        )
     structure, report = family_generate(args.m)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -223,6 +235,7 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biplane-schemes",

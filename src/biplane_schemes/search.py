@@ -75,7 +75,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -555,6 +554,10 @@ def search_symmetric_canonical(
                 # a pool pays off only for a big search with two subtrees
                 # or more left to share
                 if not budgeted and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
+                    # imported here, as the pool machinery (multiprocessing,
+                    # logging) costs a fresh process 20-30 ms to import
+                    from concurrent.futures import ProcessPoolExecutor
+
                     rest = todo[n:]
                     pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
                     yield from zip(rest, pool.map(_run_branch, map(job, rest)))

@@ -43,6 +43,10 @@ def test_construction_rejects_bad_shapes():
         BinaryMatrix.from_rows([[1, 2]])
     with pytest.raises(DimensionError):
         BinaryMatrix(2, 2, (0b100, 0))  # bit outside the declared width
+    with pytest.raises(DimensionError, match="row 1 has bits outside 2 columns"):
+        BinaryMatrix(2, 2, (0b11, 0b100))  # the first bit past the last column
+    with pytest.raises(DimensionError, match="row 0 has bits outside 2 columns"):
+        BinaryMatrix(2, 2, (-1, 0))  # a negative row has bits in every column
     with pytest.raises(DimensionError):
         BinaryMatrix(2, 2, (0,))
 

@@ -124,6 +124,91 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "search", "--k", "4", "--nonsense")[0] == 2
 
 
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_an_option_does_not_carry_over_to_the_next_call(fixture_dir, tmp_path, capsys):
+    b4c = str(fixture_dir / "b4c.txt")
+    core_path = tmp_path / "core.txt"
+    assert run_cli(capsys, "extract", b4c, "--core-out", str(core_path))[0] == 0
+    core_path.unlink()
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(capsys, "extract", b4c)[0] == 0
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_usage_error_leaves_the_next_call_unaffected(fixture_dir, capsys):
+    b4c = str(fixture_dir / "b4c.txt")
+    first = run_cli(capsys, "verify", b4c)
+    for bad in (["search", "--k", "4", "--nonsense"], ["extract", b4c, "--core-out"],
+                ["family", "--m", "x"], ["verify"]):
+        code, out, err = run_cli(capsys, *bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: biplane-schemes")
+    assert run_cli(capsys, "verify", b4c) == first
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"]])
+def test_help_twice_gives_the_same_text(capsys, argv):
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first[1].startswith("usage: biplane-schemes")
+    assert run_cli(capsys, *argv) == first
+
+
+def package_env():
+    """The environment for a fresh process that imports this package."""
+    src = os.path.dirname(os.path.dirname(biplane_schemes.__file__))
+    return {**os.environ, "PYTHONPATH": src}
+
+
+def without_elapsed(out):
+    # the search report's wall time is the one field that differs by run
+    payload = json.loads(out)
+    payload.pop("elapsed_seconds", None)
+    return payload
+
+
+def test_verbs_repeated_in_process_match_a_fresh_process(fixture_dir, capsys):
+    b4c = str(fixture_dir / "b4c.txt")
+    core16 = str(fixture_dir / "core16_1.txt")
+    for argv in (["verify", b4c], ["verify", core16],
+                 ["verify", str(fixture_dir / "core12_boundary.txt")],
+                 ["extract", b4c], ["extract", core16],
+                 ["scheme", str(fixture_dir / "relation6.txt")],
+                 ["family", "--m", "50"], ["search", "--k", "6"],
+                 ["fixtures", "--out", str(fixture_dir)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "biplane_schemes.cli", *argv],
+            env=package_env(), capture_output=True, text=True, timeout=60,
+        )
+        fresh = (done.returncode, without_elapsed(done.stdout), done.stderr)
+        for _ in range(2):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, without_elapsed(out), err) == fresh, argv
+
+
+def test_no_process_pool_machinery_without_a_pool():
+    # importing concurrent.futures.process (multiprocessing, logging)
+    # costs a fresh process 20-30 ms; k=8 exhausts long before a pool
+    script = (
+        "import sys\n"
+        "import biplane_schemes\n"
+        "from biplane_schemes import cli\n"
+        "names = ('multiprocessing', 'concurrent.futures')\n"
+        "loaded = [n for n in names if n in sys.modules]\n"
+        "code = cli.main(['search', '--k', '8', '--threads', '2'])\n"
+        "loaded += [n for n in names if n in sys.modules]\n"
+        "print(code, loaded, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["exhausted"] is True
+    assert done.stderr.strip() == "0 []"
+
+
 def test_extract(fixture_dir, tmp_path, capsys):
     core_path = tmp_path / "core.txt"
     code, payload, _ = run_json(
@@ -196,6 +281,29 @@ def test_family_round_trip(tmp_path, capsys):
 def test_family_bad_m(capsys):
     code, _, err = run_cli(capsys, "family", "--m", "2")
     assert code == 2
+
+
+def test_family_point_cap_boundary(tmp_path, capsys, monkeypatch):
+    # family writes 2m points, so m may be at most MAX_POINTS // 2
+    monkeypatch.setattr(cli, "MAX_POINTS", 7)
+    built = []
+    generate = cli.family_generate
+
+    def recording_generate(m):
+        built.append(m)
+        return generate(m)
+
+    monkeypatch.setattr(cli, "family_generate", recording_generate)
+    at_cap, above = tmp_path / "at.txt", tmp_path / "above.txt"
+    code, payload, _ = run_json(capsys, "family", "--m", "3", "--out", str(at_cap))
+    assert (code, payload["m"]) == (0, 3)
+    assert at_cap.read_text().startswith("6 6\n")
+    code, out, err = run_cli(capsys, "family", "--m", "4", "--out", str(above))
+    assert (code, out) == (2, "")
+    assert err == ("error: family --m 4 makes 8 points, above the cap of 7"
+                   " (verify and extract build v x v tables)\n")
+    assert built == [3]
+    assert not above.exists()
 
 
 def test_search_exhausts_small_k(capsys):
@@ -324,11 +432,9 @@ def test_extract_does_not_import_numpy_ma(fixture_dir):
         "ma = [m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']]\n"
         "print(code, sorted(ma), file=sys.stderr)\n"
     )
-    src = os.path.dirname(os.path.dirname(biplane_schemes.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(
         [sys.executable, "-c", script, str(fixture_dir / "b4c.txt")],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=package_env(), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["verified"] is True

@@ -1,5 +1,6 @@
 """Backtracking search: soundness, completeness, determinism, plumbing."""
 
+import concurrent.futures
 import itertools
 import json
 import os
@@ -347,15 +348,19 @@ def test_max_solutions_stops_early():
 
 
 def counting_pools(monkeypatch):
-    """Record the arguments of every process pool the search creates."""
+    """Record the arguments of every process pool the search creates.
+
+    The search imports ProcessPoolExecutor from concurrent.futures when
+    it starts a pool, so the patched class is the one it finds.
+    """
     pools = []
 
-    class CountingPool(search_mod.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return pools
 
 
@@ -455,7 +460,7 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
     monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     futures = []
 
-    class RecordingPool(search_mod.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, *args, **kwargs):
             futures.append(super().submit(*args, **kwargs))
             return futures[-1]
@@ -464,7 +469,7 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
     with pytest.raises(OSError):
         run(8, threads=2, checkpoint=str(tmp_path / "progress.json"))
