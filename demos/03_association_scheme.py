@@ -8,11 +8,13 @@ the triple count p[h][i][j] depends only on the classes involved, never
 on the particular pair. The 6-point core extracted from the biplane
 passes all four axioms. The four 16-point tables are honest PBIBDs with
 the same concurrence pattern, but their pair classification is not a
-scheme, and this script prints the exact witness. The one-line reason:
-A1 (concurrence-1 pairs) is four 4-cycles, so A1^2 is 2 on the
-concurrence-0 pairs opposite in a 4-cycle and 0 on the others. No
-16-point table with class sizes (11, 2, 2) can be a scheme at all
-(tests/test_scheme.py sweeps every cycle type).
+scheme, and this script prints the exact witness. Each table is the
+core of the order-9 biplane b9e (k=11) under a stored permutation of
+its labels 3..10, so extracting b9e itself reports "scheme": null too.
+The one-line reason: A1 (concurrence-1 pairs) is four 4-cycles, so
+A1^2 is 2 on the concurrence-0 pairs opposite in a 4-cycle and 0 on
+the others. No 16-point table with class sizes (11, 2, 2) can be a
+scheme at all (tests/test_scheme.py sweeps every cycle type).
 """
 
 import numpy as np

@@ -15,7 +15,7 @@ The package is organized like the underlying mathematics:
              lemma, core extraction, and the doubled design family
   search     exhaustive row-at-a-time backtracking over symmetric
              canonical completions, with parallel subtrees and checkpoints
-  fixtures   built-in reference tables and their on-disk writer
+  fixtures   b9e, the built-in reference tables and their on-disk writer
   cli        the command-line front end
 """
 
@@ -107,6 +107,7 @@ from .fixtures import (
     CORES_12,
     CORES_16,
     RELATION_6,
+    b9e,
     write_fixtures,
 )
 
@@ -152,6 +153,7 @@ __all__ = [
     "assemble",
     "assemble_b4c",
     "associate_matrices",
+    "b9e",
     "balance",
     "border",
     "bose_mesner_check",

@@ -43,6 +43,7 @@ from .binmat import (
 )
 from .biplane import ParameterError, VerificationError, verify_biplane
 from .extract import CounterexampleError, PreconditionError, extract_design, family_generate
+from .fixtures import write_fixtures
 from .incidence import IncidenceStructure, StructureError
 from .pbibd import InconsistencyError, NotPbibdError, verify_pbibd
 from .scheme import (
@@ -227,8 +228,6 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    from .fixtures import write_fixtures
-
     entries = write_fixtures(args.out)
     _emit({"verb": "fixtures", "directory": args.out,
            "files": sorted(entries)})

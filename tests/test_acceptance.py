@@ -127,13 +127,14 @@ def test_criterion_3_six_point_scheme(verdict):
 
 
 def test_criterion_4_sixteen_point_tables(verdict):
-    # every transcribed 16-point table is a symmetric PBIBD(3) with
-    # parameters 2-(16,16,3,3,(0,1,2)), n (11,2,2), and its concurrence-1
-    # class relabels onto four diagonal T4 blocks. Its classification is
-    # not an association scheme, and no (11,2,2) classification on 16
-    # points can be (tests/test_scheme.py), so the scheme check must
-    # reject it with a pair-dependent p[1][1][1], and a closure check in
-    # plain numpy on the table itself must fail the same way
+    # every bundled 16-point table (b9e's core, relabelled) is a
+    # symmetric PBIBD(3) with parameters 2-(16,16,3,3,(0,1,2)), n
+    # (11,2,2), and its concurrence-1 class relabels onto four diagonal
+    # T4 blocks. Its classification is not an association scheme, and
+    # no (11,2,2) classification on 16 points can be
+    # (tests/test_scheme.py), so the scheme check must reject it with a
+    # pair-dependent p[1][1][1], and a closure check in plain numpy on
+    # the table itself must fail the same way
     with verdict(4):
         t4 = border(4)
         z4 = constant(4, 4, 0)

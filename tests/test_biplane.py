@@ -23,6 +23,7 @@ from biplane_schemes.biplane import (
     head_width,
     verify_biplane,
 )
+from biplane_schemes.fixtures import b9e
 from biplane_schemes.search import SearchConfig, search_symmetric_canonical
 
 # 2-(7,4,2): rows are points, columns are the complements of the seven
@@ -232,10 +233,10 @@ def is_srg_plus_identity(m: BinaryMatrix) -> bool:
     )
 
 
-def test_srg_oracle_agrees_with_verify_biplane(gewirtz_b9e):
+def test_srg_oracle_agrees_with_verify_biplane():
     (k6,) = search_symmetric_canonical(SearchConfig(k=6)).solutions
     # the Clebsch graph twice, then the Gewirtz graph
-    for m, k in ((assemble_b4c(), 6), (k6, 6), (gewirtz_b9e, 11)):
+    for m, k in ((assemble_b4c(), 6), (k6, 6), (b9e(), 11)):
         assert is_srg_plus_identity(m)
         cert = verify_biplane(m)
         assert cert.k == k and cert.symmetric and cert.full_trace

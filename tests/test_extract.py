@@ -1,6 +1,9 @@
 """Principal-core extraction pipeline and the doubled design family."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biplane_schemes import extract
 from biplane_schemes.binmat import (
@@ -9,9 +12,10 @@ from biplane_schemes.binmat import (
     disjoint_cycles,
     doubled,
     identity,
+    is_perm_equivalent,
     path_loop,
 )
-from biplane_schemes.biplane import assemble_b4c
+from biplane_schemes.biplane import assemble_b4c, verify_biplane
 from biplane_schemes.extract import (
     CounterexampleError,
     HypothesisError,
@@ -24,7 +28,7 @@ from biplane_schemes.extract import (
     family_generate,
     to_one_based,
 )
-from biplane_schemes.fixtures import CORES_12
+from biplane_schemes.fixtures import CORES_12, CORES_16, b9e
 from biplane_schemes.scheme import NotASchemeError
 
 SIX_POINT_CORE = BinaryMatrix.from_rows([
@@ -219,3 +223,43 @@ def test_family_generate():
         assert rep["identities"] == {"vr_bk": True, "sum_nl": True}
     with pytest.raises(PreconditionError):
         family_generate(2)
+
+
+B9E_WITNESS = {"h": 1, "i": 1, "j": 1, "pair_a": [0, 1], "count_a": 8,
+               "pair_b": [0, 2], "count_b": 6}
+
+
+def test_b9e_core_is_each_sixteen_point_table():
+    # b9e is the paper's case at k = 11: its core is a PBIBD but not a
+    # scheme, and every bundled 16-point table is that core relabelled
+    # (found by search, not by the stored relabellings)
+    cert = verify_biplane(b9e())
+    assert (cert.k, cert.v, cert.order) == (11, 56, 9)
+    assert cert.canonical and cert.full_trace and cert.symmetric
+    report = extract_design(b9e())
+    assert report.pbibd["parameters"] == "2-(16,16,3,3,(0,1,2))"
+    assert report.scheme is None and report.scheme_witness == B9E_WITNESS
+    for table in CORES_16:
+        assert is_perm_equivalent(table, report.core) is not None
+
+
+B9E_PAIRS = list(itertools.combinations(range(1, 11), 2))
+
+
+def relabelled_b9e(sigma):
+    """b9e with labels 1..10 renamed s -> sigma[s - 1], label 0 fixed:
+    index s is the pair (0, s) and index 11 + i the pair B9E_PAIRS[i]."""
+    label = [0, *sigma]
+    at = {pair: 11 + i for i, pair in enumerate(B9E_PAIRS)}
+    moved = label + [at[tuple(sorted((label[s], label[t])))] for s, t in B9E_PAIRS]
+    return b9e().permute(moved, moved)
+
+
+@given(st.permutations(range(1, 11)))
+@settings(max_examples=30, deadline=None)
+def test_b9e_relabelled_keeps_certificate_and_core(sigma):
+    m = relabelled_b9e(sigma)
+    assert verify_biplane(m) == verify_biplane(b9e())
+    report, base = extract_design(m), extract_design(b9e())
+    assert report.pbibd == base.pbibd and report.scheme is None
+    assert is_perm_equivalent(report.core, base.core) is not None

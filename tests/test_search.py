@@ -10,6 +10,7 @@ import pytest
 
 import biplane_schemes.search as search_mod
 from biplane_schemes.binmat import BinaryMatrix
+from biplane_schemes import fixtures
 from biplane_schemes.biplane import (
     VerificationError,
     assemble_b4c,
@@ -187,8 +188,8 @@ SEEDED_B9E = {
 }
 
 
-def test_seeded_b9e_completes_to_itself(gewirtz_b9e):
-    b9e = gewirtz_b9e
+def test_seeded_b9e_completes_to_itself():
+    b9e = fixtures.b9e()
     cert = verify_biplane(b9e)
     assert (cert.k, cert.v) == (11, 56)
     assert cert.canonical and cert.full_trace and cert.symmetric
