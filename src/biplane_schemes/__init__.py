@@ -41,7 +41,6 @@ from .incidence import (
     DesignParameters,
     IncidenceStructure,
     StructureError,
-    UnsupportedBalanceError,
     balance,
     derive_parameters,
     regularity,
@@ -58,7 +57,6 @@ from .biplane import (
     verify_biplane,
 )
 from .pbibd import (
-    ExpectationError,
     InconsistencyError,
     NotPbibdError,
     PairClassification,
@@ -127,7 +125,6 @@ __all__ = [
     "CounterexampleError",
     "DesignParameters",
     "DimensionError",
-    "ExpectationError",
     "ExtractionReport",
     "HypothesisError",
     "IncidenceStructure",
@@ -146,7 +143,6 @@ __all__ = [
     "SearchOutcome",
     "ShapeError",
     "StructureError",
-    "UnsupportedBalanceError",
     "VerificationError",
     "WitnessError",
     "anti_diagonal",

@@ -133,10 +133,6 @@ class BinaryMatrix:
 
     # -- scalar queries ------------------------------------------------------
 
-    def row_sum(self, i: int) -> int:
-        self._check_row(i)
-        return self.bits[i].bit_count()
-
     def col_sum(self, j: int) -> int:
         self._check_col(j)
         return sum((row >> j) & 1 for row in self.bits)

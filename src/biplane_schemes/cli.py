@@ -15,8 +15,8 @@ JSON on stdout with a schema_version field. Exit status meanings:
 extract reports a core classification that is not an association
 scheme as data ("scheme": null plus "scheme_witness"), with exit 0.
 
-The default worker count for search comes from BIPLANE_SCHEMES_THREADS
-when set.
+search --threads only chooses where subtrees run: a search that stays
+in this process gives the same report on any thread count.
 
 The argument parser is built on the first main() call and reused by
 every later call in the process; importing the module builds nothing.
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -63,8 +62,6 @@ from .search import (
 )
 
 SCHEMA_VERSION = 1
-
-THREADS_ENV = "BIPLANE_SCHEMES_THREADS"
 
 # searches from this block size on must be requested explicitly: k = 10
 # exhausts in a quarter of a second, but k = 11 takes about 1.37M nodes
@@ -177,19 +174,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f" a quarter of a second, k = 11 in about 1.37M nodes); pass --long-run"
             f" (ideally with --checkpoint) to proceed"
         )
-    threads = args.threads
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV, "1")
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise CliInputError(f"bad {THREADS_ENV} value {raw!r}") from exc
     try:
         cfg = SearchConfig(
             k=args.k,
             max_solutions=args.max_solutions,
             node_limit=args.node_limit,
-            threads=threads,
+            threads=args.threads,
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
@@ -260,9 +250,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="block size, k >= 3")
     p.add_argument("--max-solutions", type=int, help="stop after this many solutions")
     p.add_argument("--node-limit", type=int, help="stop after this many search nodes")
-    p.add_argument("--threads", type=int,
-                   help=f"worker count (default ${THREADS_ENV} or 1); workers start only"
-                        f" once a search passes {_POOL_AFTER_NODES:,} nodes")
+    p.add_argument("--threads", type=int, default=1,
+                   help=f"worker processes for the subtrees left once a search without"
+                        f" --node-limit passes {_POOL_AFTER_NODES:,} nodes (default 1);"
+                        f" subtrees run in process stop at the limits on any count")
     p.add_argument("--checkpoint", help="progress file for resumable runs")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",

@@ -285,7 +285,7 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
         raise CounterexampleError(
             f"core class sizes are {classification.n}, want {expected_n}"
         )
-    pbibd_report = _pbibd_report(structure, classification, expect_d=3)
+    pbibd_report = _pbibd_report(structure, classification)
     core_scheme, scheme_witness = None, None
     try:
         core_scheme = from_classification(classification)
@@ -318,7 +318,7 @@ def family_generate(m: int) -> tuple[IncidenceStructure, dict]:
     if m < 3:
         raise PreconditionError(f"family needs m >= 3, got {m}")
     structure = IncidenceStructure(doubled(m))
-    report = verify_pbibd(structure, expect_d=3)
+    report = verify_pbibd(structure)
     expected = {
         "lambda": [0, 1, 2],
         "n": [2 * m - 5, 2, 2],

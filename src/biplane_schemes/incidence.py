@@ -1,10 +1,11 @@
 """Point-block incidence structures and their counting identities.
 
 Rows of the carrier matrix are points, columns are blocks. Point p is
-incident with block L iff entry (p, L) is 1. Regularity means every
-point lies on the same number r of blocks; uniformity means every block
-contains the same number k of points; 2-balance means every unordered
-point pair lies on the same number lambda of blocks.
+incident with block L iff entry (p, L) is 1. Regularity (regularity())
+means every point lies on the same number r of blocks; uniformity
+(uniformity()) means every block contains the same number k of points;
+2-balance (balance()) means every unordered point pair lies on the same
+number lambda of blocks.
 
 For any regular uniform structure the double count v*r = b*k holds, and
 for 2-balanced ones additionally r(k-1) = lambda(v-1). Both identities
@@ -32,10 +33,6 @@ class StructureError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """A counting identity that is a theorem failed; this is a bug trap."""
-
-
-class UnsupportedBalanceError(ValueError):
-    """balance() supports t in {1, 2} only."""
 
 
 @dataclass(frozen=True)
@@ -86,17 +83,13 @@ def uniformity(s: IncidenceStructure) -> Optional[int]:
     return sums[0] if len(set(sums)) == 1 else None
 
 
-def balance(s: IncidenceStructure, t: int) -> Optional[int]:
-    """lambda if every t-set of points lies on equally many blocks, else None.
+def balance(s: IncidenceStructure) -> Optional[int]:
+    """lambda if every pair of points lies on equally many blocks, else None.
 
-    t=1 is regularity; t=2 is computed from the concurrence table
-    M M^T (BinaryMatrix.row_dots), whose off-diagonal entry (p, q)
-    counts blocks through both points.
+    Computed from the concurrence table M M^T (BinaryMatrix.row_dots),
+    whose off-diagonal entry (p, q) counts blocks through both points.
+    regularity() is the same question for single points.
     """
-    if t == 1:
-        return regularity(s)
-    if t != 2:
-        raise UnsupportedBalanceError(f"balance supports t in {{1, 2}}, got {t}")
     v = s.v
     if v == 1:
         return None  # no point pairs to witness a lambda
@@ -135,7 +128,7 @@ def derive_parameters(s: IncidenceStructure) -> DesignParameters:
     """
     r, k = _regular_uniform(s)
     v, b = s.v, s.b
-    lam = balance(s, 2)
+    lam = balance(s)
     order = None
     if lam is not None and v > 1:
         if r * (k - 1) != lam * (v - 1):

@@ -83,10 +83,6 @@ class NotPbibdError(Exception):
         self.count_b = count_b
 
 
-class ExpectationError(ValueError):
-    """The classification disagrees with an expected class count."""
-
-
 @dataclass(eq=False)
 class PairClassification:
     """Associate classes of a point set, labeled 1..d by ascending lambda.
@@ -236,20 +232,19 @@ def _class_sizes(lambdas: tuple[int, ...], counts) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def verify_pbibd(s: IncidenceStructure, expect_d: Optional[int] = None) -> dict:
+def verify_pbibd(s: IncidenceStructure) -> dict:
     """Classify and check the PBIBD identities; returns a JSON-able report.
 
     Requires regularity and uniformity (StructureError otherwise).
     Checks v*r = b*k and sum_i n_i lambda_i = r(k-1) exactly, raising
-    InconsistencyError on failure, and ExpectationError when expect_d
-    disagrees with the classified class count.
+    InconsistencyError on failure. Callers that expect particular
+    classes (extract_design, family_generate) compare the report's lambda
+    and n themselves.
     """
-    return _pbibd_report(s, None, expect_d)
+    return _pbibd_report(s, None)
 
 
-def _pbibd_report(
-    s: IncidenceStructure, c: Optional[PairClassification], expect_d: Optional[int]
-) -> dict:
+def _pbibd_report(s: IncidenceStructure, c: Optional[PairClassification]) -> dict:
     """verify_pbibd for a caller that may already hold classify(s) as c."""
     r, k = _regular_uniform(s)
     if c is None:
@@ -261,8 +256,6 @@ def _pbibd_report(
             raise InconsistencyError(
                 f"sum n_i lambda_i = {weighted} but r(k-1) = {r * (k - 1)}"
             )
-    if expect_d is not None and c.d != expect_d:
-        raise ExpectationError(f"expected {expect_d} classes, classified {c.d}")
     return {
         "v": v,
         "b": b,

@@ -60,11 +60,13 @@ subtree runs.
 One loop runs the subtrees in order and merges their counters and
 solutions. It records the finished subtrees in the checkpoint file at
 most once every _CHECKPOINT_EVERY_S seconds, once more when it ends,
-and when an interrupt or a worker error escapes a subtree. With several
-threads the subtrees run in this process until the search has visited
-_POOL_AFTER_NODES nodes; the rest, if two or more, then go to a pool of
-worker processes. So a small search never pays to start workers, and a
-resumed big one starts them at once.
+and when an interrupt or a worker error escapes a subtree. The
+subtrees run in this process, under the node and solution budgets,
+until the search has visited _POOL_AFTER_NODES nodes. With several
+threads and no node limit the rest, if two or more, then go to a pool
+of worker processes and run to completion. So a small search never pays
+to start workers, a resumed big one starts them at once, and the thread
+count changes no result of a search that stays in process.
 Checkpoints have schema 6: the counts of a schema-5 file come from the
 fixed top-to-bottom row order, another tree, so it is refused.
 """
@@ -148,8 +150,8 @@ class SearchOutcome:
     prunes_by_rule: dict
     elapsed_seconds: float
 
-    def report(self, include_solutions: bool = True) -> dict:
-        out = {
+    def report(self) -> dict:
+        return {
             "k": self.k,
             "v": self.v,
             "solution_count": len(self.solutions),
@@ -157,10 +159,8 @@ class SearchOutcome:
             "nodes_visited": self.nodes_visited,
             "prunes_by_rule": dict(self.prunes_by_rule),
             "elapsed_seconds": round(self.elapsed_seconds, 6),
+            "solutions": [m.to_lists() for m in self.solutions],
         }
-        if include_solutions:
-            out["solutions"] = [m.to_lists() for m in self.solutions]
-        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,16 +210,16 @@ def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], 
     for j, edges in enumerate(factors):
         for e in edges:
             holding[e] = holding.get(e, 0) | (1 << j)
+    v = head_width(k)
     tables = []
     for s, t in pairs[k - 1:]:
         labels = [u for u in range(1, k) if u not in (s, t)]
-        where = {(a, b): column[labels[a], labels[b]] for a, b in holding}
-        bit = {e: 1 << c for e, c in where.items()}
-        cands = tuple(sum(map(bit.__getitem__, edges)) for edges in factors)
-        has = [0] * head_width(k)
-        for e, c in where.items():
-            has[c] = holding[e]
-        tables.append((cands, tuple(has), sum(bit.values())))
+        has = [0] * v
+        for (a, b), held in holding.items():
+            has[column[labels[a], labels[b]]] = held
+        # candidate j's columns are bit j of each has[c]; k = 4 and 5 have none
+        cands = BinaryMatrix(v, len(factors), tuple(has)).transpose().bits if factors else ()
+        tables.append((cands, tuple(has), sum(1 << c for c, held in enumerate(has) if held)))
     return tuple(tables)
 
 
@@ -475,14 +475,15 @@ def search_symmetric_canonical(
 ) -> SearchOutcome:
     """Run the search described by cfg and return a verified outcome.
 
-    With several threads, subtrees run to completion, so max_solutions
-    then truncates the merged result instead of stopping early; counters
-    still add up to the sequential totals. They run in this process, in
-    branch order, until the search has visited _POOL_AFTER_NODES nodes
-    (a resumed search counts its checkpoint's); the remaining ones, if
-    two or more, then run on at most one worker process each. A
-    node_limit forces in-process execution. A checkpoint works with
-    either: it lists the finished subtrees and their merged counts, and
+    Subtrees run in this process, in branch order, and stop at the node
+    and solution budgets left, whatever the thread count. With several
+    threads and no node_limit, once the search has visited
+    _POOL_AFTER_NODES nodes (a resumed search counts its checkpoint's),
+    the remaining subtrees, if two or more, run on at most one worker
+    process each. Those run to completion, so max_solutions then
+    truncates the merged result instead of stopping early; counters
+    still add up to the sequential totals. A checkpoint works either
+    way: it lists the finished subtrees and their merged counts, and
     a rerun on the same file skips the subtrees it lists. It is written
     at most once every _CHECKPOINT_EVERY_S seconds, once when the loop
     ends, and once when an exception other than a failed write escapes a
@@ -519,16 +520,15 @@ def search_symmetric_canonical(
         state["nodes"] = cfg.node_limit
     done = set(state["done"])
     todo = [] if stopped else [i for i in range(len(branches)) if i not in done]
-    budgeted = cfg.threads == 1 or cfg.node_limit is not None
+    pooling = cfg.threads > 1 and cfg.node_limit is None
 
     def job(index: int) -> tuple:
-        # in-process budgets see the running totals, as each job is made
-        # only after the previous result is merged; threaded runs give
-        # no budgets, as their pool takes every job up front
+        # the budgets see the running totals, as each in-process job is
+        # made only after the previous result is merged
         node_budget = solution_budget = None
-        if budgeted and cfg.node_limit is not None:
+        if cfg.node_limit is not None:
             node_budget = cfg.node_limit - state["nodes"]
-        if budgeted and cfg.max_solutions is not None:
+        if cfg.max_solutions is not None:
             solution_budget = cfg.max_solutions - len(state["solutions"])
         return cfg.k, branches[index], node_budget, solution_budget
 
@@ -553,14 +553,16 @@ def search_symmetric_canonical(
             for n, index in enumerate(todo):
                 # a pool pays off only for a big search with two subtrees
                 # or more left to share
-                if not budgeted and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
+                if pooling and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
                     # imported here, as the pool machinery (multiprocessing,
                     # logging) costs a fresh process 20-30 ms to import
                     from concurrent.futures import ProcessPoolExecutor
 
+                    # the pool takes every job up front, so none has a budget
                     rest = todo[n:]
+                    jobs = [(cfg.k, branches[i], None, None) for i in rest]
                     pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
-                    yield from zip(rest, pool.map(_run_branch, map(job, rest)))
+                    yield from zip(rest, pool.map(_run_branch, jobs))
                     return
                 yield index, _run_branch(job(index))
         except (Exception, KeyboardInterrupt):

@@ -145,7 +145,8 @@ def test_criterion_4_sixteen_point_tables(verdict):
         for table in CORES_16:
             start = time.perf_counter()
             assert table.is_symmetric()
-            report = verify_pbibd(IncidenceStructure(table), expect_d=3)
+            report = verify_pbibd(IncidenceStructure(table))
+            assert report["d"] == 3
             assert report["v"] == report["b"] == 16
             assert report["r"] == report["k"] == 3
             assert report["lambda"] == [0, 1, 2]

@@ -208,7 +208,7 @@ def test_nonzero_matches_to_lists_on_sparse_words(m):
 @boundary_examples
 def test_balance_matches_row_dot_pairs(m):
     pairs = {m.row_dot(p, q) for p in range(m.rows) for q in range(p + 1, m.rows)}
-    assert balance(IncidenceStructure(m), 2) == (pairs.pop() if len(pairs) == 1 else None)
+    assert balance(IncidenceStructure(m)) == (pairs.pop() if len(pairs) == 1 else None)
 
 
 @kernel_settings

@@ -347,17 +347,6 @@ def test_search_k10_needs_no_long_run(capsys):
     assert payload["prunes_by_rule"] == {"complete_dot": 7_019_475}
 
 
-def test_search_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    code, payload, _ = run_json(capsys, "search", "--k", "6")
-    assert code == 0
-    assert payload["solution_count"] == 1
-
-    monkeypatch.setenv(cli.THREADS_ENV, "soup")
-    code, _, err = run_cli(capsys, "search", "--k", "4")
-    assert code == 2
-
-
 def test_search_checkpoint_flag(tmp_path, capsys):
     ck = tmp_path / "ck.json"
     code, payload, _ = run_json(

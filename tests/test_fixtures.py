@@ -30,7 +30,8 @@ def test_cores_16_are_symmetric_pbibd3():
         assert (core.rows, core.cols) == (16, 16)
         assert core.is_symmetric()
         assert core.trace() == 16
-        rep = verify_pbibd(IncidenceStructure(core), expect_d=3)
+        rep = verify_pbibd(IncidenceStructure(core))
+        assert rep["d"] == 3
         assert rep["lambda"] == [0, 1, 2]
         assert rep["n"] == [11, 2, 2]
         assert rep["r"] == rep["k"] == 3

@@ -7,7 +7,6 @@ from biplane_schemes.biplane import assemble_b4c
 from biplane_schemes.incidence import (
     IncidenceStructure,
     StructureError,
-    UnsupportedBalanceError,
     balance,
     derive_parameters,
     regularity,
@@ -31,18 +30,14 @@ def test_regularity_and_uniformity():
 
 def test_balance():
     s = IncidenceStructure(constant(4, 4, 1))
-    assert balance(s, 1) == 4
-    assert balance(s, 2) == 4
-    assert balance(IncidenceStructure(identity(4)), 2) == 0
-    assert balance(IncidenceStructure(doubled(4)), 2) is None  # pair counts differ
-    with pytest.raises(UnsupportedBalanceError):
-        balance(s, 3)
-    with pytest.raises(UnsupportedBalanceError):
-        balance(s, 0)
+    assert regularity(s) == 4
+    assert balance(s) == 4
+    assert balance(IncidenceStructure(identity(4))) == 0
+    assert balance(IncidenceStructure(doubled(4))) is None  # pair counts differ
 
 
 def test_balance_single_point():
-    assert balance(struct([[1, 1, 0]]), 2) is None
+    assert balance(struct([[1, 1, 0]])) is None
 
 
 def test_derive_parameters_biplane():

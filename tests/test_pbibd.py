@@ -24,7 +24,6 @@ from biplane_schemes.biplane import assemble_b4c
 from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.incidence import IncidenceStructure, StructureError, derive_parameters
 from biplane_schemes.pbibd import (
-    ExpectationError,
     InconsistencyError,
     NotPbibdError,
     _block_members,
@@ -210,9 +209,7 @@ def test_verify_pbibd_report():
 
 def test_verify_pbibd_expectation():
     s = struct(doubled(4))
-    assert verify_pbibd(s, expect_d=3)["d"] == 3
-    with pytest.raises(ExpectationError):
-        verify_pbibd(s, expect_d=2)
+    assert verify_pbibd(s)["d"] == 3
 
 
 # (rows, kind, index, message) of the first irregular point or

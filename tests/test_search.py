@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -339,13 +340,20 @@ def test_max_solutions_stops_early():
     assert len(out.solutions) == 1
     assert not out.exhausted  # stopped before covering the space
 
-    # pool subtrees run to completion; the merged result is truncated
-    pooled = run(6, max_solutions=1, threads=2)
-    nodes, counts = FINGERPRINTS[6]
-    assert pooled.exhausted
-    assert pooled.nodes_visited == nodes
-    assert pooled.prunes_by_rule == prunes(*counts)
-    assert pooled.solutions == (assemble_b4c(),)
+
+def test_the_thread_count_changes_no_in_process_result():
+    # none of these runs passes _POOL_AFTER_NODES, so every subtree runs
+    # in process and stops at the limits whatever the thread count
+    cases = [{"k": k} for k in FINGERPRINTS]
+    cases += [{"k": k, "node_limit": limit} for k, limit in NODE_LIMITS]
+    cases.append({"k": 6, "max_solutions": 1})
+    for case in cases:
+        reports = []
+        for threads in (1, 2):
+            report = run(threads=threads, **case).report()
+            del report["elapsed_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1], case
 
 
 def counting_pools(monkeypatch):
@@ -456,9 +464,25 @@ def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
     assert out.solutions == ()
 
 
+_RUN_BRANCH = search_mod._run_branch
+
+
+def slow_after_the_first_branch(job):
+    """_run_branch, with a 0.2 s sleep in every subtree but the first.
+
+    Defined at module level, so that pool workers can unpickle it.
+    """
+    k, branch_bits = job[:2]
+    if branch_bits != search_mod._base_rows(k)[k] | search_mod._completion_tables(k)[0][0][0]:
+        time.sleep(0.2)
+    return _RUN_BRANCH(job)
+
+
 def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
-    # one checkpoint write after every subtree
+    # one checkpoint write after every subtree; the slow subtrees are
+    # still queued when the first result fails its write
     monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
+    monkeypatch.setattr(search_mod, "_run_branch", slow_after_the_first_branch)
     futures = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -765,7 +789,6 @@ def test_outcome_report():
     assert rep["exhausted"] is True
     assert set(rep["prunes_by_rule"]) == set(COUNTERS)
     assert rep["solutions"] == []
-    assert "solutions" not in out.report(include_solutions=False)
 
 
 def test_emitted_solutions_are_independently_verified(monkeypatch):
