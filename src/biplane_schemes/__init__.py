@@ -17,173 +17,73 @@ The package is organized like the underlying mathematics:
              canonical completions, with parallel subtrees and checkpoints
   fixtures   b9e, the built-in reference tables and their on-disk writer
   cli        the command-line front end
+
+Importing the package loads none of these modules. Each public name is
+looked up in its module on first access (PEP 562), which imports that
+module and the ones it depends on, so a process compiles and loads only
+the modules it uses.
 """
 
-from .binmat import (
-    BinaryMatrix,
-    DimensionError,
-    PermutationError,
-    ShapeError,
-    WitnessError,
-    anti_diagonal,
-    assemble,
-    border,
-    constant,
-    disjoint_cycles,
-    doubled,
-    format_matrix,
-    identity,
-    is_perm_equivalent,
-    parse_matrix,
-    path_loop,
-)
-from .incidence import (
-    DesignParameters,
-    IncidenceStructure,
-    StructureError,
-    balance,
-    derive_parameters,
-    regularity,
-    uniformity,
-)
-from .biplane import (
-    BiplaneCertificate,
-    ParameterError,
-    VerificationError,
-    assemble_b4c,
-    canonical_head,
-    has_canonical_form,
-    head_width,
-    verify_biplane,
-)
-from .pbibd import (
-    InconsistencyError,
-    NotPbibdError,
-    PairClassification,
-    classify,
-    concurrence,
-    verify_pbibd,
-)
-from .scheme import (
-    AssociationScheme,
-    AxiomError,
-    InternalInconsistencyError,
-    NotASchemeError,
-    associate_matrices,
-    bose_mesner_check,
-    format_relation,
-    from_classification,
-    from_relation_matrix,
-    parse_relation,
-    relation_matrix,
-)
-from .extract import (
-    CounterexampleError,
-    ExtractionReport,
-    HypothesisError,
-    Lemma2Report,
-    PreconditionError,
-    check_core_sums,
-    check_lemma1,
-    check_lemma2,
-    extract_design,
-    extraction_indices,
-    family_generate,
-)
-from .search import (
-    CheckpointError,
-    SearchBugError,
-    SearchConfig,
-    SearchOutcome,
-    enumerate_reference,
-    search_symmetric_canonical,
-)
-from .fixtures import (
-    ASSOC_6,
-    ASSOC_16,
-    AUT_ORDERS,
-    CORES_12,
-    CORES_16,
-    RELATION_6,
-    b9e,
-    write_fixtures,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ASSOC_16",
-    "ASSOC_6",
-    "AUT_ORDERS",
-    "AssociationScheme",
-    "AxiomError",
-    "BinaryMatrix",
-    "BiplaneCertificate",
-    "CORES_12",
-    "CORES_16",
-    "CheckpointError",
-    "CounterexampleError",
-    "DesignParameters",
-    "DimensionError",
-    "ExtractionReport",
-    "HypothesisError",
-    "IncidenceStructure",
-    "InconsistencyError",
-    "InternalInconsistencyError",
-    "Lemma2Report",
-    "NotASchemeError",
-    "NotPbibdError",
-    "ParameterError",
-    "PairClassification",
-    "PermutationError",
-    "PreconditionError",
-    "RELATION_6",
-    "SearchBugError",
-    "SearchConfig",
-    "SearchOutcome",
-    "ShapeError",
-    "StructureError",
-    "VerificationError",
-    "WitnessError",
-    "anti_diagonal",
-    "assemble",
-    "assemble_b4c",
-    "associate_matrices",
-    "b9e",
-    "balance",
-    "border",
-    "bose_mesner_check",
-    "canonical_head",
-    "check_core_sums",
-    "check_lemma1",
-    "check_lemma2",
-    "classify",
-    "concurrence",
-    "constant",
-    "derive_parameters",
-    "disjoint_cycles",
-    "doubled",
-    "enumerate_reference",
-    "extract_design",
-    "extraction_indices",
-    "family_generate",
-    "format_matrix",
-    "format_relation",
-    "from_classification",
-    "from_relation_matrix",
-    "has_canonical_form",
-    "head_width",
-    "identity",
-    "is_perm_equivalent",
-    "parse_matrix",
-    "parse_relation",
-    "path_loop",
-    "regularity",
-    "relation_matrix",
-    "search_symmetric_canonical",
-    "uniformity",
-    "verify_biplane",
-    "verify_pbibd",
-    "write_fixtures",
-    "__version__",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "binmat": (
+        "BinaryMatrix", "DimensionError", "PermutationError", "ShapeError",
+        "WitnessError", "anti_diagonal", "assemble", "border", "constant",
+        "disjoint_cycles", "doubled", "format_matrix", "identity",
+        "is_perm_equivalent", "parse_matrix", "path_loop",
+    ),
+    "incidence": (
+        "DesignParameters", "IncidenceStructure", "InconsistencyError",
+        "StructureError", "balance", "derive_parameters", "regularity",
+        "uniformity",
+    ),
+    "biplane": (
+        "BiplaneCertificate", "ParameterError", "VerificationError",
+        "assemble_b4c", "canonical_head", "has_canonical_form", "head_width",
+        "verify_biplane",
+    ),
+    "pbibd": (
+        "NotPbibdError", "PairClassification", "classify", "concurrence",
+        "verify_pbibd",
+    ),
+    "scheme": (
+        "AssociationScheme", "AxiomError", "InternalInconsistencyError",
+        "NotASchemeError", "associate_matrices", "bose_mesner_check",
+        "format_relation", "from_classification", "from_relation_matrix",
+        "parse_relation", "relation_matrix",
+    ),
+    "extract": (
+        "CounterexampleError", "ExtractionReport", "HypothesisError",
+        "Lemma2Report", "PreconditionError", "check_core_sums", "check_lemma1",
+        "check_lemma2", "extract_design", "extraction_indices",
+        "family_generate",
+    ),
+    "search": (
+        "CheckpointError", "SearchBugError", "SearchConfig", "SearchOutcome",
+        "enumerate_reference", "search_symmetric_canonical",
+    ),
+    "fixtures": (
+        "ASSOC_6", "ASSOC_16", "AUT_ORDERS", "CORES_12", "CORES_16",
+        "RELATION_6", "b9e", "write_fixtures",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

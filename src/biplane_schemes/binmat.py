@@ -50,7 +50,12 @@ class PermutationError(ValueError):
     """Permutation has the wrong length, duplicates, or bad indices."""
 
 
-class WitnessError(RuntimeError):
+class _Trap(Exception):
+    """Marker base of the bug traps: a consequence that should follow from
+    verified hypotheses failed. The CLI reports every trap with exit 3."""
+
+
+class WitnessError(_Trap, RuntimeError):
     """A found permutation witness does not carry one matrix onto the
     other; this is a bug trap."""
 

@@ -20,8 +20,15 @@ in this process gives the same report on any thread count.
 
 The argument parser is built on the first main() call and reused by
 every later call in the process; importing the module builds nothing.
-The process-pool machinery (concurrent.futures, multiprocessing) is
-imported only when a search starts a pool.
+Only binmat is imported with the module; each verb imports what it
+runs when it runs. verify loads biplane, incidence and pbibd; extract
+and family load extract, which loads those three and scheme; scheme
+loads scheme; search loads search and biplane; fixtures loads all but
+search. Where no bytecode is cached, a fresh process compiles only
+those. The five trap classes share the marker base binmat._Trap, so
+main maps them to exit 3 without importing the modules that define
+them. The process-pool machinery (concurrent.futures, multiprocessing)
+is imported only when a search starts a pool.
 """
 
 from __future__ import annotations
@@ -36,29 +43,9 @@ from .binmat import (
     BinaryMatrix,
     DimensionError,
     ShapeError,
-    WitnessError,
+    _Trap,
     format_matrix,
     parse_matrix,
-)
-from .biplane import ParameterError, VerificationError, verify_biplane
-from .extract import CounterexampleError, PreconditionError, extract_design, family_generate
-from .fixtures import write_fixtures
-from .incidence import IncidenceStructure, StructureError
-from .pbibd import InconsistencyError, NotPbibdError, verify_pbibd
-from .scheme import (
-    AxiomError,
-    InternalInconsistencyError,
-    NotASchemeError,
-    bose_mesner_check,
-    from_relation_matrix,
-    parse_relation,
-)
-from .search import (
-    _POOL_AFTER_NODES,
-    CheckpointError,
-    SearchBugError,
-    SearchConfig,
-    search_symmetric_canonical,
 )
 
 SCHEMA_VERSION = 1
@@ -109,6 +96,10 @@ def _read_matrix(path: str) -> BinaryMatrix:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .biplane import ParameterError, VerificationError, verify_biplane
+    from .incidence import IncidenceStructure, StructureError
+    from .pbibd import NotPbibdError, verify_pbibd
+
     m = _read_matrix(args.matrix)
     try:
         cert = verify_biplane(m)
@@ -138,6 +129,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .extract import PreconditionError, extract_design
+
     m = _read_matrix(args.matrix)
     try:
         result = extract_design(m)
@@ -159,6 +152,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
             f"family --m {args.m} makes {2 * args.m} points, above the cap of"
             f" {MAX_POINTS} (verify and extract build v x v tables)"
         )
+    from .extract import family_generate
+
     structure, report = family_generate(args.m)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -174,6 +169,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f" a quarter of a second, k = 11 in about 1.37M nodes); pass --long-run"
             f" (ideally with --checkpoint) to proceed"
         )
+    from .search import CheckpointError, SearchConfig, search_symmetric_canonical
+
     try:
         cfg = SearchConfig(
             k=args.k,
@@ -197,6 +194,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
+    from .scheme import (
+        AxiomError,
+        NotASchemeError,
+        bose_mesner_check,
+        from_relation_matrix,
+        parse_relation,
+    )
+
     try:
         relation = parse_relation(_read_text(args.relation))
     except ValueError as exc:
@@ -218,6 +223,8 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import write_fixtures
+
     entries = write_fixtures(args.out)
     _emit({"verb": "fixtures", "directory": args.out,
            "files": sorted(entries)})
@@ -250,10 +257,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="block size, k >= 3")
     p.add_argument("--max-solutions", type=int, help="stop after this many solutions")
     p.add_argument("--node-limit", type=int, help="stop after this many search nodes")
+    # 10,000 is search._POOL_AFTER_NODES, pinned by a test: reading it here
+    # would import search for every verb
     p.add_argument("--threads", type=int, default=1,
-                   help=f"worker processes for the subtrees left once a search without"
-                        f" --node-limit passes {_POOL_AFTER_NODES:,} nodes (default 1);"
-                        f" subtrees run in process stop at the limits on any count")
+                   help="worker processes for the subtrees left once a search without"
+                        " --node-limit passes 10,000 nodes (default 1);"
+                        " subtrees run in process stop at the limits on any count")
     p.add_argument("--checkpoint", help="progress file for resumable runs")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
@@ -286,8 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CounterexampleError, InconsistencyError,
-            InternalInconsistencyError, SearchBugError, WitnessError) as exc:
+    except _Trap as exc:
         print(f"counterexample trap: {exc}", file=sys.stderr)
         return 3
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binmat import BinaryMatrix, doubled, is_perm_equivalent
+from .binmat import BinaryMatrix, _Trap, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, verify_biplane, VerificationError
 from .incidence import IncidenceStructure
 from .pbibd import PairClassification, _pbibd_report, classify, verify_pbibd
@@ -44,7 +44,7 @@ class HypothesisError(Exception):
     """Matrix fails the line-sum-2 / no-2x2-block hypothesis."""
 
 
-class CounterexampleError(Exception):
+class CounterexampleError(_Trap):
     """A consequence that is a theorem for valid inputs failed.
 
     Reaching this means the input satisfied every hypothesis yet broke

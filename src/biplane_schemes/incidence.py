@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, _Trap
 
 
 class StructureError(ValueError):
@@ -31,7 +31,7 @@ class StructureError(ValueError):
         self.index = index
 
 
-class InconsistencyError(RuntimeError):
+class InconsistencyError(_Trap, RuntimeError):
     """A counting identity that is a theorem failed; this is a bug trap."""
 
 

@@ -17,11 +17,14 @@ with exact integer products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binmat import BinaryMatrix, _grid_tokens
-from .pbibd import PairClassification
+from .binmat import BinaryMatrix, _grid_tokens, _Trap
+
+if TYPE_CHECKING:  # an annotation only: the scheme verb never loads pbibd
+    from .pbibd import PairClassification
 
 
 class AxiomError(ValueError):
@@ -58,7 +61,7 @@ class NotASchemeError(Exception):
         }
 
 
-class InternalInconsistencyError(RuntimeError):
+class InternalInconsistencyError(_Trap, RuntimeError):
     """Closure failed for a verified scheme; impossible unless there is a bug."""
 
 

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .binmat import BinaryMatrix
+from .binmat import BinaryMatrix, _Trap
 from .biplane import (
     VerificationError,
     canonical_head,
@@ -114,7 +114,7 @@ _CHECKPOINT_EVERY_S = 1.0
 _MEMO_MASKS_PER_ROW = 4096
 
 
-class SearchBugError(RuntimeError):
+class SearchBugError(_Trap, RuntimeError):
     """An emitted solution failed independent re-verification."""
 
 

@@ -9,10 +9,16 @@ import pytest
 
 import biplane_schemes
 from biplane_schemes import cli
-from biplane_schemes.binmat import BinaryMatrix, format_matrix, identity
+from biplane_schemes.binmat import BinaryMatrix, WitnessError, _Trap, format_matrix, identity
 from biplane_schemes import extract
+from biplane_schemes import search as search_mod
 from biplane_schemes.extract import CounterexampleError
-from biplane_schemes.scheme import NotASchemeError
+from biplane_schemes.incidence import InconsistencyError
+from biplane_schemes.scheme import InternalInconsistencyError, NotASchemeError
+from biplane_schemes.search import SearchBugError
+
+TRAPS = (CounterexampleError, InconsistencyError, InternalInconsistencyError,
+         SearchBugError, WitnessError)
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +163,14 @@ def test_help_twice_gives_the_same_text(capsys, argv):
     assert run_cli(capsys, *argv) == first
 
 
+def test_search_help_states_the_pool_threshold(capsys):
+    # the help text spells the threshold out, so that building the parser
+    # does not import search
+    code, out, _ = run_cli(capsys, "search", "--help")
+    assert code == 0
+    assert f" passes {search_mod._POOL_AFTER_NODES:,} nodes " in " ".join(out.split())
+
+
 def package_env():
     """The environment for a fresh process that imports this package."""
     src = os.path.dirname(os.path.dirname(biplane_schemes.__file__))
@@ -209,6 +223,77 @@ def test_no_process_pool_machinery_without_a_pool():
     assert done.stderr.strip() == "0 []"
 
 
+# the package modules a fresh process loads for each verb; where no
+# bytecode is cached, it compiles each of them from source
+VERB_MODULES = [
+    (["verify", "b4c.txt"], {"binmat", "biplane", "cli", "incidence", "pbibd"}),
+    (["extract", "b4c.txt"],
+     {"binmat", "biplane", "cli", "extract", "incidence", "pbibd", "scheme"}),
+    (["family", "--m", "50"],
+     {"binmat", "biplane", "cli", "extract", "incidence", "pbibd", "scheme"}),
+    (["scheme", "relation6.txt"], {"binmat", "cli", "scheme"}),
+    (["search", "--k", "6"], {"binmat", "biplane", "cli", "search"}),
+]
+
+
+@pytest.mark.parametrize("argv,modules", VERB_MODULES, ids=[a[0] for a, _ in VERB_MODULES])
+def test_a_fresh_verb_loads_only_its_modules(fixture_dir, argv, modules):
+    script = (
+        "import sys\n"
+        "from biplane_schemes.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "loaded = [n.split('.', 1)[1] for n in sys.modules if n.startswith('biplane_schemes.')]\n"
+        "print(code, sorted(loaded), file=sys.stderr)\n"
+    )
+    argv = [str(fixture_dir / a) if a.endswith(".txt") else a for a in argv]
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == f"0 {sorted(modules)}"
+
+
+def test_importing_the_package_loads_no_module():
+    script = (
+        "import sys\n"
+        "import biplane_schemes\n"
+        "print(sorted(n for n in sys.modules"
+        " if n.startswith('biplane_schemes.') or n == 'numpy'))\n"
+        "from biplane_schemes import search, verify_biplane\n"
+        "print(search.__name__, verify_biplane.__module__)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "biplane_schemes.search biplane_schemes.biplane"]
+
+
+def test_the_five_traps_share_the_exit_3_marker():
+    def subclasses(cls):
+        return {cls} | {s for sub in cls.__subclasses__() for s in subclasses(sub)}
+
+    assert subclasses(_Trap) - {_Trap} == set(TRAPS)
+
+
+@pytest.mark.parametrize("trap", TRAPS, ids=[t.__name__ for t in TRAPS])
+def test_each_trap_exits_3(capsys, monkeypatch, trap):
+    def boom(cfg, checkpoint=None):
+        raise trap("forced for the exit-code contract")
+
+    monkeypatch.setattr(search_mod, "search_symmetric_canonical", boom)
+    code, out, err = run_cli(capsys, "search", "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == "counterexample trap: forced for the exit-code contract\n"
+
+
+def test_a_plain_runtime_error_is_not_a_trap(capsys, monkeypatch):
+    def boom(cfg, checkpoint=None):
+        raise RuntimeError("not a trap")
+
+    monkeypatch.setattr(search_mod, "search_symmetric_canonical", boom)
+    with pytest.raises(RuntimeError, match="not a trap"):
+        cli.main(["search", "--k", "3"])
+
+
 def test_extract(fixture_dir, tmp_path, capsys):
     core_path = tmp_path / "core.txt"
     code, payload, _ = run_json(
@@ -234,7 +319,7 @@ def test_extract_counterexample_exits_3(fixture_dir, capsys, monkeypatch):
     def boom(m):
         raise CounterexampleError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli, "extract_design", boom)
+    monkeypatch.setattr(extract, "extract_design", boom)
     code, out, err = run_cli(capsys, "extract", str(fixture_dir / "b4c.txt"))
     assert code == 3
     assert "counterexample" in err
@@ -287,13 +372,13 @@ def test_family_point_cap_boundary(tmp_path, capsys, monkeypatch):
     # family writes 2m points, so m may be at most MAX_POINTS // 2
     monkeypatch.setattr(cli, "MAX_POINTS", 7)
     built = []
-    generate = cli.family_generate
+    generate = extract.family_generate
 
     def recording_generate(m):
         built.append(m)
         return generate(m)
 
-    monkeypatch.setattr(cli, "family_generate", recording_generate)
+    monkeypatch.setattr(extract, "family_generate", recording_generate)
     at_cap, above = tmp_path / "at.txt", tmp_path / "above.txt"
     code, payload, _ = run_json(capsys, "family", "--m", "3", "--out", str(at_cap))
     assert (code, payload["m"]) == (0, 3)
