@@ -3,14 +3,20 @@
 A matrix is an immutable tuple of Python ints, one int per row, bit j
 holding the entry in column j. The scalar product of two rows is then a
 single AND plus popcount, which is where verification and search spend
-nearly all of their time. Whole-matrix work starts from the packed
-rows too: numpy conversions, column sums, the positions of the ones,
-the table of all row dots and the text grid from each row's
-little-endian bytes. The rearrangements (transpose, submatrix,
+nearly all of their time. Whole-matrix work starts from one packed
+byte grid per matrix, _grid: row i as its little-endian bytes, in a
+read-only uint8 array built from the row ints on first use and kept
+(it is no field, so ==, hash, repr and pickle ignore it). Numpy
+conversions, column sums, the positions of the ones, the table of all
+row dots and the text grid all read it, so a matrix is turned into
+bytes at most once. The rearrangements (transpose, submatrix,
 permute, and is_symmetric as a transpose) go through one bridge:
-_unpacked() turns the rows into a uint8 grid, numpy moves the entries,
-and _pack() packs the grid back, as it does for from_numpy and an
-ASCII grid text. Only the per-entry oracles that the tests compare
+_unpacked() turns the grid into a uint8 array of entries, numpy moves
+the entries, and _pack() packs them into the new matrix and keeps the
+packed bytes as its grid, as it does for from_numpy and an ASCII grid
+text. Matrix files are read and written as bytes: an ASCII file is
+never decoded, and format_matrix is the ASCII decode of the bytes the
+CLI writes. Only the per-entry oracles that the tests compare
 these kernels against (to_lists, col_sum, row_dot) and from_rows,
 which checks outside input, loop over single entries in Python; a grid
 text that is not ASCII, or that the byte check rejects, is split into
@@ -31,6 +37,7 @@ Indexing is 0-based everywhere in this module.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -86,6 +93,10 @@ class BinaryMatrix:
             if row < 0 or row >> self.cols:
                 raise DimensionError(f"row {i} has bits outside {self.cols} columns")
 
+    def __reduce__(self):
+        # pickle the fields only, not the cached _grid
+        return BinaryMatrix, (self.rows, self.cols, self.bits)
+
     # -- construction -------------------------------------------------------
 
     @staticmethod
@@ -118,7 +129,7 @@ class BinaryMatrix:
         if len(bad):
             entry = a[tuple(bad[0])].item()
             raise ValueError(f"entry {entry!r} is not 0 or 1")
-        return BinaryMatrix(a.shape[0], a.shape[1], _pack(a.astype(np.uint8)))
+        return _pack(a.astype(np.uint8))
 
     # -- element access ------------------------------------------------------
 
@@ -146,7 +157,8 @@ class BinaryMatrix:
         return [row.bit_count() for row in self.bits]
 
     def col_sums(self) -> list[int]:
-        return self._unpacked().sum(axis=0, dtype=np.int64).tolist()
+        # uint32 is exact below 2**32 rows and half the work of int64
+        return self._unpacked().sum(axis=0, dtype=np.uint32).tolist()
 
     def row_dot(self, i: int, j: int) -> int:
         """Number of columns where rows i and j are both 1."""
@@ -175,7 +187,9 @@ class BinaryMatrix:
         (at most about 190) and 35 ms, as before, for dense random bits
         (2-vCPU host, numpy 2.4).
         """
-        words = self._row_bytes(8 * ((self.cols + 63) // 64)).view("<u8")
+        words = np.zeros((self.rows, 8 * ((self.cols + 63) // 64)), dtype=np.uint8)
+        words[:, :self._grid.shape[1]] = self._grid
+        words = words.view("<u8")
         dots = np.zeros((self.rows, self.rows), dtype=np.int64)
         for word in words.T:
             idx = np.flatnonzero(word)
@@ -202,7 +216,7 @@ class BinaryMatrix:
     # -- derived matrices ----------------------------------------------------
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.cols, self.rows, _pack(self._unpacked().T))
+        return _pack(self._unpacked().T)
 
     def submatrix(
         self, row_idx: Sequence[int], col_idx: Sequence[int]
@@ -214,8 +228,7 @@ class BinaryMatrix:
             self._check_row(i)
         for j in col_idx:
             self._check_col(j)
-        grid = self._unpacked()[np.ix_(row_idx, col_idx)]
-        return BinaryMatrix(len(row_idx), len(col_idx), _pack(grid))
+        return _pack(self._unpacked()[np.ix_(row_idx, col_idx)])
 
     def permute(
         self, row_perm: Sequence[int], col_perm: Sequence[int]
@@ -225,7 +238,7 @@ class BinaryMatrix:
         cp = _validated_perm(col_perm, self.cols, "column")
         grid = np.empty((self.rows, self.cols), dtype=np.uint8)
         grid[np.ix_(rp, cp)] = self._unpacked()
-        return BinaryMatrix(self.rows, self.cols, _pack(grid))
+        return _pack(grid)
 
     # -- conversions ---------------------------------------------------------
 
@@ -242,8 +255,8 @@ class BinaryMatrix:
         order, as np.nonzero gives them for the grid. Only the nonzero
         bytes of the packed rows are unpacked, so a sparse matrix costs
         rows x cols / 8 byte reads plus 8 per nonzero byte."""
-        width = (self.cols + 7) // 8
-        data = self._row_bytes(width).ravel()
+        width = self._grid.shape[1]
+        data = self._grid.ravel()
         # flatnonzero is several times faster on bools than on uint8
         at = np.flatnonzero(data != 0)
         bits = np.flatnonzero(np.unpackbits(data[at], bitorder="little").view(bool))
@@ -252,13 +265,13 @@ class BinaryMatrix:
 
     def _unpacked(self) -> np.ndarray:
         """The entries as a rows x cols uint8 array of 0s and 1s."""
-        return np.unpackbits(
-            self._row_bytes((self.cols + 7) // 8),
-            axis=1, count=self.cols, bitorder="little",
-        )
+        return np.unpackbits(self._grid, axis=1, count=self.cols, bitorder="little")
 
-    def _row_bytes(self, width: int) -> np.ndarray:
-        """Row i as its ``width`` little-endian bytes, in row i of a uint8 array."""
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        """Row i as its (cols + 7) // 8 little-endian bytes, in row i of a
+        read-only uint8 array; built on first use and kept."""
+        width = (self.cols + 7) // 8
         raw = b"".join(row.to_bytes(width, "little") for row in self.bits)
         return np.frombuffer(raw, dtype=np.uint8).reshape(self.rows, width)
 
@@ -266,16 +279,19 @@ class BinaryMatrix:
         return format_matrix(self)
 
 
-def _pack(grid: np.ndarray) -> tuple[int, ...]:
-    """The packed rows of a 2-d grid of 0s and 1s: the inverse of
-    BinaryMatrix._unpacked()."""
+def _pack(grid: np.ndarray) -> BinaryMatrix:
+    """The matrix of a 2-d grid of 0s and 1s, the inverse of
+    BinaryMatrix._unpacked(); it keeps the packed bytes as its _grid."""
     raw = np.packbits(grid, axis=1, bitorder="little")
+    raw.flags.writeable = False
     width = raw.shape[1]
     data = raw.tobytes()
-    return tuple(
+    m = BinaryMatrix(grid.shape[0], grid.shape[1], tuple(
         int.from_bytes(data[i * width:(i + 1) * width], "little")
         for i in range(raw.shape[0])
-    )
+    ))
+    m.__dict__["_grid"] = raw
+    return m
 
 
 def _validated_perm(perm: Sequence[int], n: int, which: str) -> list[int]:
@@ -503,12 +519,17 @@ _TOKENS = frozenset("01.")
 
 def format_matrix(m: BinaryMatrix) -> str:
     """First line "rows cols", then one line of 0/1 tokens per row."""
+    return _format_bytes(m).decode("ascii")
+
+
+def _format_bytes(m: BinaryMatrix) -> bytes:
+    """format_matrix as ASCII bytes, ready for a file opened in binary mode."""
     # row i is ASCII bytes: a digit in each even column, a space in each
     # odd one, and the newline in place of the last space
     grid = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
     grid[:, 0::2] = m._unpacked() + ord("0")
     grid[:, -1] = ord("\n")
-    return f"{m.rows} {m.cols}\n" + grid.tobytes().decode("ascii")
+    return b"".join((f"{m.rows} {m.cols}\n".encode("ascii"), grid))
 
 
 def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
@@ -529,17 +550,22 @@ def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
     return rows, cols, body
 
 
-def parse_matrix(text: str) -> BinaryMatrix:
+def parse_matrix(text: str | bytes) -> BinaryMatrix:
     """Inverse of format_matrix; '.' is accepted as a synonym for 0.
 
     Tokens are separated as by str.split(): by runs of any whitespace,
-    Unicode included. A body that is ASCII is checked and packed as
-    bytes (_pack_grid), with no Python object per entry. Any other
-    text, and any text that check rejects, goes to the token-by-token
-    diagnosis, which packs a valid body with non-ASCII whitespace and
-    otherwise raises the first error, in this order: header, entry
-    count, dimensions, then the first bad token in row-major order.
+    Unicode included. Bytes are read as UTF-8; ASCII bytes are never
+    decoded. A body that is ASCII is checked and packed as bytes
+    (_pack_grid), with no Python object per entry. Any other text, and
+    any text that check rejects, goes to the token-by-token diagnosis,
+    which packs a valid body with non-ASCII whitespace and otherwise
+    raises the first error, in this order: header, entry count,
+    dimensions, then the first bad token in row-major order.
     """
+    if isinstance(text, bytes) and not text.isascii():
+        text = text.decode("utf-8")
+    # bytes.split() does not split on \x1c-\x1f as str.split() does, but
+    # a header token holding one fails int() and takes the token path
     head = text.split(None, 2)
     if len(head) == 3 and head[2].isascii():
         try:
@@ -547,9 +573,12 @@ def parse_matrix(text: str) -> BinaryMatrix:
         except ValueError:
             rows = cols = 0
         if rows >= 1 and cols >= 1:
-            packed = _pack_grid(head[2].encode("ascii"), rows, cols)
-            if packed is not None:
-                return BinaryMatrix(rows, cols, packed)
+            body = head[2] if isinstance(head[2], bytes) else head[2].encode("ascii")
+            m = _pack_grid(body, rows, cols)
+            if m is not None:
+                return m
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
     return _parse_tokens(text)
 
 
@@ -557,9 +586,9 @@ def parse_matrix(text: str) -> BinaryMatrix:
 _WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
 
 
-def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[tuple[int, ...]]:
-    """The packed rows of an ASCII grid body, or None unless it holds
-    exactly rows * cols tokens, each a single 0, 1 or '.'."""
+def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[BinaryMatrix]:
+    """The matrix of an ASCII grid body, or None unless it holds exactly
+    rows * cols tokens, each a single 0, 1 or '.'."""
     digits = body.translate(None, _WHITESPACE)
     if len(digits) != rows * cols or digits.translate(None, b"01."):
         return None
@@ -579,9 +608,9 @@ def _parse_tokens(text: str) -> BinaryMatrix:
         raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
     # valid tokens are ASCII, so a body with other characters has a bad one
     joined = " ".join(body)
-    packed = _pack_grid(joined.encode("ascii"), rows, cols) if joined.isascii() else None
-    if packed is None:
+    m = _pack_grid(joined.encode("ascii"), rows, cols) if joined.isascii() else None
+    if m is None:
         index = next(n for n, tok in enumerate(body) if tok not in _TOKENS)
         i, j = divmod(index, cols)
         raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")
-    return BinaryMatrix(rows, cols, packed)
+    return m

@@ -44,6 +44,7 @@ from .binmat import (
     DimensionError,
     ShapeError,
     _Trap,
+    _format_bytes,
     format_matrix,
     parse_matrix,
 )
@@ -74,17 +75,18 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _read_text(path: str) -> str:
+def _read(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_matrix(path: str) -> BinaryMatrix:
+    # parse_matrix decodes (as UTF-8) only a file that is not ASCII
     try:
-        m = parse_matrix(_read_text(path))
+        m = parse_matrix(_read(path))
     except (ValueError, DimensionError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
     if m.rows > MAX_POINTS:
@@ -138,8 +140,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         _emit({"verb": "extract", "verified": False, "reason": str(exc)})
         return 1
     if args.core_out:
-        with open(args.core_out, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(result.core))
+        with open(args.core_out, "wb") as fh:
+            fh.write(_format_bytes(result.core))
     _emit({"verb": "extract", "verified": True, **result.report()})
     return 0
 
@@ -156,8 +158,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
     structure, report = family_generate(args.m)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(structure.matrix))
+        with open(args.out, "wb") as fh:
+            fh.write(_format_bytes(structure.matrix))
     _emit({"verb": "family", **report})
     return 0
 
@@ -203,7 +205,7 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     )
 
     try:
-        relation = parse_relation(_read_text(args.relation))
+        relation = parse_relation(_read(args.relation).decode("utf-8"))
     except ValueError as exc:
         raise CliInputError(f"{args.relation}: {exc}") from exc
     try:

@@ -1,5 +1,6 @@
 """Bit-packed matrix kernel: construction, algebra, equivalence, text format."""
 
+import pickle
 import random
 
 import numpy as np
@@ -258,6 +259,63 @@ def test_perm_equivalent_traps_a_witness_that_fails(monkeypatch):
     monkeypatch.setattr(BinaryMatrix, "permute", lambda self, rows, cols: identity(self.rows))
     with pytest.raises(WitnessError):
         is_perm_equivalent(identity(3), anti_diagonal(3))
+
+
+def rebuilt_grid(m: BinaryMatrix) -> np.ndarray:
+    """The byte grid built afresh from m's row ints."""
+    return BinaryMatrix(m.rows, m.cols, m.bits)._grid
+
+
+def test_the_cached_grid_is_read_only():
+    m = doubled(5)
+    for grid in (m._grid, m.transpose()._grid):
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1
+
+
+def test_equality_and_hash_ignore_the_cached_grid():
+    a, b = doubled(20), doubled(20)
+    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+    a._grid
+    assert "_grid" in vars(a) and "_grid" not in vars(b)
+    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
+    b._grid
+    assert a == b and hash(a) == hash(b)
+
+
+def test_constructors_store_the_grid_they_packed():
+    m = doubled(40)
+    rng = random.Random(3)
+    p, q = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    made = (parse_matrix(format_matrix(m)), parse_matrix(format_matrix(m).encode("ascii")),
+            m.transpose(), m.permute(p, q), m.submatrix(p[:13], q[:70]))
+    for got in made:
+        assert "_grid" in vars(got)
+        assert not got._grid.flags.writeable
+        assert np.array_equal(got._grid, rebuilt_grid(got))
+
+
+def test_pickle_round_trip_drops_the_grid():
+    m = doubled(9).transpose()
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m and hash(copy) == hash(m)
+    assert "_grid" not in vars(copy)
+    assert np.array_equal(copy._grid, m._grid)
+
+
+def test_col_sums_past_255_rows():
+    # a uint8 reduction would wrap these sums; the shapes drawn by the
+    # property tests stay below 256 rows
+    one_column = BinaryMatrix(257, 3, (0b010,) * 257)
+    d = doubled(500)
+    rng = random.Random(500)
+    p = list(range(d.rows))
+    rng.shuffle(p)
+    for m in (constant(300, 9, 1), one_column, d.permute(p, p)):
+        assert m.col_sums() == [m.col_sum(j) for j in range(m.cols)]
+    assert one_column.col_sums() == [0, 257, 0]
 
 
 def test_format_parse_round_trip():

@@ -12,7 +12,7 @@ nonzero, which unpacks only the nonzero bytes, is checked on both.
 
 parse_matrix is checked against the str.split() tokenizer it replaced,
 on grids with every kind of whitespace run, glued and bad tokens, wrong
-entry counts and bad headers.
+entry counts and bad headers, each as a str and as its UTF-8 bytes.
 """
 
 import random
@@ -236,6 +236,7 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
         " ".join(map(str, row)) + "\n" for row in m.to_lists()
     )
     assert format_matrix(m) == expected
+    assert binmat._format_bytes(m) == expected.encode("ascii")
 
 
 # every character str.split() splits on below 0x80, CRLF, and three
@@ -243,6 +244,7 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
 ASCII_SEPARATORS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
                     " ", "\r\n")
 SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000")
+FS_TO_US = set("\x1c\x1d\x1e\x1f")
 BAD_TOKENS = ("00", "1.", "10", "..", "2", "x", "-1", "\x00", "\x1b", "0\x1b", "\xe9", "\uff11")
 BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1")
 
@@ -314,6 +316,8 @@ def outcome(parse, text):
 @given(grid_texts())
 @example("2 2\r\n1\t0\r\n.\t1\r\n")
 @example("2 2\n1\x1c0\x1d.\x1e1\x1f")
+@example("2\x1c2\n1 0\n0 1")
+@example("2 2\x1f1 0\n0 1")
 @example("1 2\n00")
 @example("2 2\n1\u30000\n0\xa01\x85")
 @example("1 1")
@@ -325,4 +329,10 @@ def test_parse_matrix_matches_the_split_tokenizer(text):
     assert got == expected
     if isinstance(expected, BinaryMatrix) and text.isascii():
         # an ASCII grid that parses never needs the token-by-token path
+        assert not slow.called
+    # the same text as a file's bytes; bytes.split() does not split on
+    # \x1c-\x1f, so only a text holding one of them may need the token path
+    with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as slow:
+        assert outcome(parse_matrix, text.encode("utf-8")) == expected
+    if isinstance(expected, BinaryMatrix) and text.isascii() and not FS_TO_US & set(text):
         assert not slow.called

@@ -9,7 +9,14 @@ import pytest
 
 import biplane_schemes
 from biplane_schemes import cli
-from biplane_schemes.binmat import BinaryMatrix, WitnessError, _Trap, format_matrix, identity
+from biplane_schemes.binmat import (
+    BinaryMatrix,
+    WitnessError,
+    _Trap,
+    doubled,
+    format_matrix,
+    identity,
+)
 from biplane_schemes import extract
 from biplane_schemes import search as search_mod
 from biplane_schemes.extract import CounterexampleError
@@ -87,6 +94,19 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     bad.write_text("2 2\n1 x\nx 1\n")
     code, _, err = run_cli(capsys, "verify", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("verb, name", [("verify", "b4c.txt"), ("extract", "b4c.txt"),
+                                        ("scheme", "relation6.txt")])
+def test_a_file_that_is_not_utf8_exits_2_naming_the_byte(fixture_dir, capsys, verb, name):
+    path = fixture_dir / name
+    data = bytearray(path.read_bytes())
+    data[4] = 0xFF
+    path.write_bytes(bytes(data))
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 4:"
+                   " invalid start byte\n")
 
 
 @pytest.mark.parametrize("verb", ["verify", "extract"])
@@ -302,7 +322,8 @@ def test_extract(fixture_dir, tmp_path, capsys):
     assert payload["verified"] is True
     assert payload["indices"] == [8, 9, 10, 11, 12, 13]
     assert payload["pbibd"]["n"] == [1, 2, 2]
-    assert core_path.exists()
+    core = BinaryMatrix.from_rows(payload["core"])
+    assert core_path.read_bytes() == format_matrix(core).encode("ascii")
 
     code, verify_payload, _ = run_json(capsys, "verify", str(core_path))
     assert code == 0
@@ -353,6 +374,7 @@ def test_family_round_trip(tmp_path, capsys):
     out_path = tmp_path / "d3.txt"
     code, payload, _ = run_json(capsys, "family", "--m", "3", "--out", str(out_path))
     assert code == 0
+    assert out_path.read_bytes() == format_matrix(doubled(3)).encode("ascii")
     assert payload["m"] == 3
     assert payload["d"] == 3
     assert payload["lambda"] == [0, 1, 2]
