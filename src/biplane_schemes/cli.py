@@ -265,7 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="worker processes for the subtrees left once a search without"
                         " --node-limit passes 10,000 nodes (default 1);"
                         " subtrees run in process stop at the limits on any count")
-    p.add_argument("--checkpoint", help="progress file for resumable runs")
+    p.add_argument("--checkpoint",
+                   help="progress log for resumable runs (schema 7): one line per finished"
+                        " subtree, so a kill loses only unfinished subtrees;"
+                        " schema 6 files are refused")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
                    help=f"required for k >= {LONG_RUN_K}: k = 10 exhausts in a quarter"

@@ -160,37 +160,28 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
             "a 2x2 all-ones block is excluded"
         )
 
-    for i, ones in enumerate((dots == 1).sum(axis=1).tolist()):
+    meets = dots == 1
+    for i, ones in enumerate(meets.sum(axis=1).tolist()):
         if ones != 2:
             raise CounterexampleError(
                 f"row {i} has scalar product 1 with {ones} rows, want exactly 2"
             )
 
-    # components of the bipartite graph on rows and columns
-    row_cols = [[j for j in range(m) if (a.bits[i] >> j) & 1] for i in range(m)]
-    col_rows = [[i for i in range(m) if (a.bits[i] >> j) & 1] for j in range(m)]
-    seen_rows, seen_cols = set(), set()
+    # the rows that share a column form a 2-regular graph, and each of
+    # its cycles, of L rows, is a cycle of L rows and L columns in the
+    # bipartite row-column graph
+    near = np.nonzero(meets)[1].reshape(m, 2).tolist()
+    seen = [False] * m
     lengths = []
     for start in range(m):
-        if start in seen_rows:
+        if seen[start]:
             continue
-        size = 0
-        stack: list[tuple[str, int]] = [("row", start)]
-        while stack:
-            kind, x = stack.pop()
-            if kind == "row":
-                if x in seen_rows:
-                    continue
-                seen_rows.add(x)
-                size += 1
-                stack.extend(("col", j) for j in row_cols[x])
-            else:
-                if x in seen_cols:
-                    continue
-                seen_cols.add(x)
-                size += 1
-                stack.extend(("row", i) for i in col_rows[x])
-        lengths.append(size)
+        x, size = start, 0
+        while x is not None:
+            seen[x] = True
+            size += 1
+            x = next((y for y in near[x] if not seen[y]), None)
+        lengths.append(2 * size)
     return Lemma2Report(m=m, cycle_lengths=tuple(sorted(lengths)), conclusion_ok=True)
 
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binmat import BinaryMatrix, _grid_tokens, _Trap
+from .binmat import BinaryMatrix, _grid_tokens, _pack, _Trap
 
 if TYPE_CHECKING:  # an annotation only: the scheme verb never loads pbibd
     from .pbibd import PairClassification
@@ -126,14 +126,9 @@ def from_relation_matrix(r) -> AssociationScheme:
             "labels", f"class labels {missing.tolist()} are absent below max {d}"
         )
 
-    # class-i neighborhoods as bit rows: bit z of masks[i][x] <=> rel[x,z] == i
-    masks = [[0] * v for _ in range(d + 1)]
-    for x in range(v):
-        masks[0][x] = 1 << x
-        row = rel[x]
-        for z in range(v):
-            if z != x:
-                masks[int(row[z])][x] |= 1 << z
+    # class-i neighborhoods as bit rows: bit z of masks[i][x] <=> rel[x,z] == i;
+    # past the gates, rel == 0 is the identity
+    masks = [_pack(rel == i).bits for i in range(d + 1)]
 
     p = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
     first_pair: list[tuple[int, int] | None] = [None] * (d + 1)

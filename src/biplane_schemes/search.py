@@ -58,17 +58,20 @@ space into disjoint subtrees, the branches, each counted as one node;
 a node limit that trips among them stops the search before any
 subtree runs.
 One loop runs the subtrees in order and merges their counters and
-solutions. It records the finished subtrees in the checkpoint file at
-most once every _CHECKPOINT_EVERY_S seconds, once more when it ends,
-and when an interrupt or a worker error escapes a subtree. The
-subtrees run in this process, under the node and solution budgets,
-until the search has visited _POOL_AFTER_NODES nodes. With several
-threads and no node limit the rest, if two or more, then go to a pool
-of worker processes and run to completion. So a small search never pays
-to start workers, a resumed big one starts them at once, and the thread
-count changes no result of a search that stays in process.
-Checkpoints have schema 6: the counts of a schema-5 file come from the
-fixed top-to-bottom row order, another tree, so it is refused.
+solutions. It appends each finished subtree to the checkpoint, a log
+of JSON lines, before the next subtree runs. The subtrees run in this
+process, under the node and solution budgets, until the search has
+visited _POOL_AFTER_NODES nodes. With several threads and no node
+limit the rest, if two or more, then go to a pool of worker processes
+and run to completion. So a small search never pays to start workers,
+a resumed big one starts them at once, and the thread count changes no
+result of a search that stays in process.
+Checkpoints have schema 7: a header line {"schema_version", "k",
+"branches"}, then one line [branch index, nodes, complete_dot,
+solutions] per finished subtree, so a hard kill loses only the subtrees
+that had not finished. A file of schema 6 or older is one JSON object
+that the search rewrote whole, with no complete header line, so it is
+refused.
 """
 
 from __future__ import annotations
@@ -89,9 +92,7 @@ from .biplane import (
     verify_biplane,
 )
 
-_COUNTER_KEYS = ("complete_dot",)
-
-CHECKPOINT_SCHEMA = 6
+CHECKPOINT_SCHEMA = 7
 
 # nodes a search visits in process before it hands its remaining
 # subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
@@ -100,13 +101,6 @@ CHECKPOINT_SCHEMA = 6
 # pools: k=10 on 2 threads takes 0.18-0.22 s in process, against
 # 0.27-0.32 s with the pool started at once. k=11 pools after about 1 s
 _POOL_AFTER_NODES = 10_000
-
-# seconds between checkpoint writes. A write dumps the whole state: the
-# branch list (84 KB at k=11, 846 KB at k=12) and every solution so far
-# (2.5 MB by the end of k=11). Written after each of its 3,507 subtrees,
-# an unbroken k=11 run spent more time writing than searching. A hard
-# kill loses at most this much finished work
-_CHECKPOINT_EVERY_S = 1.0
 
 # masks a tail row's memo stores: at k <= 10 every mask fits, and at
 # k=11, where a mask takes about 0.5 kB, an unbroken run fills the 44
@@ -256,7 +250,7 @@ class _Searcher:
         self.tables = _completion_tables(k)
         self.memo = _meeting_masks(k)
         self.nodes = 0
-        self.prunes = dict.fromkeys(_COUNTER_KEYS, 0)
+        self.complete_dot = 0
         self.solutions: list[tuple[int, ...]] = []
         self.node_limit: Optional[int] = None
         self.max_solutions: Optional[int] = None
@@ -357,7 +351,7 @@ class _Searcher:
             if fewest is None or kept < fewest:
                 fewest, chosen = kept, j
             narrowed[j] = mask
-        self.prunes["complete_dot"] += rejected
+        self.complete_dot += rejected
         return None if narrowed is None else (chosen, narrowed)
 
     def _record_solution(self) -> None:
@@ -374,7 +368,7 @@ def _run_branch(job: tuple) -> tuple:
 
     job is (k, branch_bits, node_budget, solution_budget). A budget of
     None is unlimited; one at or below 0 stops the branch before its
-    first node. Returns (nodes, prunes, solutions, stopped).
+    first node. Returns (nodes, complete_dot, solutions, stopped).
     """
     k, branch_bits, node_budget, solution_budget = job
     searcher = _Searcher(k)
@@ -386,7 +380,7 @@ def _run_branch(job: tuple) -> tuple:
     searcher.rows[k] = branch_bits
     if not searcher.stopped:
         searcher._descend(k, masks, free ^ 1 << k)
-    return searcher.nodes, searcher.prunes, searcher.solutions, searcher.stopped
+    return searcher.nodes, searcher.complete_dot, searcher.solutions, searcher.stopped
 
 
 def _solution_defect(m: BinaryMatrix) -> Optional[str]:
@@ -401,71 +395,75 @@ def _solution_defect(m: BinaryMatrix) -> Optional[str]:
     return None
 
 
-def _load_checkpoint(path: str, fresh: dict) -> dict:
-    """Read the checkpoint of the search whose initial state is fresh.
+def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]:
+    """Read the log of the search at k whose first-row branches are
+    branches: its records, and the length in bytes of its complete lines.
 
-    Raises CheckpointError, naming the file, if it is not JSON, lacks a
-    key, belongs to another search, or holds counters, finished
-    subtrees or solutions that this search could not have written.
+    Only a final line with no newline, which a kill can leave while the
+    line is written, is dropped; its subtree runs again. Raises
+    CheckpointError, naming the file, if the log has no complete header
+    line (as every file of schema 6 or older), holds a line that is not
+    JSON, belongs to another search, or holds records that this search
+    could not have written.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            state = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(state, dict):
-        raise CheckpointError(f"checkpoint {path} is not a JSON object")
-    if state.get("schema_version") != CHECKPOINT_SCHEMA:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    kept = data.rfind(b"\n") + 1
+    if not kept:
         raise CheckpointError(
-            f"checkpoint {path} has schema {state.get('schema_version')!r},"
+            f"checkpoint {path} has no complete header line"
+            f" (files of schema 6 and older are not logs)"
+        )
+    lines = []
+    for n, line in enumerate(data[:kept - 1].split(b"\n"), start=1):
+        try:
+            lines.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointError(f"checkpoint {path} line {n} is not valid JSON: {exc}") from exc
+    header, *records = lines
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} header is not a JSON object")
+    if header.get("schema_version") != CHECKPOINT_SCHEMA:
+        raise CheckpointError(
+            f"checkpoint {path} has schema {header.get('schema_version')!r},"
             f" expected {CHECKPOINT_SCHEMA}"
         )
-    missing = sorted(set(fresh) - set(state))
+    missing = sorted({"k", "branches"} - set(header))
     if missing:
         raise CheckpointError(f"checkpoint {path} lacks the keys {missing}")
-    if state["k"] != fresh["k"]:
+    if header["k"] != k:
         raise CheckpointError(f"checkpoint {path} belongs to a different search")
-    if state["branches"] != fresh["branches"]:
+    if header["branches"] != branches:
         raise CheckpointError(f"checkpoint {path} branch list does not match this search")
 
     def count(x) -> bool:
         return type(x) is int and x >= 0
 
-    prunes = state["prunes"]
-    if not (isinstance(prunes, dict) and set(prunes) == set(_COUNTER_KEYS)
-            and all(map(count, prunes.values()))):
-        raise CheckpointError(
-            f"checkpoint {path} prune counters are not counts of {list(_COUNTER_KEYS)}"
-        )
-    if not count(state["nodes"]):
-        raise CheckpointError(f"checkpoint {path} node count is not a count")
-    done = state["done"]
-    if not (isinstance(done, list) and len(set(done)) == len(done) and all(
-            type(d) is int and 0 <= d < len(fresh["branches"]) for d in done)):
-        raise CheckpointError(
-            f"checkpoint {path} done list is not distinct branch indices"
-            f" in 0..{len(fresh['branches']) - 1}"
-        )
-    v = head_width(fresh["k"])
-    solutions = state["solutions"]
-    if not (isinstance(solutions, list) and all(
-            isinstance(rows, list) and len(rows) == v
-            and all(count(r) and r < 1 << v for r in rows) for rows in solutions)):
-        raise CheckpointError(f"checkpoint {path} solutions are not {v}-row bit lists")
-    for rows in solutions:
-        defect = _solution_defect(BinaryMatrix(v, v, tuple(rows)))
-        if defect:
-            raise CheckpointError(f"checkpoint {path} holds a solution that {defect}")
-    return state
-
-
-def _write_checkpoint(path: str, state: dict) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        # the same text as json.dump, which encodes in pure Python and
-        # took 4-6 times as long on a k=11 state
-        fh.write(json.dumps(state))
-    os.replace(tmp, path)
+    v = head_width(k)
+    done = set()
+    for n, record in enumerate(records, start=2):
+        where = f"checkpoint {path} line {n}"
+        if not (isinstance(record, list) and len(record) == 4):
+            raise CheckpointError(f"{where} is not [branch, nodes, complete_dot, solutions]")
+        index, nodes, complete_dot, solutions = record
+        if not (type(index) is int and 0 <= index < len(branches)) or index in done:
+            raise CheckpointError(
+                f"{where} branch is not a new branch index in 0..{len(branches) - 1}"
+            )
+        done.add(index)
+        if not count(nodes):
+            raise CheckpointError(f"{where} node count is not a count")
+        if not count(complete_dot):
+            raise CheckpointError(f"{where} complete_dot is not a count")
+        if not (isinstance(solutions, list) and all(
+                isinstance(rows, list) and len(rows) == v
+                and all(count(r) and r < 1 << v for r in rows) for rows in solutions)):
+            raise CheckpointError(f"{where} solutions are not {v}-row bit lists")
+        for rows in solutions:
+            defect = _solution_defect(BinaryMatrix(v, v, tuple(rows)))
+            if defect:
+                raise CheckpointError(f"{where} holds a solution that {defect}")
+    return records, kept
 
 
 def search_symmetric_canonical(
@@ -483,15 +481,14 @@ def search_symmetric_canonical(
     process each. Those run to completion, so max_solutions then
     truncates the merged result instead of stopping early; counters
     still add up to the sequential totals. A checkpoint works either
-    way: it lists the finished subtrees and their merged counts, and
-    a rerun on the same file skips the subtrees it lists. It is written
-    at most once every _CHECKPOINT_EVERY_S seconds, once when the loop
-    ends, and once when an exception other than a failed write escapes a
-    subtree, and only when some subtree finished since the last write;
-    a subtree that trips a limit leaves it with the counts from before
-    that subtree. A hard kill loses at most the subtrees finished since
-    the last write. A file that is malformed or belongs to another
-    search raises CheckpointError.
+    way: it is a log of schema 7, one line per finished subtree after a
+    header, each written before the next subtree runs, and a rerun on
+    the same file skips the subtrees it lists. A search that finishes no
+    subtree writes no file, and a subtree that trips a limit is never
+    written. So Ctrl-C, a failed write (which is not retried) or a hard
+    kill loses only the subtrees that had not finished. A file that is
+    malformed, of schema 6 or older, or of another search raises
+    CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
@@ -500,25 +497,23 @@ def search_symmetric_canonical(
 
     row = _base_rows(cfg.k)[cfg.k]
     branches = [row | cand for cand in _completion_tables(cfg.k)[0][0]]
-    state = {
-        "schema_version": CHECKPOINT_SCHEMA,
-        "k": cfg.k,
-        "branches": branches,
-        "done": [],
-        "nodes": len(branches),
-        "prunes": dict.fromkeys(_COUNTER_KEYS, 0),
-        "solutions": [],
-    }
+    nodes, complete_dot, found, done = len(branches), 0, [], set()
+    # the bytes of the log to keep: 0 for a new log, which gets a header
+    kept = 0
     stopped = False
     if checkpoint is not None and os.path.exists(checkpoint):
         # the branch list is the search's, whatever the node limit; the
         # limit applies to the nodes the checkpoint has counted
-        state = _load_checkpoint(checkpoint, state)
+        records, kept = _load_checkpoint(checkpoint, cfg.k, branches)
+        for index, record_nodes, record_dot, solutions in records:
+            done.add(index)
+            nodes += record_nodes
+            complete_dot += record_dot
+            found.extend(solutions)
     elif cfg.node_limit is not None and cfg.node_limit <= len(branches):
         # each branch is a node, so a fresh search stops at branch L
         stopped = True
-        state["nodes"] = cfg.node_limit
-    done = set(state["done"])
+        nodes = cfg.node_limit
     todo = [] if stopped else [i for i in range(len(branches)) if i not in done]
     pooling = cfg.threads > 1 and cfg.node_limit is None
 
@@ -527,75 +522,71 @@ def search_symmetric_canonical(
         # made only after the previous result is merged
         node_budget = solution_budget = None
         if cfg.node_limit is not None:
-            node_budget = cfg.node_limit - state["nodes"]
+            node_budget = cfg.node_limit - nodes
         if cfg.max_solutions is not None:
-            solution_budget = cfg.max_solutions - len(state["solutions"])
+            solution_budget = cfg.max_solutions - len(found)
         return cfg.k, branches[index], node_budget, solution_budget
 
-    pool = None
-    saved_at = time.perf_counter()
-
-    def save(force: bool) -> None:
-        # write only when some subtree finished since the last write, as
-        # state["done"] holds the subtrees the file lists
-        nonlocal saved_at
-        if checkpoint is None or len(done) == len(state["done"]):
-            return
-        if not force and time.perf_counter() - saved_at < _CHECKPOINT_EVERY_S:
-            return
-        state["done"] = sorted(done)
-        _write_checkpoint(checkpoint, state)
-        saved_at = time.perf_counter()
+    pool = log = None
 
     def results():
         nonlocal pool
-        try:
-            for n, index in enumerate(todo):
-                # a pool pays off only for a big search with two subtrees
-                # or more left to share
-                if pooling and len(todo) - n > 1 and state["nodes"] >= _POOL_AFTER_NODES:
-                    # imported here, as the pool machinery (multiprocessing,
-                    # logging) costs a fresh process 20-30 ms to import
-                    from concurrent.futures import ProcessPoolExecutor
+        for n, index in enumerate(todo):
+            # a pool pays off only for a big search with two subtrees
+            # or more left to share
+            if pooling and len(todo) - n > 1 and nodes >= _POOL_AFTER_NODES:
+                # imported here, as the pool machinery (multiprocessing,
+                # logging) costs a fresh process 20-30 ms to import
+                from concurrent.futures import ProcessPoolExecutor
 
-                    # the pool takes every job up front, so none has a budget
-                    rest = todo[n:]
-                    jobs = [(cfg.k, branches[i], None, None) for i in rest]
-                    pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
-                    yield from zip(rest, pool.map(_run_branch, jobs))
-                    return
-                yield index, _run_branch(job(index))
-        except (Exception, KeyboardInterrupt):
-            # a subtree failed or was interrupted: keep the finished ones.
-            # A failed write is raised by the loop below, not here, so it
-            # is not retried
-            save(force=True)
-            raise
+                # the pool takes every job up front, so none has a budget
+                rest = todo[n:]
+                jobs = [(cfg.k, branches[i], None, None) for i in rest]
+                pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
+                yield from zip(rest, pool.map(_run_branch, jobs))
+                return
+            yield index, _run_branch(job(index))
 
     try:
-        for index, (nodes, prunes, solutions, branch_stopped) in results():
+        for index, (branch_nodes, branch_dot, solutions, branch_stopped) in results():
+            nodes += branch_nodes
+            complete_dot += branch_dot
+            found.extend(solutions)
             if branch_stopped:
-                # the file keeps the counts from before this subtree
+                # the log keeps the counts from before this subtree
                 stopped = True
-                save(force=True)
-            state["nodes"] += nodes
-            for key in _COUNTER_KEYS:
-                state["prunes"][key] += prunes[key]
-            state["solutions"].extend(solutions)
-            if branch_stopped:
                 break
             done.add(index)
-            save(force=False)
-        else:
-            save(force=True)
+            if checkpoint is None:
+                continue
+            line = json.dumps([index, branch_nodes, branch_dot, solutions]).encode() + b"\n"
+            if log is None:
+                # unbuffered, so each record reaches the file before the next
+                # subtree runs, and a pool worker forks with nothing unwritten
+                log = open(checkpoint, "ab", buffering=0)
+                if kept:
+                    # drop a final record cut short. Not on a new log: on
+                    # ext4, truncating a file to 0 bytes makes its close
+                    # start writeback, 0.1-0.2 ms more per k=6..8 search
+                    # on a 2-vCPU host
+                    log.truncate(kept)
+                else:
+                    header = {"schema_version": CHECKPOINT_SCHEMA, "k": cfg.k, "branches": branches}
+                    line = json.dumps(header).encode() + b"\n" + line
+            if log.write(line) != len(line):
+                # write nothing after a torn line: a rerun drops it only
+                # as the last line
+                raise OSError(f"checkpoint {checkpoint}: short write")
     finally:
         if pool is not None:
             # after a failure, drop the queued subtrees instead of running them
             pool.shutdown(cancel_futures=True)
+        if log is not None:
+            log.close()
 
     exhausted = not stopped and len(done) == len(branches)
 
-    ordered = sorted({tuple(bits) for bits in state["solutions"]})
+    ordered = sorted({tuple(bits) for bits in found})
     if cfg.max_solutions is not None:
         ordered = ordered[: cfg.max_solutions]
 
@@ -613,8 +604,8 @@ def search_symmetric_canonical(
         v=v,
         solutions=tuple(verified),
         exhausted=exhausted,
-        nodes_visited=state["nodes"],
-        prunes_by_rule=state["prunes"],
+        nodes_visited=nodes,
+        prunes_by_rule={"complete_dot": complete_dot},
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -462,57 +462,38 @@ def test_search_checkpoint_flag(tmp_path, capsys):
     assert ck.exists()
 
 
-def _schema_1(state):
-    _schema_2(state)
-    state["schema_version"] = 1
-    del state["prunes"]["deficit"]
+def _schema_6(log):
+    # what the search wrote up to schema 6: one JSON object, rewritten
+    # whole and with no newline
+    return json.dumps({"schema_version": 6, "k": 6, "branches": log[0]["branches"],
+                       "done": [0], "nodes": 10, "prunes": {"complete_dot": 0},
+                       "solutions": log[1][3]})
 
 
-def _schema_2(state):
-    _schema_3(state)
-    state["schema_version"] = 2
-    del state["prunes"]["mirror_dot"]
-
-
-def _schema_3(state):
-    _schema_4(state)
-    state["schema_version"] = 3
-    state["prunes"]["row_fill"] = 0
-
-
-def _schema_4(state):
-    state["schema_version"] = 4
-    state["disabled_rules"] = []
-    state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
-
-
-def _schema_5(state):
-    # the fixed top-to-bottom row order wrote the same keys, counting
-    # the nodes and prunes of another tree
-    state["schema_version"] = 5
-
-
+# a k=6 log is a header line and one record, [0, 9, 0, [b4c's rows]]
 @pytest.mark.parametrize("spoil", [
-    lambda state: "{not json",
-    lambda state: '{"schema_version":1,"k":6}',
-    lambda state: _schema_1(state),
-    lambda state: _schema_2(state),
-    lambda state: _schema_3(state),
-    lambda state: _schema_4(state),
-    lambda state: _schema_5(state),
-    lambda state: state.pop("done"),
-    lambda state: state["prunes"].pop("complete_dot"),
-    lambda state: state.__setitem__("done", [0, 0]),
-    lambda state: state.__setitem__("done", [7]),
+    lambda log: "{not json\n",
+    lambda log: log[0].__setitem__("k", 7),
+    lambda log: log[0].__setitem__("schema_version", 1),
+    lambda log: log[0].__setitem__("schema_version", 2),
+    lambda log: log[0].__setitem__("schema_version", 3),
+    lambda log: log[0].__setitem__("schema_version", 4),
+    lambda log: log[0].__setitem__("schema_version", 5),
+    _schema_6,
+    lambda log: json.dumps(log[0])[:-1],
+    lambda log: log[0].pop("branches"),
+    lambda log: log[1].pop(2),
+    lambda log: log.append(log[1]),
+    lambda log: log[1].__setitem__(0, 7),
 ], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "schema 4", "schema 5",
-        "missing key",
+        "schema 6 file", "torn header", "missing key",
         "prune keys", "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"
     assert run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))[0] == 0
-    state = json.loads(ck.read_text())
-    text = spoil(state)
-    ck.write_text(text if isinstance(text, str) else json.dumps(state))
+    log = [json.loads(line) for line in ck.read_bytes().splitlines()]
+    text = spoil(log)
+    ck.write_text(text if isinstance(text, str) else "".join(json.dumps(x) + "\n" for x in log))
     code, out, err = run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))
     assert code == 2
     assert out == ""

@@ -1,9 +1,9 @@
 """Backtracking search: soundness, completeness, determinism, plumbing."""
 
 import concurrent.futures
+import io
 import itertools
 import json
-import os
 import re
 import time
 
@@ -200,7 +200,7 @@ def test_seeded_b9e_completes_to_itself():
         assert b9e.bits in searcher.solutions, depth
         assert len(set(searcher.solutions)) == solutions, depth
         assert searcher.nodes == nodes, depth
-        assert searcher.prunes == {"complete_dot": complete_dot}, depth
+        assert searcher.complete_dot == complete_dot, depth
 
 
 class DefinitionCheckedSearcher(search_mod._Searcher):
@@ -373,16 +373,41 @@ def counting_pools(monkeypatch):
     return pools
 
 
+def read_log(path):
+    """The header and the records of a checkpoint log."""
+    header, *records = map(json.loads, open(path, "rb").read().splitlines())
+    return header, records
+
+
+def logged_nodes(path):
+    """The node count a rerun on the log starts from: one per branch,
+    plus each record's."""
+    header, records = read_log(path)
+    return len(header["branches"]) + sum(r[1] for r in records)
+
+
+def watch_log_writes(monkeypatch, before_write):
+    """Call before_write(data) ahead of each write to the checkpoint log.
+    It may raise to fail the write, or return the part of data that
+    reaches the file."""
+
+    class WatchedLog(io.FileIO):
+        def write(self, data):
+            part = before_write(data)
+            return super().write(data if part is None else part)
+
+    def watched_open(path, mode="r", **kwargs):
+        return WatchedLog(path, mode) if mode == "ab" else open(path, mode, **kwargs)
+
+    # the search finds open in its module before the builtins
+    monkeypatch.setattr(search_mod, "open", watched_open, raising=False)
+
+
 def pools_at_writes(monkeypatch, pools):
-    """Record, at each checkpoint write, how many pools have started."""
+    """Record, at each write to the checkpoint log, how many pools have
+    started."""
     seen = []
-    write = search_mod._write_checkpoint
-
-    def recording_write(target, state):
-        seen.append(len(pools))
-        write(target, state)
-
-    monkeypatch.setattr(search_mod, "_write_checkpoint", recording_write)
+    watch_log_writes(monkeypatch, lambda data: seen.append(len(pools)))
     return seen
 
 
@@ -393,6 +418,24 @@ def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
     assert pools == [(2,)]
     run(7, threads=2, node_limit=10**6)
     assert pools == [(2,)]
+
+
+def test_a_pooled_log_holds_one_record_per_branch(tmp_path, monkeypatch):
+    # the log is open when the pool forks its workers, which must add
+    # no line to it
+    seq_path = tmp_path / "sequential.log"
+    run(8, checkpoint=str(seq_path))
+    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
+    pools = counting_pools(monkeypatch)
+    path = tmp_path / "progress.log"
+    out = run(8, threads=2, checkpoint=str(path))
+    nodes, counts = FINGERPRINTS[8]
+    assert pools == [(2,)]
+    assert out.exhausted
+    assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+    header, records = read_log(path)
+    assert [r[0] for r in records] == list(range(len(header["branches"]))) == list(range(12))
+    assert path.read_bytes() == seq_path.read_bytes()
 
 
 def test_a_lone_subtree_skips_the_pool(monkeypatch):
@@ -420,15 +463,13 @@ def test_small_searches_skip_the_pool(monkeypatch):
 
 
 def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
-    # one checkpoint write after every subtree
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
-    seq_path = str(tmp_path / "sequential.json")
-    seq = run(10, checkpoint=seq_path)
+    seq_path = tmp_path / "sequential.json"
+    seq = run(10, checkpoint=str(seq_path))
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 480)
     pools = counting_pools(monkeypatch)
     seen = pools_at_writes(monkeypatch, pools)
-    path = str(tmp_path / "progress.json")
-    out = run(10, threads=2, checkpoint=path)
+    path = tmp_path / "progress.json"
+    out = run(10, threads=2, checkpoint=str(path))
     # 465 first-row nodes and 12 in each of the first subtrees: 477
     # after the first subtree, 489 after the second, so the other 463
     # go to the pool
@@ -438,18 +479,15 @@ def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
     assert out.nodes_visited == seq.nodes_visited
     assert out.prunes_by_rule == seq.prunes_by_rule
     assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions]
-    assert json.loads(open(path).read())["done"] == json.loads(open(seq_path).read())["done"]
+    assert path.read_bytes() == seq_path.read_bytes()
 
 
 def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
-    # one checkpoint write after every subtree
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     path = str(tmp_path / "progress.json")
     run(10, node_limit=520, checkpoint=path)
-    state = json.loads(open(path).read())
     # the fifth subtree holds 17 nodes and trips the limit
-    assert state["nodes"] == 465 + 4 * 12
-    assert state["done"] == [0, 1, 2, 3]
+    assert logged_nodes(path) == 465 + 4 * 12
+    assert [r[0] for r in read_log(path)[1]] == [0, 1, 2, 3]
 
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 500)
     pools = counting_pools(monkeypatch)
@@ -479,9 +517,8 @@ def slow_after_the_first_branch(job):
 
 
 def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
-    # one checkpoint write after every subtree; the slow subtrees are
-    # still queued when the first result fails its write
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
+    # the slow subtrees are still queued when the first result fails its
+    # append to the log
     monkeypatch.setattr(search_mod, "_run_branch", slow_after_the_first_branch)
     futures = []
 
@@ -490,12 +527,12 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
             futures.append(super().submit(*args, **kwargs))
             return futures[-1]
 
-    def full_disk(target, state):
+    def full_disk(data):
         raise OSError("no space left on device")
 
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
+    watch_log_writes(monkeypatch, full_disk)
     with pytest.raises(OSError):
         run(8, threads=2, checkpoint=str(tmp_path / "progress.json"))
     assert len(futures) == 12
@@ -508,42 +545,40 @@ def test_checkpoint_resume(tmp_path):
         path = str(tmp_path / f"progress{threads}.json")
         partial = run(9, node_limit=100, checkpoint=path)
         assert not partial.exhausted
-        state = json.loads(open(path).read())
-        assert state["schema_version"] == 6
-        assert 0 < len(state["done"]) < len(state["branches"])
+        header, records = read_log(path)
+        assert header["schema_version"] == 7
+        assert 0 < len(records) < len(header["branches"])
 
         resumed = run(9, threads=threads, checkpoint=path)
         assert resumed.exhausted
         assert resumed.nodes_visited == clean.nodes_visited
         assert resumed.prunes_by_rule == clean.prunes_by_rule
         assert [m.bits for m in resumed.solutions] == [m.bits for m in clean.solutions]
-        final = json.loads(open(path).read())
-        assert len(final["done"]) == len(final["branches"])
+        header, records = read_log(path)
+        assert [r[0] for r in records] == list(range(len(header["branches"])))
 
 
 def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
-    # one checkpoint write after every subtree
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", 0)
     path = str(tmp_path / "progress.json")
-    write = search_mod._write_checkpoint
+    writes = []
 
     class Killed(Exception):
         pass
 
-    def write_once_then_die(target, state):
-        if os.path.exists(target):
+    def write_once_then_die(data):
+        writes.append(data)
+        if len(writes) > 1:
             raise Killed
-        write(target, state)
 
     monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
-    monkeypatch.setattr(search_mod, "_write_checkpoint", write_once_then_die)
+    watch_log_writes(monkeypatch, write_once_then_die)
     with pytest.raises(Killed):
         run(7, threads=2, checkpoint=path)
-    state = json.loads(open(path).read())
-    assert state["done"] == [0]
-    assert len(state["branches"]) == 3
+    header, records = read_log(path)
+    assert [r[0] for r in records] == [0]
+    assert len(header["branches"]) == 3
 
-    monkeypatch.setattr(search_mod, "_write_checkpoint", write)
+    monkeypatch.delattr(search_mod, "open")
     resumed = run(7, threads=2, checkpoint=path)
     nodes, counts = FINGERPRINTS[7]
     assert resumed.exhausted
@@ -552,60 +587,48 @@ def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
     assert resumed.solutions == ()
 
 
-def recording_writes(monkeypatch):
-    """Record the done list of every checkpoint write."""
-    written = []
-    write = search_mod._write_checkpoint
-
-    def recording_write(target, state):
-        written.append(list(state["done"]))
-        write(target, state)
-
-    monkeypatch.setattr(search_mod, "_write_checkpoint", recording_write)
-    return written
-
-
-def test_an_exhausted_search_writes_its_checkpoint_once(tmp_path, monkeypatch):
-    written = recording_writes(monkeypatch)
+def test_an_exhausted_search_logs_one_record_per_subtree(tmp_path, monkeypatch):
+    writes = []
+    watch_log_writes(monkeypatch, writes.append)
     for k, (nodes, counts) in FINGERPRINTS.items():
+        files = []
         for threads in (1, 2):
-            files = {}
-            for every in (0, float("inf")):
-                monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", every)
-                path = tmp_path / f"k{k}-{threads}-{every}.json"
-                written.clear()
-                out = run(k, threads=threads, checkpoint=str(path))
-                assert out.exhausted
-                assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
-                files[every] = path.read_bytes()
-            # the one write leaves the file a write after every subtree does
-            branches = list(range(len(json.loads(files[0])["branches"])))
-            assert written == [branches], (k, threads)
-            assert files[float("inf")] == files[0], (k, threads)
+            path = tmp_path / f"k{k}-{threads}.json"
+            writes.clear()
+            out = run(k, threads=threads, checkpoint=str(path))
+            assert out.exhausted
+            assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+            # one write a record, the first with the header
+            header, records = read_log(path)
+            assert len(writes) == len(records) and b"".join(writes) == path.read_bytes()
+            assert [r[0] for r in records] == list(range(len(header["branches"]))), k
+            assert logged_nodes(path) == nodes
+            assert sum(r[2] for r in records) == counts[0]
+            files.append(path.read_bytes())
+        assert files[0] == files[1], k
 
 
 def test_a_tripped_limit_keeps_the_counts_before_its_subtree(tmp_path, monkeypatch):
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", float("inf"))
-    written = recording_writes(monkeypatch)
+    writes = []
+    watch_log_writes(monkeypatch, writes.append)
     path = tmp_path / "progress.json"
     # the fifth subtree holds 17 nodes and trips the limit
     out = run(10, node_limit=520, checkpoint=str(path))
     assert out.nodes_visited == 520
-    assert written == [[0, 1, 2, 3]]
-    state = json.loads(path.read_text())
-    assert (state["done"], state["nodes"]) == ([0, 1, 2, 3], 465 + 4 * 12)
+    assert len(writes) == 4
+    assert [r[0] for r in read_log(path)[1]] == [0, 1, 2, 3]
+    assert logged_nodes(path) == 465 + 4 * 12
 
     # with no subtree finished there is nothing to write: a limit among
     # the 465 first-row nodes, or one inside the first subtree
     for limit in (100, 470):
-        written.clear()
+        writes.clear()
         fresh = tmp_path / f"limit{limit}.json"
         run(10, node_limit=limit, checkpoint=str(fresh))
-        assert written == [] and not fresh.exists(), limit
+        assert writes == [] and not fresh.exists(), limit
 
 
 def test_an_interrupted_search_keeps_its_finished_subtrees(tmp_path, monkeypatch):
-    monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", float("inf"))
     run_branch = search_mod._run_branch
     jobs = []
 
@@ -619,7 +642,7 @@ def test_an_interrupted_search_keeps_its_finished_subtrees(tmp_path, monkeypatch
     path = tmp_path / "progress.json"
     with pytest.raises(KeyboardInterrupt):
         run(8, checkpoint=str(path))
-    assert json.loads(path.read_text())["done"] == [0, 1, 2, 3]
+    assert [r[0] for r in read_log(path)[1]] == [0, 1, 2, 3]
 
     monkeypatch.setattr(search_mod, "_run_branch", run_branch)
     resumed = run(8, checkpoint=str(path))
@@ -631,18 +654,81 @@ def test_an_interrupted_search_keeps_its_finished_subtrees(tmp_path, monkeypatch
 def test_a_failed_write_is_not_retried(tmp_path, monkeypatch):
     calls = []
 
-    def full_disk(target, state):
-        calls.append(target)
+    def full_disk(data):
+        calls.append(data)
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(search_mod, "_write_checkpoint", full_disk)
-    # the write after the first subtree, or the one when the loop ends
-    for every in (0, float("inf")):
-        monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY_S", every)
-        calls.clear()
-        with pytest.raises(OSError):
-            run(8, checkpoint=str(tmp_path / "progress.json"))
-        assert len(calls) == 1, every
+    watch_log_writes(monkeypatch, full_disk)
+    # the append after the first subtree fails and ends the search
+    with pytest.raises(OSError):
+        run(8, checkpoint=str(tmp_path / "progress.json"))
+    assert len(calls) == 1
+
+
+def test_a_short_write_ends_the_search_and_its_line_is_redone(tmp_path, monkeypatch):
+    whole = tmp_path / "whole.json"
+    run(8, checkpoint=str(whole))
+    writes = []
+
+    def short_second_write(data):
+        # a full disk can take the first part of a write
+        writes.append(data)
+        return data[:len(data) // 2] if len(writes) == 2 else data
+
+    watch_log_writes(monkeypatch, short_second_write)
+    path = tmp_path / "progress.json"
+    with pytest.raises(OSError, match="short write"):
+        run(8, checkpoint=str(path))
+    assert len(writes) == 2
+
+    monkeypatch.delattr(search_mod, "open")
+    resumed = run(8, checkpoint=str(path))
+    nodes, counts = FINGERPRINTS[8]
+    assert resumed.exhausted
+    assert (resumed.nodes_visited, resumed.prunes_by_rule) == (nodes, prunes(*counts))
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_a_torn_final_record_is_dropped_and_redone(tmp_path):
+    for k in (6, 8):
+        nodes, counts = FINGERPRINTS[k]
+        path = tmp_path / f"k{k}.json"
+        run(k, checkpoint=str(path))
+        whole = path.read_bytes()
+        last = len(whole.splitlines()[-1]) + 1
+        # a record without its newline, cut inside, or gone whole
+        for cut in (1, 2, last - 1, last):
+            path.write_bytes(whole[:-cut])
+            out = run(k, checkpoint=str(path))
+            assert out.exhausted
+            assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+            assert path.read_bytes() == whole, (k, cut)
+
+
+def test_a_log_without_a_complete_header_line_is_refused(tmp_path):
+    path = tmp_path / "progress.json"
+    run(8, checkpoint=str(path))
+    header = path.read_bytes().splitlines()[0]
+    for text in (header, header[:10], b""):
+        path.write_bytes(text)
+        with pytest.raises(CheckpointError, match="no complete header line") as info:
+            run(8, checkpoint=str(path))
+        assert str(path) in str(info.value)
+
+
+def test_a_schema_6_checkpoint_is_refused(tmp_path):
+    # what the search wrote up to schema 6: one JSON object, rewritten
+    # whole and with no newline
+    path = tmp_path / "progress.json"
+    run(6, checkpoint=str(path))
+    header, (record,) = read_log(path)
+    state = {"schema_version": 6, "k": 6, "branches": header["branches"], "done": [0],
+             "nodes": 10, "prunes": {"complete_dot": 0}, "solutions": record[3]}
+    for text, message in ((json.dumps(state), "no complete header line"),
+                          (json.dumps(state) + "\n", "schema 6, expected 7")):
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=message):
+            run(6, checkpoint=str(path))
 
 
 def test_a_node_limit_reads_a_checkpoint_of_the_same_search(tmp_path):
@@ -659,14 +745,15 @@ def test_a_node_limit_reads_a_checkpoint_of_the_same_search(tmp_path):
 
     # on an unfinished checkpoint, such a limit stops the search before
     # its next subtree, with the checkpoint's counts
-    partial_path = str(tmp_path / "partial.json")
-    partial = run(9, node_limit=100, checkpoint=partial_path)
-    state = json.loads(open(partial_path).read())
-    assert 0 < len(state["done"]) < len(state["branches"])
-    stopped = run(9, node_limit=5, checkpoint=partial_path)
+    partial_path = tmp_path / "partial.json"
+    partial = run(9, node_limit=100, checkpoint=str(partial_path))
+    header, records = read_log(partial_path)
+    assert 0 < len(records) < len(header["branches"])
+    logged = partial_path.read_bytes()
+    stopped = run(9, node_limit=5, checkpoint=str(partial_path))
     assert not stopped.exhausted
-    assert stopped.nodes_visited == state["nodes"] < partial.nodes_visited
-    assert json.loads(open(partial_path).read()) == state
+    assert stopped.nodes_visited == logged_nodes(partial_path) < partial.nodes_visited
+    assert partial_path.read_bytes() == logged
 
 
 def test_checkpoint_completed_run_short_circuits(tmp_path):
@@ -685,75 +772,50 @@ def test_checkpoint_mismatch_rejected(tmp_path):
         run(7, checkpoint=path)
 
 
-def schema_1(state):
-    # what the search wrote before the deficit rule had a counter
-    schema_2(state)
-    state["schema_version"] = 1
-    del state["prunes"]["deficit"]
-
-
-def schema_2(state):
-    # what the search wrote before the mirror_dot rule had a counter
-    schema_3(state)
-    state["schema_version"] = 2
-    del state["prunes"]["mirror_dot"]
-
-
-def schema_3(state):
-    # what the search wrote while it still had the row_fill rule
-    schema_4(state)
-    state["schema_version"] = 3
-    state["prunes"]["row_fill"] = 0
-
-
-def schema_4(state):
-    # what the cell-by-cell search wrote, with its three pruning rules
-    state["schema_version"] = 4
-    state["disabled_rules"] = []
-    state["prunes"].update(partial_dot=0, deficit=0, mirror_dot=0)
-
-
-def schema_5(state):
-    # what the fixed top-to-bottom row order wrote: the same keys, but
-    # the nodes and prunes of another tree
-    state["schema_version"] = 5
+# a k=6 log is its header and one record, [0, 9, 0, [b4c's rows]]. The
+# cases keep the names of the schema-6 checks they replace: "done" held
+# the finished branch indices, now each record's first field, and
+# "prunes" the counters, now each record's complete_dot
+def put(key, value):
+    return lambda log: log[0].__setitem__(key, value)
 
 
 def drop(key):
-    return lambda state: state.pop(key)
+    return lambda log: log[0].pop(key)
 
 
-def put(key, value):
-    return lambda state: state.__setitem__(key, value)
-
-
-def put_prune(key, value):
-    return lambda state: state["prunes"].__setitem__(key, value)
+def put_field(n, value):
+    # field n of the record: branch index, nodes, complete_dot, solutions
+    return lambda log: log[1].__setitem__(n, value)
 
 
 BAD_CHECKPOINTS = {
-    "schema 1": (schema_1, "schema 1, expected 6"),
-    "schema 2": (schema_2, "schema 2, expected 6"),
-    "schema 3": (schema_3, "schema 3, expected 6"),
-    "schema 4": (schema_4, "schema 4, expected 6"),
-    "schema 5": (schema_5, "schema 5, expected 6"),
+    **{f"schema {n}": (put("schema_version", n), f"schema {n}, expected 7")
+       for n in range(1, 7)},
     "no schema": (drop("schema_version"), "schema None"),
-    "no done": (drop("done"), "lacks the keys ['done']"),
-    "no prunes": (drop("prunes"), "lacks the keys ['prunes']"),
-    "prunes lack complete_dot": (lambda s: s["prunes"].pop("complete_dot"), "prune counters"),
-    "extra prune key": (put_prune("deficit", 0), "prune counters"),
-    "negative prune": (put_prune("complete_dot", -1), "prune counters"),
-    "prunes not a dict": (put("prunes", [0]), "prune counters"),
-    "nodes not a count": (put("nodes", "51"), "node count"),
-    "done repeats": (put("done", [0, 0]), "done list"),
-    "done out of range": (put("done", [1]), "done list"),
-    "done negative": (put("done", [-1]), "done list"),
-    "done not an int": (put("done", ["0"]), "done list"),
-    "done a bool": (put("done", [True]), "done list"),
-    "done not a list": (put("done", 0), "done list"),
-    "solution too short": (put("solutions", [[1, 2]]), "solutions are not 16-row"),
-    "solution too wide": (put("solutions", [[1 << 16] * 16]), "solutions are not 16-row"),
-    "solution not a biplane": (put("solutions", [[0] * 16]), "fails verification"),
+    "no done": (drop("branches"), "lacks the keys ['branches']"),
+    "no k": (drop("k"), "lacks the keys ['k']"),
+    "other k": (put("k", 7), "belongs to a different search"),
+    "other branches": (put("branches", [0]), "branch list does not match"),
+    "header not an object": (lambda log: log.__setitem__(0, []), "header is not a JSON object"),
+    "no header": (lambda log: log.pop(0), "header is not a JSON object"),
+    "no prunes": (lambda log: log[1].pop(2), "is not [branch, nodes, complete_dot, solutions]"),
+    "prunes lack complete_dot": (put_field(2, None), "complete_dot is not a count"),
+    "extra prune key": (lambda log: log[1].append(0), "is not [branch, nodes"),
+    "negative prune": (put_field(2, -1), "complete_dot is not a count"),
+    "prunes not a dict": (put_field(2, {"complete_dot": 0}), "complete_dot is not a count"),
+    "nodes not a count": (put_field(1, "9"), "line 2 node count is not a count"),
+    "negative nodes": (put_field(1, -1), "line 2 node count is not a count"),
+    "done repeats": (lambda log: log.append(log[1]), "line 3 branch is not a new branch index"),
+    "done out of range": (put_field(0, 1), "branch is not a new branch index in 0..0"),
+    "done negative": (put_field(0, -1), "branch is not a new branch index"),
+    "done not an int": (put_field(0, "0"), "branch is not a new branch index"),
+    "done a bool": (put_field(0, True), "branch is not a new branch index"),
+    "done not a list": (lambda log: log.__setitem__(1, 0), "is not [branch, nodes"),
+    "solutions not a list": (put_field(3, 0), "solutions are not 16-row"),
+    "solution too short": (put_field(3, [[1, 2]]), "solutions are not 16-row"),
+    "solution too wide": (put_field(3, [[1 << 16] * 16]), "solutions are not 16-row"),
+    "solution not a biplane": (put_field(3, [[0] * 16]), "fails verification"),
 }
 
 
@@ -761,17 +823,22 @@ BAD_CHECKPOINTS = {
 def test_malformed_checkpoint_rejected(tmp_path, case):
     path = tmp_path / "progress.json"
     run(6, checkpoint=str(path))
-    state = json.loads(path.read_text())
+    log = [json.loads(line) for line in path.read_bytes().splitlines()]
     spoil, message = BAD_CHECKPOINTS[case]
-    spoil(state)
-    path.write_text(json.dumps(state))
+    spoil(log)
+    path.write_text("".join(json.dumps(line) + "\n" for line in log))
     with pytest.raises(CheckpointError, match=re.escape(message)) as info:
         run(6, checkpoint=str(path))
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("text", ["{not json", "", "[]", '{"schema_version":1,"k":6}',
-                                  "[" * 100_000])
+@pytest.mark.parametrize("text", [
+    "{not json", "", "[]", '{"schema_version":1,"k":6}', "[" * 100_000,
+    pytest.param("\n", id="empty header line"),
+    pytest.param("{not json\n", id="header line not json"),
+    pytest.param("[]\n", id="header line a list"),
+    pytest.param("[" * 100_000 + "\n", id="header line nested too deep"),
+])
 def test_checkpoint_that_is_not_a_search_state_rejected(tmp_path, text):
     path = tmp_path / "progress.json"
     path.write_text(text)
