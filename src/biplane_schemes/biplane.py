@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -149,6 +150,23 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
         full_trace=(m.trace() == v),
         symmetric=m.is_symmetric(),
     )
+
+
+def symmetric_canonical_defect(m: BinaryMatrix) -> Optional[str]:
+    """Why m is not a symmetric canonical biplane matrix with full trace,
+    naming the first property it fails of: biplane, symmetric, full
+    trace, canonical form; None if it is one."""
+    try:
+        cert = verify_biplane(m)
+    except VerificationError as exc:
+        return f"not a biplane: {exc}"
+    if not cert.symmetric:
+        return "matrix is not symmetric"
+    if not cert.full_trace:
+        return f"trace {m.trace()} is below the point count {cert.v}"
+    if not cert.canonical:
+        return "matrix is not in canonical form"
+    return None
 
 
 def canonical_head(k: int) -> BinaryMatrix:

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .binmat import BinaryMatrix, _Trap, doubled, is_perm_equivalent
-from .biplane import has_canonical_form, verify_biplane, VerificationError
+from .biplane import has_canonical_form, symmetric_canonical_defect
 from .incidence import IncidenceStructure
 from .pbibd import PairClassification, _pbibd_report, classify, verify_pbibd
 from .scheme import AssociationScheme, NotASchemeError, from_classification
@@ -242,19 +242,12 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     permutation witness against doubled(k-3) when one exists; its
     absence is normal at some orders.
     """
-    try:
-        cert = verify_biplane(m)
-    except VerificationError as exc:
-        raise PreconditionError(f"not a biplane: {exc}") from exc
-    if not cert.symmetric:
-        raise PreconditionError("matrix is not symmetric")
-    if not cert.full_trace:
-        raise PreconditionError(f"trace {m.trace()} is below the point count {cert.v}")
-    if not cert.canonical:
-        raise PreconditionError("matrix is not in canonical form")
-    k = cert.k
+    defect = symmetric_canonical_defect(m)
+    if defect:
+        raise PreconditionError(defect)
+    k = m.bits[0].bit_count()  # a biplane's row sum
 
-    # the certificate stands for check_lemma1's hypotheses: m is square,
+    # the preconditions stand for check_lemma1's hypotheses: m is square,
     # canonical and has a full diagonal
     indices = extraction_indices(k)
     core = m.submatrix(indices, indices)

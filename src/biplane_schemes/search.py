@@ -13,9 +13,12 @@ each such 2-factor completes the row to sum k, meeting every head row
 exactly twice.
 
 The search therefore places whole tail rows and mirrors each placed
-row across the diagonal. A row's candidates are its 2-factors mapped to
-its pair columns, built once per k; has[c] holds, as the bits of one
-integer, the candidates with a 1 in column c.
+row across the diagonal. Every row's candidates are the same 2-factors
+on the generic labels 0..k-4, built once per k; a row keeps the column
+bit each generic edge maps to, and a candidate's bits are summed from
+those when it is placed. has[c] holds, as the bits of one integer (one
+per generic edge, shared by the rows), the candidates with a 1 in
+column c.
 
 Each unplaced tail row keeps a mask, the bitset of its candidates that
 agree with the entries placed rows have fixed in it and meet every
@@ -39,8 +42,9 @@ mask keeps the fewest candidates, the lowest row on a tie. A node is
 one placed row. complete_dot counts, summed over every mask update, the
 candidates that agreed with the fixed entries but were removed by the
 meeting mask. Exhausting k=8 takes 12 nodes, k=9 190 and k=10 7,845.
-Emitted solutions are re-verified through the independent biplane
-verifier; disagreement raises SearchBugError.
+Each solution is re-verified once through the independent biplane
+verifier: when its subtree is merged, before it is logged
+(SearchBugError), or when its log is read (CheckpointError).
 
 A meeting mask depends only on its row j, rest and owed, so each tail
 row has a memo from rest << 2 | owed to the mask, filled on a miss by
@@ -69,9 +73,9 @@ result of a search that stays in process.
 Checkpoints have schema 7: a header line {"schema_version", "k",
 "branches"}, then one line [branch index, nodes, complete_dot,
 solutions] per finished subtree, so a hard kill loses only the subtrees
-that had not finished. A file of schema 6 or older is one JSON object
-that the search rewrote whole, with no complete header line, so it is
-refused.
+that had not finished, and a zero-byte file is no log. A file of
+schema 6 or older is one JSON object that the search rewrote whole,
+with no complete header line, so it is refused.
 """
 
 from __future__ import annotations
@@ -81,16 +85,11 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from .binmat import BinaryMatrix, _Trap
-from .biplane import (
-    VerificationError,
-    canonical_head,
-    head_width,
-    verify_biplane,
-)
+from .biplane import canonical_head, head_width, symmetric_canonical_defect
 
 CHECKPOINT_SCHEMA = 7
 
@@ -166,18 +165,20 @@ def _base_rows(k: int) -> tuple[int, ...]:
     return head.bits + tuple(p | (1 << i) for i, p in enumerate(prefixes, start=k))
 
 
-def _two_factors(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """Every 2-regular graph on the labels 0..m-1, as sorted edge tuples.
+def _two_factors(m: int) -> list[tuple[int, ...]]:
+    """Every 2-regular graph on the labels 0..m-1, as the sorted indices
+    of its edges in combinations(range(m), 2).
 
     The cycle through the lowest label left is chosen first; its second
     label is below its last, so each cycle is listed once.
     """
-    found: list[tuple[tuple[int, int], ...]] = []
+    index = {edge: n for n, edge in enumerate(combinations(range(m), 2))}
+    found: list[tuple[int, ...]] = []
 
     def cycles(path: list[int], left: tuple[int, ...], edges: list) -> None:
         if len(path) >= 3 and path[1] < path[-1]:
             closed = zip(path, path[1:] + path[:1])
-            rest(left, edges + [(min(a, b), max(a, b)) for a, b in closed])
+            rest(left, edges + [index[min(a, b), max(a, b)] for a, b in closed])
         for n, x in enumerate(left):
             cycles(path + [x], left[:n] + left[n + 1:], edges)
 
@@ -192,29 +193,34 @@ def _two_factors(m: int) -> list[tuple[tuple[int, int], ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """For each tail row k..v-1: its candidates (its 2-factors as bits
-    over its pair columns), has[c] (the bitset of candidates with a 1 in
-    column c) and the bitmask of the columns any candidate uses."""
+def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """The 2-factors on the generic labels 0..k-4 (see _two_factors), and
+    for each tail row k..v-1: the bit of the column each generic edge maps
+    to under the row's labels, has[c] (the bitset of factors with an edge
+    in column c) and the bitmask of the columns any factor uses. A row's
+    candidate j sums its bits over factor j; k = 4 and 5 have no factor."""
     pairs = [(s, t) for s in range(k) for t in range(s + 1, k)]
     column = {pair: 1 + n for n, pair in enumerate(pairs)}
-    factors = _two_factors(k - 3)
-    # one edge of the generic labels 0..k-4 -> the factors that hold it
-    holding: dict[tuple[int, int], int] = {}
-    for j, edges in enumerate(factors):
-        for e in edges:
-            holding[e] = holding.get(e, 0) | (1 << j)
+    edges = list(combinations(range(k - 3), 2))
+    factors = tuple(_two_factors(k - 3))
+    # each generic edge's bitset of the factors that hold it, set in
+    # bytes: ORing in 1 << j would copy a growing int once per bit
+    holding = [bytearray(len(factors) + 7 >> 3) for _ in edges]
+    for j, factor in enumerate(factors):
+        for e in factor:
+            holding[e][j >> 3] |= 1 << (j & 7)
+    held = [int.from_bytes(h, "little") for h in holding]
     v = head_width(k)
-    tables = []
+    rows = []
     for s, t in pairs[k - 1:]:
         labels = [u for u in range(1, k) if u not in (s, t)]
+        cols = [column[labels[a], labels[b]] for a, b in edges]
         has = [0] * v
-        for (a, b), held in holding.items():
-            has[column[labels[a], labels[b]]] = held
-        # candidate j's columns are bit j of each has[c]; k = 4 and 5 have none
-        cands = BinaryMatrix(v, len(factors), tuple(has)).transpose().bits if factors else ()
-        tables.append((cands, tuple(has), sum(1 << c for c, held in enumerate(has) if held)))
-    return tuple(tables)
+        for c, h in zip(cols, held):
+            has[c] = h
+        rows.append((tuple(1 << c for c in cols), tuple(has),
+                     sum(1 << c for c, h in zip(cols, held) if h)))
+    return factors, tuple(rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -247,7 +253,7 @@ class _Searcher:
         self.k = k
         self.v = head_width(k)
         self.rows = list(_base_rows(k))
-        self.tables = _completion_tables(k)
+        self.factors, self.tables = _completion_tables(k)
         self.memo = _meeting_masks(k)
         self.nodes = 0
         self.complete_dot = 0
@@ -259,7 +265,7 @@ class _Searcher:
     def root(self) -> tuple[dict[int, int], int]:
         """The masks of the root, where every tail row keeps all of its
         candidates, and the bits of the unplaced rows."""
-        everything = (1 << len(self.tables[0][0])) - 1
+        everything = (1 << len(self.factors)) - 1
         tail = range(self.k, self.v)
         return dict.fromkeys(tail, everything), sum(1 << i for i in tail)
 
@@ -278,7 +284,7 @@ class _Searcher:
         free ^= 1 << i
         rows = self.rows
         row = rows[i]
-        cands = self.tables[i - self.k][0]
+        factors, column_bit = self.factors, self.tables[i - self.k][0].__getitem__
         limit = self.node_limit
         while alive:
             low = alive & -alive
@@ -287,7 +293,7 @@ class _Searcher:
             if limit is not None and self.nodes >= limit:
                 self.stopped = True
                 return
-            rows[i] = row | cands[low.bit_length() - 1]
+            rows[i] = row | sum(map(column_bit, factors[low.bit_length() - 1]))
             self._descend(i, masks, free)
             rows[i] = row
             if self.stopped:
@@ -383,18 +389,6 @@ def _run_branch(job: tuple) -> tuple:
     return searcher.nodes, searcher.complete_dot, searcher.solutions, searcher.stopped
 
 
-def _solution_defect(m: BinaryMatrix) -> Optional[str]:
-    """Why m is not a symmetric canonical biplane matrix with full trace,
-    or None if it is one."""
-    try:
-        cert = verify_biplane(m)
-    except VerificationError as exc:
-        return f"fails verification: {exc}"
-    if not (cert.symmetric and cert.full_trace and cert.canonical):
-        return "lacks symmetry, full trace, or canonical form"
-    return None
-
-
 def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]:
     """Read the log of the search at k whose first-row branches are
     branches: its records, and the length in bytes of its complete lines.
@@ -460,9 +454,9 @@ def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]
                 and all(count(r) and r < 1 << v for r in rows) for rows in solutions)):
             raise CheckpointError(f"{where} solutions are not {v}-row bit lists")
         for rows in solutions:
-            defect = _solution_defect(BinaryMatrix(v, v, tuple(rows)))
+            defect = symmetric_canonical_defect(BinaryMatrix(v, v, tuple(rows)))
             if defect:
-                raise CheckpointError(f"{where} holds a solution that {defect}")
+                raise CheckpointError(f"{where} holds a rejected solution: {defect}")
     return records, kept
 
 
@@ -486,22 +480,25 @@ def search_symmetric_canonical(
     the same file skips the subtrees it lists. A search that finishes no
     subtree writes no file, and a subtree that trips a limit is never
     written. So Ctrl-C, a failed write (which is not retried) or a hard
-    kill loses only the subtrees that had not finished. A file that is
-    malformed, of schema 6 or older, or of another search raises
-    CheckpointError.
+    kill loses only the subtrees that had not finished. A zero-byte file
+    is no log. A file that is malformed, of schema 6 or older, or of
+    another search raises CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
     """
     start = time.perf_counter()
 
-    row = _base_rows(cfg.k)[cfg.k]
-    branches = [row | cand for cand in _completion_tables(cfg.k)[0][0]]
+    factors, tables = _completion_tables(cfg.k)
+    row, column_bit = _base_rows(cfg.k)[cfg.k], tables[0][0].__getitem__
+    branches = [row | sum(map(column_bit, edges)) for edges in factors]
+    v = head_width(cfg.k)
     nodes, complete_dot, found, done = len(branches), 0, [], set()
     # the bytes of the log to keep: 0 for a new log, which gets a header
     kept = 0
     stopped = False
-    if checkpoint is not None and os.path.exists(checkpoint):
+    # a zero-byte file, left by a kill between the log's open and first write, is no log
+    if checkpoint is not None and os.path.exists(checkpoint) and os.path.getsize(checkpoint):
         # the branch list is the search's, whatever the node limit; the
         # limit applies to the nodes the checkpoint has counted
         records, kept = _load_checkpoint(checkpoint, cfg.k, branches)
@@ -549,6 +546,10 @@ def search_symmetric_canonical(
 
     try:
         for index, (branch_nodes, branch_dot, solutions, branch_stopped) in results():
+            for bits in solutions:
+                defect = symmetric_canonical_defect(BinaryMatrix(v, v, bits))
+                if defect:
+                    raise SearchBugError(f"the search found a matrix it must reject: {defect}")
             nodes += branch_nodes
             complete_dot += branch_dot
             found.extend(solutions)
@@ -590,19 +591,10 @@ def search_symmetric_canonical(
     if cfg.max_solutions is not None:
         ordered = ordered[: cfg.max_solutions]
 
-    v = head_width(cfg.k)
-    verified = []
-    for bits in ordered:
-        m = BinaryMatrix(v, v, bits)
-        defect = _solution_defect(m)
-        if defect:
-            raise SearchBugError(f"emitted matrix {defect}")
-        verified.append(m)
-
     return SearchOutcome(
         k=cfg.k,
         v=v,
-        solutions=tuple(verified),
+        solutions=tuple(BinaryMatrix(v, v, bits) for bits in ordered),
         exhausted=exhausted,
         nodes_visited=nodes,
         prunes_by_rule={"complete_dot": complete_dot},
@@ -632,11 +624,7 @@ def enumerate_reference(k: int) -> list[BinaryMatrix]:
         if any(r.bit_count() != k for r in rows):
             continue
         m = BinaryMatrix(v, v, tuple(rows))
-        try:
-            cert = verify_biplane(m)
-        except VerificationError:
-            continue
-        if cert.symmetric and cert.full_trace and cert.canonical:
+        if symmetric_canonical_defect(m) is None:
             found.append(m)
     found.sort(key=lambda m: m.bits)
     return found

@@ -21,6 +21,7 @@ from biplane_schemes.biplane import (
     canonical_head,
     has_canonical_form,
     head_width,
+    symmetric_canonical_defect,
     verify_biplane,
 )
 from biplane_schemes.fixtures import b9e
@@ -263,6 +264,23 @@ def test_has_canonical_form():
         has_canonical_form(identity(5))
     with pytest.raises(ShapeError):
         has_canonical_form(identity(2))  # width gives k = 2, below 3
+
+
+def test_symmetric_canonical_defect_names_the_first_failed_property():
+    b4c = assemble_b4c()
+    swap = list(range(14)) + [15, 14]
+    cases = [
+        (b4c, None),
+        (b9e(), None),
+        (identity(16), "not a biplane: 16 points but 1 + C(1,2) = 1"),
+        (b4c.permute(swap, range(16)), "matrix is not symmetric"),
+        # J - I: the trivial biplane with an empty diagonal
+        (BinaryMatrix(4, 4, tuple(15 ^ 1 << i for i in range(4))),
+         "trace 0 is below the point count 4"),
+        (b4c.permute(swap, swap), "matrix is not in canonical form"),
+    ]
+    for m, defect in cases:
+        assert symmetric_canonical_defect(m) == defect
 
 
 def test_b4c_head_rows():

@@ -1,6 +1,8 @@
 """Backtracking search: soundness, completeness, determinism, plumbing."""
 
 import concurrent.futures
+import functools
+import hashlib
 import io
 import itertools
 import json
@@ -9,6 +11,7 @@ import time
 
 import pytest
 
+import biplane_schemes.biplane as biplane_mod
 import biplane_schemes.search as search_mod
 from biplane_schemes.binmat import BinaryMatrix
 from biplane_schemes import fixtures
@@ -136,12 +139,23 @@ def test_two_factor_counts():
     counts = [1, 0, 0, 1, 3, 12, 70, 465, 3507]
     assert [len(search_mod._two_factors(m)) for m in range(9)] == counts
     for m in range(9):
+        pairs = list(itertools.combinations(range(m), 2))
         for edges in search_mod._two_factors(m):
+            assert list(edges) == sorted(set(edges))
             degree = [0] * m
-            for a, b in edges:
+            for a, b in map(pairs.__getitem__, edges):
                 degree[a] += 1
                 degree[b] += 1
             assert degree == [2] * m
+
+
+@functools.lru_cache(maxsize=None)
+def candidates(k, i):
+    """Tail row i's candidates, built from the shared 2-factors and the
+    row's column bits, in factor order."""
+    factors, tables = search_mod._completion_tables(k)
+    bits = tables[i - k][0]
+    return tuple(sum(bits[e] for e in edges) for edges in factors)
 
 
 def test_candidates_are_the_brute_force_completions():
@@ -151,7 +165,8 @@ def test_candidates_are_the_brute_force_completions():
         v = head_width(k)
         head = canonical_head(k).bits
         base = search_mod._base_rows(k)
-        for i, (cands, has, columns) in enumerate(search_mod._completion_tables(k), start=k):
+        for i, (_, has, columns) in enumerate(search_mod._completion_tables(k)[1], start=k):
+            cands = candidates(k, i)
             free = [c for c in range(k, v) if c != i]
             found = set()
             for cells in itertools.combinations(free, k - 3):
@@ -165,6 +180,29 @@ def test_candidates_are_the_brute_force_completions():
             assert columns == sum(1 << c for c in range(v) if has[c])
 
 
+# sha256 of json.dumps(branches) for the branch list of a log's header,
+# as the search wrote it when each row kept its own candidate tuples: a
+# log written then still resumes
+BRANCH_LIST_SHA256 = {
+    6: "7a086fe3c5fb822f4969b442c44d61fc50da9689bf16cf63524a805812cfcc9b",
+    7: "fb133a5db911d16afe314b3e135b1423bec2f0383ee7d049c5ee9171ce8eb984",
+    8: "bde127c9f460ae709b9de9e580df988e6a4b5751328c0995c6d901558680689c",
+    9: "526e7e50354822009840861db26534ed71d83a2eff6b6a0e30d6960043d66611",
+    10: "2ca505317d4d737ab2d700797663dbfa20698a286c5ac28df3fa4e3d4ae48854",
+    11: "ef3a3b152859bee0db8733bd771c45c88247e16de3f0dc9c848a72dd15420f0d",
+}
+
+
+def test_branch_lists_are_pinned(tmp_path):
+    for k, digest in BRANCH_LIST_SHA256.items():
+        # k=11 logs its first subtrees, and its limit trips in a later one
+        path = tmp_path / f"progress{k}.json"
+        run(k, node_limit=5_000 if k == 11 else None, checkpoint=str(path))
+        branches = read_log(path)[0]["branches"]
+        assert branches == [search_mod._base_rows(k)[k] | c for c in candidates(k, k)]
+        assert hashlib.sha256(json.dumps(branches).encode()).hexdigest() == digest, k
+
+
 def seeded_searcher(b9e, depth):
     """A k=11 searcher whose first depth tail rows keep only b9e's
     candidate, explored from the root."""
@@ -172,8 +210,8 @@ def seeded_searcher(b9e, depth):
     searcher = search_mod._Searcher(k)
     masks, free = searcher.root()
     for i in range(k, k + depth):
-        cands, _, columns = searcher.tables[i - k]
-        masks[i] = 1 << cands.index(b9e.bits[i] & columns)
+        columns = searcher.tables[i - k][2]
+        masks[i] = 1 << candidates(k, i).index(b9e.bits[i] & columns)
     searcher.explore(k, masks, free)  # row k keeps one candidate, the fewest
     return searcher
 
@@ -222,9 +260,9 @@ class DefinitionCheckedSearcher(search_mod._Searcher):
         placed = [self.rows[p] for p in range(self.k, self.v) if not free >> p & 1]
 
         def definition(j):
-            cands, _, columns = self.tables[j - self.k]
+            columns = self.tables[j - self.k][2]
             row, fixed = self.rows[j], columns & ~free
-            return sum(1 << n for n, cand in enumerate(cands) if (
+            return sum(1 << n for n, cand in enumerate(candidates(self.k, j)) if (
                 cand & fixed == row & fixed
                 and all(((row | cand) & p).bit_count() == 2 for p in placed)))
 
@@ -511,7 +549,7 @@ def slow_after_the_first_branch(job):
     Defined at module level, so that pool workers can unpickle it.
     """
     k, branch_bits = job[:2]
-    if branch_bits != search_mod._base_rows(k)[k] | search_mod._completion_tables(k)[0][0][0]:
+    if branch_bits != search_mod._base_rows(k)[k] | candidates(k, k)[0]:
         time.sleep(0.2)
     return _RUN_BRANCH(job)
 
@@ -709,11 +747,32 @@ def test_a_log_without_a_complete_header_line_is_refused(tmp_path):
     path = tmp_path / "progress.json"
     run(8, checkpoint=str(path))
     header = path.read_bytes().splitlines()[0]
-    for text in (header, header[:10], b""):
+    for text in (header, header[:10]):
         path.write_bytes(text)
         with pytest.raises(CheckpointError, match="no complete header line") as info:
             run(8, checkpoint=str(path))
         assert str(path) in str(info.value)
+
+
+def test_a_zero_byte_log_is_no_log(tmp_path):
+    # a kill between the log's open and its first write leaves an empty
+    # file: it holds no finished subtree, so the search starts afresh
+    for k in (6, 8):
+        fresh = tmp_path / f"fresh{k}.json"
+        run(k, checkpoint=str(fresh))
+        path = tmp_path / f"empty{k}.json"
+        path.write_bytes(b"")
+        out = run(k, checkpoint=str(path))
+        nodes, counts = FINGERPRINTS[k]
+        assert out.exhausted
+        assert (out.nodes_visited, out.prunes_by_rule) == (nodes, prunes(*counts))
+        assert path.read_bytes() == fresh.read_bytes(), k
+
+    # a node limit stops among the branches as with no file, which stays empty
+    path.write_bytes(b"")
+    out = run(8, node_limit=5, checkpoint=str(path))
+    assert (out.exhausted, out.nodes_visited) == (False, 5)
+    assert path.read_bytes() == b""
 
 
 def test_a_schema_6_checkpoint_is_refused(tmp_path):
@@ -763,6 +822,28 @@ def test_checkpoint_completed_run_short_circuits(tmp_path):
     assert again.exhausted
     assert [m.bits for m in again.solutions] == [m.bits for m in first.solutions]
     assert again.nodes_visited == first.nodes_visited
+
+
+def test_a_rerun_checks_each_solution_once(tmp_path, monkeypatch):
+    # a fresh solution is checked when its subtree is merged, a logged one
+    # when the log is read, and neither again before it is emitted
+    checked = []
+
+    def counted(m):
+        checked.append(m.bits)
+        return biplane_mod.symmetric_canonical_defect(m)
+
+    monkeypatch.setattr(search_mod, "symmetric_canonical_defect", counted)
+    path = str(tmp_path / "progress.json")
+    first = run(6, checkpoint=path)
+    assert checked == [assemble_b4c().bits]
+    checked.clear()
+    again = run(6, checkpoint=path)
+    assert checked == [assemble_b4c().bits]
+    first_report, again_report = first.report(), again.report()
+    first_report.pop("elapsed_seconds")
+    again_report.pop("elapsed_seconds")
+    assert again_report == first_report
 
 
 def test_checkpoint_mismatch_rejected(tmp_path):
@@ -815,7 +896,7 @@ BAD_CHECKPOINTS = {
     "solutions not a list": (put_field(3, 0), "solutions are not 16-row"),
     "solution too short": (put_field(3, [[1, 2]]), "solutions are not 16-row"),
     "solution too wide": (put_field(3, [[1 << 16] * 16]), "solutions are not 16-row"),
-    "solution not a biplane": (put_field(3, [[0] * 16]), "fails verification"),
+    "solution not a biplane": (put_field(3, [[0] * 16]), "rejected solution: not a biplane"),
 }
 
 
@@ -833,7 +914,7 @@ def test_malformed_checkpoint_rejected(tmp_path, case):
 
 
 @pytest.mark.parametrize("text", [
-    "{not json", "", "[]", '{"schema_version":1,"k":6}', "[" * 100_000,
+    "{not json", "[]", '{"schema_version":1,"k":6}', "[" * 100_000,
     pytest.param("\n", id="empty header line"),
     pytest.param("{not json\n", id="header line not json"),
     pytest.param("[]\n", id="header line a list"),
@@ -862,6 +943,6 @@ def test_emitted_solutions_are_independently_verified(monkeypatch):
     def broken_verify(m):
         raise VerificationError("square", (0, 0), "forced failure")
 
-    monkeypatch.setattr(search_mod, "verify_biplane", broken_verify)
-    with pytest.raises(SearchBugError):
+    monkeypatch.setattr(biplane_mod, "verify_biplane", broken_verify)
+    with pytest.raises(SearchBugError, match="must reject: not a biplane: forced failure"):
         search_mod.search_symmetric_canonical(SearchConfig(k=3))
