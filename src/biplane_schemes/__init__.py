@@ -4,8 +4,8 @@ The package is organized like the underlying mathematics:
 
   binmat     bit-packed (0,1)-matrices, named constructors, block
              assembly, permutation equivalence, text format
-  incidence  regularity, uniformity, pairwise balance, and the
-             counting identities of incidence structures
+  incidence  point-block incidence structures, their regularity and
+             uniformity, and the double count v*r = b*k
   biplane    biplane verification, the forced canonical head, and the
              assembled order-4 biplane with full trace
   pbibd      concurrence-based classification into associate classes
@@ -36,11 +36,7 @@ _EXPORTS = {
         "disjoint_cycles", "doubled", "format_matrix", "identity",
         "is_perm_equivalent", "parse_matrix", "path_loop",
     ),
-    "incidence": (
-        "DesignParameters", "IncidenceStructure", "InconsistencyError",
-        "StructureError", "balance", "derive_parameters", "regularity",
-        "uniformity",
-    ),
+    "incidence": ("IncidenceStructure", "InconsistencyError", "StructureError"),
     "biplane": (
         "BiplaneCertificate", "ParameterError", "VerificationError",
         "assemble_b4c", "canonical_head", "has_canonical_form", "head_width",

@@ -89,15 +89,16 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
     """Certify m as a biplane incidence matrix or raise VerificationError.
 
     Checks, in order: squareness, constant row sums k, constant column
-    sums k, v = 1 + k(k-1)/2, and all distinct row pairs meeting in
-    exactly 2 columns. The certificate also records whether m is
-    canonical, full-trace, and symmetric.
+    sums k, v = 1 + k(k-1)/2 and v >= 2 (one point has no pair to
+    witness lambda = 2), and all distinct row pairs meeting in exactly
+    2 columns. The certificate also records whether m is canonical,
+    full-trace, and symmetric.
 
     Column pairs then meet in exactly 2 rows as well, so they are not
     checked. The row checks give M M^T = (k-2)I + 2J. For k >= 3 that
     matrix is nonsingular, so M is too, and with JM = MJ = kJ,
     M^T M = M^-1 (M M^T) M = (k-2)I + 2 M^-1 J M = (k-2)I + 2J. For
-    k <= 2, v <= 2 and the only such matrix is J_2.
+    k <= 2 the only such matrix is J_2, a biplane of order 0 on 2 points.
     """
     if m.rows != m.cols:
         raise VerificationError(
@@ -121,6 +122,10 @@ def verify_biplane(m: BinaryMatrix) -> BiplaneCertificate:
     if v != head_width(k):
         raise VerificationError(
             "point-count", (v, k), f"{v} points but 1 + C({k},2) = {head_width(k)}"
+        )
+    if v == 1:
+        raise VerificationError(
+            "point-count", (v, k), "1 point: no pair of points witnesses lambda = 2"
         )
     # a bad pair in row 0 is the first in row-major order, and scanning
     # row 0 rejects most non-biplanes before the whole table is built

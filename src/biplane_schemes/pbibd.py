@@ -6,7 +6,13 @@ exactly lambda_i common blocks and every point has exactly n_i i-th
 associates. classify() groups pairs by their concurrence value, labels
 classes by ascending lambda (the diagonal keeps the reserved label 0),
 and verifies the per-point constancy of each n_i; that constancy is the
-actual PBIBD condition, not an assumption.
+PBIBD condition checked here, not an assumption.
+
+This PBIBD is weaker than Bose and Shimamoto's (1952), whose classes
+must also form an association scheme (scheme.from_classification checks
+that apart): the 16-point cores at k = 11, and D_m at least for m = 4,
+5 and 6, are PBIBDs only in the weaker sense. With d = 1 the design is
+a 2-design, pair balanced with lambda = lambdas[0].
 
 classify() finds the concurrences in one of two ways, with the same
 result either way: the same lambdas, counts and relation, or the same
@@ -237,9 +243,10 @@ def verify_pbibd(s: IncidenceStructure) -> dict:
 
     Requires regularity and uniformity (StructureError otherwise).
     Checks v*r = b*k and sum_i n_i lambda_i = r(k-1) exactly, raising
-    InconsistencyError on failure. Callers that expect particular
-    classes (extract_design, family_generate) compare the report's lambda
-    and n themselves.
+    InconsistencyError on failure; for d = 1 the second is the 2-design
+    identity r(k-1) = lambda(v-1). extract_design and family_generate,
+    which expect particular classes, compare this report with them
+    through extract._expect.
     """
     return _pbibd_report(s, None)
 

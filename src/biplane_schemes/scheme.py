@@ -222,7 +222,9 @@ def format_relation(r) -> str:
 
 
 def parse_relation(text: str) -> np.ndarray:
-    """Inverse of format_relation; '.' is accepted as 0."""
+    """Inverse of format_relation; '.' is accepted as 0. Other entries
+    are ASCII digits, as format_relation writes them: int() would also
+    take a sign, an underscore or another script's digits."""
     rows, cols, body = _grid_tokens(text, "table")
     # the labels 1..d all occur, so d is at most the number of entries
     largest = rows * cols
@@ -231,15 +233,12 @@ def parse_relation(text: str) -> np.ndarray:
         if tok == ".":
             values.append(0)
             continue
-        try:
-            value = int(tok)
-        except ValueError as exc:
-            raise ValueError(f"bad entry token {tok!r}") from exc
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"bad entry token {tok!r}")
+        value = int(tok)
         if value > largest:
             raise ValueError(
                 f"entry token {tok!r} cannot be a class label of a {rows}x{cols} table"
             )
         values.append(value)
-    if any(x < 0 for x in values):
-        raise ValueError("negative entries are not class labels")
     return np.array(values, dtype=np.int64).reshape(rows, cols)

@@ -30,7 +30,6 @@ from biplane_schemes.binmat import (
     format_matrix,
     parse_matrix,
 )
-from biplane_schemes.incidence import IncidenceStructure, balance
 
 BOUNDARY = (7, 8, 9, 63, 64, 65)
 SIZES = st.one_of(st.sampled_from(BOUNDARY), st.integers(1, 70))
@@ -201,14 +200,6 @@ def test_nonzero_matches_to_lists(m):
 def test_nonzero_matches_to_lists_on_sparse_words(m):
     rows, cols = m.nonzero()
     assert list(zip(rows.tolist(), cols.tolist())) == ones_in_row_major_order(m)
-
-
-@kernel_settings
-@given(matrices())
-@boundary_examples
-def test_balance_matches_row_dot_pairs(m):
-    pairs = {m.row_dot(p, q) for p in range(m.rows) for q in range(p + 1, m.rows)}
-    assert balance(IncidenceStructure(m)) == (pairs.pop() if len(pairs) == 1 else None)
 
 
 @kernel_settings

@@ -113,6 +113,9 @@ def test_verify_trivial_biplane():
     cert = verify_biplane(m)
     assert (cert.k, cert.order) == (3, 1)
     assert not cert.canonical and not cert.full_trace
+    # J_2 is the only biplane with k <= 2
+    cert = verify_biplane(constant(2, 2, 1))
+    assert (cert.k, cert.v, cert.order) == (2, 2, 0)
 
 
 def test_verify_rejections():
@@ -123,6 +126,12 @@ def test_verify_rejections():
     with pytest.raises(VerificationError) as err:
         verify_biplane(identity(4))
     assert err.value.axiom == "point-count"
+
+    # no pair of points witnesses lambda = 2, so [1] has no order -1
+    with pytest.raises(VerificationError) as err:
+        verify_biplane(constant(1, 1, 1))
+    assert (err.value.axiom, err.value.witness) == ("point-count", (1, 1))
+    assert str(err.value) == "1 point: no pair of points witnesses lambda = 2"
 
     with pytest.raises(VerificationError) as err:
         verify_biplane(BinaryMatrix.from_rows([[1, 1], [1, 0]]))

@@ -77,6 +77,18 @@ def test_verify_false(tmp_path, capsys):
     assert "biplane" in payload["reasons"] and "pbibd" in payload["reasons"]
 
 
+def test_verify_one_point_is_no_biplane(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text("1 1\n1\n")
+    code, payload, _ = run_json(capsys, "verify", str(path))
+    assert code == 1
+    assert payload["verified"] is False
+    assert payload["reasons"] == {
+        "biplane": "1 point: no pair of points witnesses lambda = 2",
+        "pbibd": "degenerate: no pair of points ever concurs",
+    }
+
+
 def test_verify_not_even_uniform(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1 1\n1 0\n")
@@ -567,6 +579,17 @@ def test_scheme_huge_label_exits_2(tmp_path, capsys, label):
     assert out == ""
     assert err == (f"error: {path}: entry token '{label}' cannot be a class label"
                    " of a 3x3 table\n")
+
+
+@pytest.mark.parametrize("label", ["+1", "0_1", "\u0661"])
+def test_scheme_label_not_in_ascii_digits_exits_2(tmp_path, capsys, label):
+    # int() reads each of these as 1, which would make a valid scheme
+    path = tmp_path / "labels.txt"
+    path.write_text(f"2 2\n0 {label}\n{label} 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "scheme", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: bad entry token {label!r}\n"
 
 
 def test_fixtures_listing(tmp_path, capsys):

@@ -211,6 +211,24 @@ def test_extract_design_traps_core_line_sums(monkeypatch):
         extract_design(assemble_b4c())
 
 
+def test_extract_and_family_trap_unexpected_parameters(monkeypatch):
+    # both compare the verify_pbibd report with the parameters their
+    # theorems give and name the first key that differs
+    real = extract._pbibd_report
+
+    def off(structure, classification):
+        return {**real(structure, classification), "lambda": [0, 1, 3], "n": [9, 2, 2]}
+
+    monkeypatch.setattr(extract, "_pbibd_report", off)
+    with pytest.raises(CounterexampleError) as err:
+        extract_design(assemble_b4c())
+    assert str(err.value) == "core at k=6: lambda = [0, 1, 3], want [0, 1, 2]"
+    monkeypatch.setattr(extract, "verify_pbibd", lambda s: {**real(s, None), "r": 4})
+    with pytest.raises(CounterexampleError) as err:
+        family_generate(5)
+    assert str(err.value) == "family member m=5: r = 4, want 3"
+
+
 def test_family_generate():
     for m in range(3, 9):
         structure, rep = family_generate(m)

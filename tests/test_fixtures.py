@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,17 +97,17 @@ def test_write_fixtures_round_trip(tmp_path):
     expected |= {f"core16_{i}.txt" for i in range(1, 5)}
     assert set(entries) == expected
 
-    assert parse_matrix(open(entries["b4c.txt"]).read()) == assemble_b4c()
-    assert parse_matrix(open(entries["b9e.txt"]).read()) == b9e()
+    assert parse_matrix(Path(entries["b4c.txt"]).read_text()) == assemble_b4c()
+    assert parse_matrix(Path(entries["b9e.txt"]).read_text()) == b9e()
     assert np.array_equal(
-        parse_relation(open(entries["relation6.txt"]).read()), RELATION_6)
+        parse_relation(Path(entries["relation6.txt"]).read_text()), RELATION_6)
     for i in range(1, 5):
-        back = parse_matrix(open(entries[f"core16_{i}.txt"]).read())
+        back = parse_matrix(Path(entries[f"core16_{i}.txt"]).read_text())
         assert back == CORES_16[i - 1]
     for i in range(4):
-        assert parse_matrix(open(entries[f"assoc16_a{i}.txt"]).read()) == ASSOC_16[i]
+        assert parse_matrix(Path(entries[f"assoc16_a{i}.txt"]).read_text()) == ASSOC_16[i]
 
-    meta = json.loads(open(entries["metadata.json"]).read())
+    meta = json.loads(Path(entries["metadata.json"]).read_text())
     assert meta["schema_version"] == 1
     assert meta["aut_orders"] == AUT_ORDERS
 
@@ -138,6 +139,6 @@ FIXTURE_SHA256 = {
 
 def test_fixture_bytes_are_pinned(tmp_path):
     entries = write_fixtures(str(tmp_path))
-    written = {name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+    written = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
                for name, path in entries.items()}
     assert written == FIXTURE_SHA256

@@ -10,21 +10,20 @@ import biplane_schemes
 PUBLIC = {
     "ASSOC_16", "ASSOC_6", "AUT_ORDERS", "AssociationScheme", "AxiomError",
     "BinaryMatrix", "BiplaneCertificate", "CORES_12", "CORES_16", "CheckpointError",
-    "CounterexampleError", "DesignParameters", "DimensionError", "ExtractionReport",
-    "HypothesisError", "IncidenceStructure", "InconsistencyError",
-    "InternalInconsistencyError", "Lemma2Report", "NotASchemeError", "NotPbibdError",
-    "ParameterError", "PairClassification", "PermutationError", "PreconditionError",
-    "RELATION_6", "SearchBugError", "SearchConfig", "SearchOutcome", "ShapeError",
-    "StructureError", "VerificationError", "WitnessError", "anti_diagonal", "assemble",
-    "assemble_b4c", "associate_matrices", "b9e", "balance", "border",
-    "bose_mesner_check", "canonical_head", "check_core_sums", "check_lemma1",
-    "check_lemma2", "classify", "concurrence", "constant", "derive_parameters",
-    "disjoint_cycles", "doubled", "enumerate_reference", "extract_design",
+    "CounterexampleError", "DimensionError", "ExtractionReport", "HypothesisError",
+    "IncidenceStructure", "InconsistencyError", "InternalInconsistencyError",
+    "Lemma2Report", "NotASchemeError", "NotPbibdError", "ParameterError",
+    "PairClassification", "PermutationError", "PreconditionError", "RELATION_6",
+    "SearchBugError", "SearchConfig", "SearchOutcome", "ShapeError", "StructureError",
+    "VerificationError", "WitnessError", "anti_diagonal", "assemble", "assemble_b4c",
+    "associate_matrices", "b9e", "border", "bose_mesner_check", "canonical_head",
+    "check_core_sums", "check_lemma1", "check_lemma2", "classify", "concurrence",
+    "constant", "disjoint_cycles", "doubled", "enumerate_reference", "extract_design",
     "extraction_indices", "family_generate", "format_matrix", "format_relation",
     "from_classification", "from_relation_matrix", "has_canonical_form", "head_width",
     "identity", "is_perm_equivalent", "parse_matrix", "parse_relation", "path_loop",
-    "regularity", "relation_matrix", "search_symmetric_canonical", "uniformity",
-    "verify_biplane", "verify_pbibd", "write_fixtures", "__version__",
+    "relation_matrix", "search_symmetric_canonical", "verify_biplane", "verify_pbibd",
+    "write_fixtures", "__version__",
 }
 
 

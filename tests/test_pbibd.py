@@ -20,9 +20,9 @@ from biplane_schemes.binmat import (
     identity,
     path_loop,
 )
-from biplane_schemes.biplane import assemble_b4c
+from biplane_schemes.biplane import assemble_b4c, verify_biplane
 from biplane_schemes.fixtures import CORES_12, CORES_16
-from biplane_schemes.incidence import IncidenceStructure, StructureError, derive_parameters
+from biplane_schemes.incidence import IncidenceStructure, StructureError
 from biplane_schemes.pbibd import (
     InconsistencyError,
     NotPbibdError,
@@ -213,36 +213,43 @@ def test_verify_pbibd_expectation():
 
 
 # (rows, kind, index, message) of the first irregular point or
-# non-uniform block; the second and fourth inputs fail past line 1
+# non-uniform block; the second, fifth and sixth inputs fail past line 1
 IRREGULAR = (
     ([[1, 1], [1, 0]], "point", 1, "point 1 degree 1 != 2"),
     ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 1]],
      "point", 3, "point 3 degree 1 != 2"),
+    ([[1, 1], [0, 1], [1, 0], [0, 0]], "point", 1, "point 1 degree 1 != 2"),
     ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
      "block", 1, "block 1 size 3 != 2"),
     ([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]], "block", 3, "block 3 size 0 != 2"),
+    ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]],
+     "block", 2, "block 2 size 1 != 3"),
 )
 
 
 def test_verify_pbibd_requires_regular_uniform():
-    # verify_pbibd and derive_parameters share one check, so both name
-    # the same line with the same message
+    # the check names the first bad line and its sum
     for rows, kind, index, message in IRREGULAR:
-        s = struct(BinaryMatrix.from_rows(rows))
-        for check in (verify_pbibd, derive_parameters):
-            with pytest.raises(StructureError) as err:
-                check(s)
-            assert (err.value.kind, err.value.index, str(err.value)) == (kind, index, message)
+        with pytest.raises(StructureError) as err:
+            verify_pbibd(struct(BinaryMatrix.from_rows(rows)))
+        assert (err.value.kind, err.value.index, str(err.value)) == (kind, index, message)
 
 
 def test_double_count_trap_is_shared(monkeypatch):
     # v*r = b*k is a theorem for a regular uniform structure; fake block
-    # sizes that break it and both entry points hit the same trap
+    # sizes that break it, and the check that verify_pbibd, extract and
+    # family share hits its trap
     monkeypatch.setattr(BinaryMatrix, "col_sums", lambda m: [m.rows + 1] * m.cols)
-    s = struct(doubled(4))
-    for check in (verify_pbibd, derive_parameters):
-        with pytest.raises(InconsistencyError, match=r"v\*r = 24 but b\*k = 72"):
-            check(s)
+    with pytest.raises(InconsistencyError, match=r"v\*r = 24 but b\*k = 72"):
+        verify_pbibd(struct(doubled(4)))
+
+
+def test_a_biplane_is_one_class():
+    # lambda = 2 is b4c's only concurrence, and its order is r - lambda
+    m = assemble_b4c()
+    c = classify(struct(m))
+    assert (c.lambdas, c.n) == ((2,), (15,))
+    assert verify_biplane(m).order == 4 == verify_pbibd(struct(m))["r"] - c.lambdas[0]
 
 
 def test_sum_identity_values():

@@ -1,6 +1,7 @@
 """Association scheme axioms, intersection numbers, Bose-Mesner closure."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -324,8 +325,11 @@ def test_relation_text_round_trip():
     assert parse_relation("2 2\n. 1\n1 .\n").tolist() == [[0, 1], [1, 0]]
     with pytest.raises(ValueError):
         parse_relation("2 2\n0 1\n1")
-    with pytest.raises(ValueError):
-        parse_relation("2 2\n0 -1\n-1 0")
+    # only '.' and ASCII digits, the tokens format_relation writes; int()
+    # alone would take a sign, an underscore or Arabic-Indic three
+    for bad in ("-1", "+1", "1_0", "\u0663"):
+        with pytest.raises(ValueError, match=re.escape(f"bad entry token {bad!r}")):
+            parse_relation(f"2 2\n0 {bad}\n{bad} 0")
     # labels 1..d all occur, so no label exceeds the entry count
     assert parse_relation("2 2\n0 4\n4 0").tolist() == [[0, 4], [4, 0]]
     for huge in ("5", "10" * 10):

@@ -8,6 +8,7 @@ import itertools
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -413,7 +414,7 @@ def counting_pools(monkeypatch):
 
 def read_log(path):
     """The header and the records of a checkpoint log."""
-    header, *records = map(json.loads, open(path, "rb").read().splitlines())
+    header, *records = map(json.loads, Path(path).read_bytes().splitlines())
     return header, records
 
 
