@@ -532,16 +532,27 @@ def _format_bytes(m: BinaryMatrix) -> bytes:
     return b"".join((f"{m.rows} {m.cols}\n".encode("ascii"), grid))
 
 
+def _header(rows: str | bytes, cols: str | bytes) -> Optional[tuple[int, int]]:
+    """The "rows cols" header as ints, or None unless each token is ASCII
+    digits after at most one minus sign: int() alone would also take a
+    plus sign, an underscore or another script's digits."""
+    # a bytes token's first item is the byte's value
+    digits = [t[1:] if t[0] in ("-", ord("-")) else t for t in (rows, cols)]
+    if all(d.isascii() and d.isdigit() for d in digits):
+        return int(rows), int(cols)
+    return None
+
+
 def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
     """Split the "rows cols" header off a token grid and check the entry
     count; ``what`` names the grid in the error message."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ValueError(f"malformed header {tokens[:2]!r}") from exc
+    dims = _header(tokens[0], tokens[1])
+    if dims is None:
+        raise ValueError(f"malformed header {tokens[:2]!r}")
+    rows, cols = dims
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(
@@ -565,13 +576,10 @@ def parse_matrix(text: str | bytes) -> BinaryMatrix:
     if isinstance(text, bytes) and not text.isascii():
         text = text.decode("utf-8")
     # bytes.split() does not split on \x1c-\x1f as str.split() does, but
-    # a header token holding one fails int() and takes the token path
+    # a header token holding one fails _header and takes the token path
     head = text.split(None, 2)
     if len(head) == 3 and head[2].isascii():
-        try:
-            rows, cols = int(head[0]), int(head[1])
-        except ValueError:
-            rows = cols = 0
+        rows, cols = _header(head[0], head[1]) or (0, 0)
         if rows >= 1 and cols >= 1:
             body = head[2] if isinstance(head[2], bytes) else head[2].encode("ascii")
             m = _pack_grid(body, rows, cols)

@@ -49,7 +49,7 @@ from .binmat import (
     parse_matrix,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # searches from this block size on must be requested explicitly: k = 10
 # exhausts in a quarter of a second, but k = 11 takes about 1.37M nodes
@@ -266,9 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         " --node-limit passes 10,000 nodes (default 1);"
                         " subtrees run in process stop at the limits on any count")
     p.add_argument("--checkpoint",
-                   help="progress log for resumable runs (schema 7): one line per finished"
+                   help="progress log for resumable runs (schema 8): one line per finished"
                         " subtree, so a kill loses only unfinished subtrees;"
-                        " schema 6 files are refused")
+                        " files of schema 7 and older are refused")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
                    help=f"required for k >= {LONG_RUN_K}: k = 10 exhausts in a quarter"

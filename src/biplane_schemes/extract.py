@@ -208,8 +208,6 @@ class ExtractionReport:
     k: int
     indices: tuple[int, ...]  # 0-based
     core: BinaryMatrix
-    lemma1_ok: bool
-    symmetric_ok: bool
     pbibd: dict
     classification: PairClassification = field(repr=False)
     scheme: Optional[AssociationScheme] = field(repr=False)
@@ -225,8 +223,6 @@ class ExtractionReport:
             "k": self.k,
             "indices": list(self.indices_one_based),
             "core": self.core.to_lists(),
-            "lemma1_ok": self.lemma1_ok,
-            "symmetric_ok": self.symmetric_ok,
             "pbibd": self.pbibd,
             "scheme": None if self.scheme is None else self.scheme.report(),
         }
@@ -263,8 +259,8 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     # canonical and has a full diagonal
     indices = extraction_indices(k)
     core = m.submatrix(indices, indices)
-    lemma1_ok, witness = check_core_sums(core)
-    if not lemma1_ok:
+    sums_ok, witness = check_core_sums(core)
+    if not sums_ok:
         raise CounterexampleError(f"core line sums are not all 3: {witness}")
     if not core.is_symmetric():
         raise CounterexampleError("core of a symmetric matrix is not symmetric")
@@ -284,8 +280,6 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
         k=k,
         indices=indices,
         core=core,
-        lemma1_ok=True,
-        symmetric_ok=True,
         pbibd=pbibd_report,
         classification=classification,
         scheme=core_scheme,

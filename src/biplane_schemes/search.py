@@ -39,9 +39,8 @@ of that row, so it never needs checking again: every pair of tail rows
 is checked exactly once, when the first of the two is placed, and no
 pruning rule is needed. The next row placed is the unplaced one whose
 mask keeps the fewest candidates, the lowest row on a tie. A node is
-one placed row. complete_dot counts, summed over every mask update, the
-candidates that agreed with the fixed entries but were removed by the
-meeting mask. Exhausting k=8 takes 12 nodes, k=9 190 and k=10 7,845.
+one placed row, and nodes are the search's only counter. Exhausting k=8
+takes 12 nodes, k=9 190 and k=10 7,845.
 Each solution is re-verified once through the independent biplane
 verifier: when its subtree is merged, before it is logged
 (SearchBugError), or when its log is read (CheckpointError).
@@ -61,7 +60,7 @@ candidates and the tie puts row k first. Its candidates partition the
 space into disjoint subtrees, the branches, each counted as one node;
 a node limit that trips among them stops the search before any
 subtree runs.
-One loop runs the subtrees in order and merges their counters and
+One loop runs the subtrees in order and merges their node counts and
 solutions. It appends each finished subtree to the checkpoint, a log
 of JSON lines, before the next subtree runs. The subtrees run in this
 process, under the node and solution budgets, until the search has
@@ -70,12 +69,12 @@ limit the rest, if two or more, then go to a pool of worker processes
 and run to completion. So a small search never pays to start workers,
 a resumed big one starts them at once, and the thread count changes no
 result of a search that stays in process.
-Checkpoints have schema 7: a header line {"schema_version", "k",
-"branches"}, then one line [branch index, nodes, complete_dot,
-solutions] per finished subtree, so a hard kill loses only the subtrees
-that had not finished, and a zero-byte file is no log. A file of
-schema 6 or older is one JSON object that the search rewrote whole,
-with no complete header line, so it is refused.
+Checkpoints have schema 8: a header line {"schema_version", "k",
+"branches"}, then one line [branch index, nodes, solutions] per
+finished subtree, so a hard kill loses only the subtrees that had not
+finished, and a zero-byte file is no log. Files of schema 7 and older
+are refused: schema 7 records held one more field, and up to schema 6 a
+file was one JSON object that the search rewrote whole, with no header.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ from typing import Optional
 from .binmat import BinaryMatrix, _Trap
 from .biplane import canonical_head, head_width, symmetric_canonical_defect
 
-CHECKPOINT_SCHEMA = 7
+CHECKPOINT_SCHEMA = 8
 
 # nodes a search visits in process before it hands its remaining
 # subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
@@ -140,8 +139,13 @@ class SearchOutcome:
     solutions: tuple[BinaryMatrix, ...]
     exhausted: bool
     nodes_visited: int
-    prunes_by_rule: dict
     elapsed_seconds: float
+
+    @property
+    def prunes_by_rule(self) -> dict:
+        """Always {}, as the search has no pruning rule; kept for the
+        benchmark harness, which reads it, until ROADMAP item 9."""
+        return {}
 
     def report(self) -> dict:
         return {
@@ -150,7 +154,7 @@ class SearchOutcome:
             "solution_count": len(self.solutions),
             "exhausted": self.exhausted,
             "nodes_visited": self.nodes_visited,
-            "prunes_by_rule": dict(self.prunes_by_rule),
+            "prunes_by_rule": self.prunes_by_rule,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "solutions": [m.to_lists() for m in self.solutions],
         }
@@ -256,7 +260,6 @@ class _Searcher:
         self.factors, self.tables = _completion_tables(k)
         self.memo = _meeting_masks(k)
         self.nodes = 0
-        self.complete_dot = 0
         self.solutions: list[tuple[int, ...]] = []
         self.node_limit: Optional[int] = None
         self.max_solutions: Optional[int] = None
@@ -327,7 +330,6 @@ class _Searcher:
         rows, k, tables, memos = self.rows, self.k, self.tables, self.memo
         placed = rows[i]
         narrowed = {}
-        rejected = 0
         fewest = chosen = None
         for j, mask in masks.items():
             _, has, columns = tables[j - k]
@@ -347,17 +349,14 @@ class _Searcher:
                     meeting = _meeting_mask(has, rest, owed)
                     if len(memo) < _MEMO_MASKS_PER_ROW:
                         memo[key] = meeting
-            agreeing = mask.bit_count()
             mask &= meeting
             kept = mask.bit_count()
-            rejected += agreeing - kept
             if not kept:
                 narrowed = None
                 break
             if fewest is None or kept < fewest:
                 fewest, chosen = kept, j
             narrowed[j] = mask
-        self.complete_dot += rejected
         return None if narrowed is None else (chosen, narrowed)
 
     def _record_solution(self) -> None:
@@ -374,7 +373,7 @@ def _run_branch(job: tuple) -> tuple:
 
     job is (k, branch_bits, node_budget, solution_budget). A budget of
     None is unlimited; one at or below 0 stops the branch before its
-    first node. Returns (nodes, complete_dot, solutions, stopped).
+    first node. Returns (nodes, solutions, stopped).
     """
     k, branch_bits, node_budget, solution_budget = job
     searcher = _Searcher(k)
@@ -386,7 +385,7 @@ def _run_branch(job: tuple) -> tuple:
     searcher.rows[k] = branch_bits
     if not searcher.stopped:
         searcher._descend(k, masks, free ^ 1 << k)
-    return searcher.nodes, searcher.complete_dot, searcher.solutions, searcher.stopped
+    return searcher.nodes, searcher.solutions, searcher.stopped
 
 
 def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]:
@@ -437,9 +436,9 @@ def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]
     done = set()
     for n, record in enumerate(records, start=2):
         where = f"checkpoint {path} line {n}"
-        if not (isinstance(record, list) and len(record) == 4):
-            raise CheckpointError(f"{where} is not [branch, nodes, complete_dot, solutions]")
-        index, nodes, complete_dot, solutions = record
+        if not (isinstance(record, list) and len(record) == 3):
+            raise CheckpointError(f"{where} is not [branch, nodes, solutions]")
+        index, nodes, solutions = record
         if not (type(index) is int and 0 <= index < len(branches)) or index in done:
             raise CheckpointError(
                 f"{where} branch is not a new branch index in 0..{len(branches) - 1}"
@@ -447,8 +446,6 @@ def _load_checkpoint(path: str, k: int, branches: list[int]) -> tuple[list, int]
         done.add(index)
         if not count(nodes):
             raise CheckpointError(f"{where} node count is not a count")
-        if not count(complete_dot):
-            raise CheckpointError(f"{where} complete_dot is not a count")
         if not (isinstance(solutions, list) and all(
                 isinstance(rows, list) and len(rows) == v
                 and all(count(r) and r < 1 << v for r in rows) for rows in solutions)):
@@ -473,15 +470,15 @@ def search_symmetric_canonical(
     _POOL_AFTER_NODES nodes (a resumed search counts its checkpoint's),
     the remaining subtrees, if two or more, run on at most one worker
     process each. Those run to completion, so max_solutions then
-    truncates the merged result instead of stopping early; counters
+    truncates the merged result instead of stopping early; node counts
     still add up to the sequential totals. A checkpoint works either
-    way: it is a log of schema 7, one line per finished subtree after a
+    way: it is a log of schema 8, one line per finished subtree after a
     header, each written before the next subtree runs, and a rerun on
     the same file skips the subtrees it lists. A search that finishes no
     subtree writes no file, and a subtree that trips a limit is never
     written. So Ctrl-C, a failed write (which is not retried) or a hard
     kill loses only the subtrees that had not finished. A zero-byte file
-    is no log. A file that is malformed, of schema 6 or older, or of
+    is no log. A file that is malformed, of schema 7 or older, or of
     another search raises CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
@@ -493,7 +490,7 @@ def search_symmetric_canonical(
     row, column_bit = _base_rows(cfg.k)[cfg.k], tables[0][0].__getitem__
     branches = [row | sum(map(column_bit, edges)) for edges in factors]
     v = head_width(cfg.k)
-    nodes, complete_dot, found, done = len(branches), 0, [], set()
+    nodes, found, done = len(branches), [], set()
     # the bytes of the log to keep: 0 for a new log, which gets a header
     kept = 0
     stopped = False
@@ -502,10 +499,9 @@ def search_symmetric_canonical(
         # the branch list is the search's, whatever the node limit; the
         # limit applies to the nodes the checkpoint has counted
         records, kept = _load_checkpoint(checkpoint, cfg.k, branches)
-        for index, record_nodes, record_dot, solutions in records:
+        for index, record_nodes, solutions in records:
             done.add(index)
             nodes += record_nodes
-            complete_dot += record_dot
             found.extend(solutions)
     elif cfg.node_limit is not None and cfg.node_limit <= len(branches):
         # each branch is a node, so a fresh search stops at branch L
@@ -545,13 +541,12 @@ def search_symmetric_canonical(
             yield index, _run_branch(job(index))
 
     try:
-        for index, (branch_nodes, branch_dot, solutions, branch_stopped) in results():
+        for index, (branch_nodes, solutions, branch_stopped) in results():
             for bits in solutions:
                 defect = symmetric_canonical_defect(BinaryMatrix(v, v, bits))
                 if defect:
                     raise SearchBugError(f"the search found a matrix it must reject: {defect}")
             nodes += branch_nodes
-            complete_dot += branch_dot
             found.extend(solutions)
             if branch_stopped:
                 # the log keeps the counts from before this subtree
@@ -560,7 +555,7 @@ def search_symmetric_canonical(
             done.add(index)
             if checkpoint is None:
                 continue
-            line = json.dumps([index, branch_nodes, branch_dot, solutions]).encode() + b"\n"
+            line = json.dumps([index, branch_nodes, solutions]).encode() + b"\n"
             if log is None:
                 # unbuffered, so each record reaches the file before the next
                 # subtree runs, and a pool worker forks with nothing unwritten
@@ -597,7 +592,6 @@ def search_symmetric_canonical(
         solutions=tuple(BinaryMatrix(v, v, bits) for bits in ordered),
         exhausted=exhausted,
         nodes_visited=nodes,
-        prunes_by_rule={"complete_dot": complete_dot},
         elapsed_seconds=time.perf_counter() - start,
     )
 

@@ -16,6 +16,7 @@ entry counts and bad headers, each as a str and as its UTF-8 bytes.
 """
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -237,7 +238,8 @@ ASCII_SEPARATORS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\
 SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000")
 FS_TO_US = set("\x1c\x1d\x1e\x1f")
 BAD_TOKENS = ("00", "1.", "10", "..", "2", "x", "-1", "\x00", "\x1b", "0\x1b", "\xe9", "\uff11")
-BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1")
+BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1",
+               "\u0662 1", "- 1", "--1 1")
 
 
 def split_oracle(text: str) -> BinaryMatrix:
@@ -245,10 +247,11 @@ def split_oracle(text: str) -> BinaryMatrix:
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError as exc:
-        raise ValueError(f"malformed header {tokens[:2]!r}") from exc
+    # ASCII digits after at most one minus sign: int() alone would also
+    # take a plus sign, an underscore or another script's digits
+    if not all(re.fullmatch("-?[0-9]+", t) for t in tokens[:2]):
+        raise ValueError(f"malformed header {tokens[:2]!r}")
+    rows, cols = int(tokens[0]), int(tokens[1])
     body = tokens[2:]
     if len(body) != rows * cols:
         raise ValueError(

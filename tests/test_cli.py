@@ -45,7 +45,7 @@ def fixture_dir(tmp_path, capsys):
     target = tmp_path / "fx"
     code, payload, _ = run_json(capsys, "fixtures", "--out", str(target))
     assert code == 0
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     return target
 
 
@@ -463,7 +463,7 @@ def test_search_k10_needs_no_long_run(capsys):
     assert payload["exhausted"] is True
     assert payload["solution_count"] == 0
     assert payload["nodes_visited"] == 7845
-    assert payload["prunes_by_rule"] == {"complete_dot": 7_019_475}
+    assert payload["prunes_by_rule"] == {}
 
 
 def test_search_checkpoint_flag(tmp_path, capsys):
@@ -478,11 +478,16 @@ def _schema_6(log):
     # what the search wrote up to schema 6: one JSON object, rewritten
     # whole and with no newline
     return json.dumps({"schema_version": 6, "k": 6, "branches": log[0]["branches"],
-                       "done": [0], "nodes": 10, "prunes": {"complete_dot": 0},
-                       "solutions": log[1][3]})
+                       "done": [0], "nodes": 10, "solutions": log[1][2]})
 
 
-# a k=6 log is a header line and one record, [0, 9, 0, [b4c's rows]]
+def _schema_7(log):
+    # what the search wrote at schema 7: a counter after each record's nodes
+    log[0]["schema_version"] = 7
+    log[1].insert(2, 0)
+
+
+# a k=6 log is a header line and one record, [0, 9, [b4c's rows]]
 @pytest.mark.parametrize("spoil", [
     lambda log: "{not json\n",
     lambda log: log[0].__setitem__("k", 7),
@@ -492,14 +497,16 @@ def _schema_6(log):
     lambda log: log[0].__setitem__("schema_version", 4),
     lambda log: log[0].__setitem__("schema_version", 5),
     _schema_6,
+    _schema_7,
     lambda log: json.dumps(log[0])[:-1],
     lambda log: log[0].pop("branches"),
     lambda log: log[1].pop(2),
+    lambda log: log[1].append(0),
     lambda log: log.append(log[1]),
     lambda log: log[1].__setitem__(0, 7),
 ], ids=["not json", "mismatched", "schema 1", "schema 2", "schema 3", "schema 4", "schema 5",
-        "schema 6 file", "torn header", "missing key",
-        "prune keys", "done repeats", "done out of range"])
+        "schema 6 file", "schema 7 log", "torn header", "missing key",
+        "prune keys", "a fourth field", "done repeats", "done out of range"])
 def test_search_bad_checkpoint_exits_2(tmp_path, capsys, spoil):
     ck = tmp_path / "ck.json"
     assert run_cli(capsys, "search", "--k", "6", "--checkpoint", str(ck))[0] == 0
@@ -592,6 +599,18 @@ def test_scheme_label_not_in_ascii_digits_exits_2(tmp_path, capsys, label):
     assert err == f"error: {path}: bad entry token {label!r}\n"
 
 
+@pytest.mark.parametrize("verb", ["verify", "scheme"])
+@pytest.mark.parametrize("header", ["+2 2", "2_0 1", "\u0662 2"])
+def test_header_not_in_ascii_digits_exits_2(tmp_path, capsys, verb, header):
+    # int() reads +2 and the Arabic-Indic two as 2, which would make
+    # "+2 2" a valid 2x2 grid, and 2_0 as 20
+    path = tmp_path / "header.txt"
+    path.write_text(f"{header}\n0 1\n1 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: malformed header {header.split()!r}\n"
+
+
 def test_fixtures_listing(tmp_path, capsys):
     target = tmp_path / "fx"
     code, payload, _ = run_json(capsys, "fixtures", "--out", str(target))
@@ -610,4 +629,4 @@ def test_every_report_carries_schema_version(fixture_dir, capsys):
         ["scheme", str(fixture_dir / "relation6.txt")],
     ):
         _, payload, _ = run_json(capsys, *argv)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2

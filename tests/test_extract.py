@@ -136,7 +136,7 @@ def test_extract_design_full_pipeline():
     assert result.indices == (7, 8, 9, 10, 11, 12)
     assert result.indices_one_based == (8, 9, 10, 11, 12, 13)
     assert result.core == SIX_POINT_CORE
-    assert result.lemma1_ok and result.symmetric_ok
+    assert set(result.report()) == {"k", "indices", "core", "pbibd", "scheme", "d_equivalence"}
     assert result.pbibd["parameters"] == "2-(6,6,3,3,(0,1,2))"
     assert result.pbibd["n"] == [1, 2, 2]
     assert result.classification.lambdas == (0, 1, 2)
