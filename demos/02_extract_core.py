@@ -18,7 +18,7 @@ from biplane_schemes import (
 m = assemble_b4c()
 report = extract_design(m)
 
-print("extraction window (1-based):", report.indices_one_based)
+print("extraction window (1-based):", [i + 1 for i in report.indices])
 print("core:")
 print(format_matrix(report.core))
 

@@ -21,13 +21,12 @@ import numpy as np
 
 from biplane_schemes import (
     CORES_16,
-    IncidenceStructure,
     NotASchemeError,
     assemble_b4c,
     bose_mesner_check,
     classify,
     extract_design,
-    from_classification,
+    from_relation_matrix,
 )
 
 # -- the good case: 6 points ------------------------------------------------
@@ -47,10 +46,10 @@ print()
 # -- the bad case: 16 points ------------------------------------------------
 
 for index, table in enumerate(CORES_16, start=1):
-    c = classify(IncidenceStructure(table))
+    c = classify(table)
     print(f"table {index}: lambda {c.lambdas}, class sizes {c.n}", end=", ")
     try:
-        from_classification(c)
+        from_relation_matrix(c.relation)
         print("scheme: yes")
     except NotASchemeError as err:
         w = err.witness()

@@ -10,9 +10,9 @@ concurrences (0, 1, 2) and class sizes (2m-5, 2, 2).
 from biplane_schemes import family_generate, format_matrix
 
 # the smallest member, printed in full
-structure, info = family_generate(3)
+matrix, info = family_generate(3)
 print("doubled(3):")
-print(format_matrix(structure.matrix))
+print(format_matrix(matrix))
 
 # a parameter sweep; the weighted concurrence sum is always 6 = r(k-1)
 print(f"{'m':>3} {'v=b':>4} {'r=k':>4} {'lambda':>9} {'n':>12} {'sum':>4}")

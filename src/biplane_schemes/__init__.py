@@ -4,11 +4,11 @@ The package is organized like the underlying mathematics:
 
   binmat     bit-packed (0,1)-matrices, named constructors, block
              assembly, permutation equivalence, text format
-  incidence  point-block incidence structures, their regularity and
-             uniformity, and the double count v*r = b*k
   biplane    biplane verification, the forced canonical head, and the
              assembled order-4 biplane with full trace
-  pbibd      concurrence-based classification into associate classes
+  pbibd      regularity, uniformity and the double counts of an
+             incidence matrix, and its concurrence-based classification
+             into associate classes
   scheme     the four association scheme axioms, intersection numbers,
              and Bose-Mesner closure
   extract    the principal-core pipeline: line-sum lemma, two-neighbor
@@ -36,21 +36,23 @@ _EXPORTS = {
         "disjoint_cycles", "doubled", "format_matrix", "identity",
         "is_perm_equivalent", "parse_matrix", "path_loop",
     ),
-    "incidence": ("IncidenceStructure", "InconsistencyError", "StructureError"),
+    "fixtures": (
+        "ASSOC_6", "ASSOC_16", "AUT_ORDERS", "CORES_12", "CORES_16",
+        "RELATION_6", "b9e", "write_fixtures",
+    ),
     "biplane": (
         "BiplaneCertificate", "ParameterError", "VerificationError",
         "assemble_b4c", "canonical_head", "has_canonical_form", "head_width",
         "verify_biplane",
     ),
     "pbibd": (
-        "NotPbibdError", "PairClassification", "classify", "concurrence",
-        "verify_pbibd",
+        "InconsistencyError", "NotPbibdError", "PairClassification",
+        "StructureError", "classify", "verify_pbibd",
     ),
     "scheme": (
         "AssociationScheme", "AxiomError", "InternalInconsistencyError",
-        "NotASchemeError", "associate_matrices", "bose_mesner_check",
-        "format_relation", "from_classification", "from_relation_matrix",
-        "parse_relation", "relation_matrix",
+        "NotASchemeError", "bose_mesner_check", "format_relation",
+        "from_relation_matrix", "parse_relation",
     ),
     "extract": (
         "CounterexampleError", "ExtractionReport", "HypothesisError",
@@ -61,10 +63,6 @@ _EXPORTS = {
     "search": (
         "CheckpointError", "SearchBugError", "SearchConfig", "SearchOutcome",
         "enumerate_reference", "search_symmetric_canonical",
-    ),
-    "fixtures": (
-        "ASSOC_6", "ASSOC_16", "AUT_ORDERS", "CORES_12", "CORES_16",
-        "RELATION_6", "b9e", "write_fixtures",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -545,7 +545,8 @@ def _header(rows: str | bytes, cols: str | bytes) -> Optional[tuple[int, int]]:
 
 def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
     """Split the "rows cols" header off a token grid and check the entry
-    count; ``what`` names the grid in the error message."""
+    count, then that both dimensions are positive; ``what`` names the
+    grid in the error message."""
     tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'rows cols' header")
@@ -558,6 +559,8 @@ def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
         raise ValueError(
             f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {len(body)}"
         )
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
     return rows, cols, body
 
 
@@ -612,8 +615,6 @@ def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[BinaryMatrix]:
 def _parse_tokens(text: str) -> BinaryMatrix:
     """parse_matrix one str.split() token at a time."""
     rows, cols, body = _grid_tokens(text, "matrix")
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
     # valid tokens are ASCII, so a body with other characters has a bad one
     joined = " ".join(body)
     m = _pack_grid(joined.encode("ascii"), rows, cols) if joined.isascii() else None

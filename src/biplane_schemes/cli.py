@@ -21,9 +21,9 @@ in this process gives the same report on any thread count.
 The argument parser is built on the first main() call and reused by
 every later call in the process; importing the module builds nothing.
 Only binmat is imported with the module; each verb imports what it
-runs when it runs. verify loads biplane, incidence and pbibd; extract
-and family load extract, which loads those three and scheme; scheme
-loads scheme; search loads search and biplane; fixtures loads all but
+runs when it runs. verify loads biplane and pbibd; extract and family
+load extract, which loads those two and scheme; scheme loads scheme;
+search loads search and biplane; fixtures loads all of these but
 search. Where no bytecode is cached, a fresh process compiles only
 those. The five trap classes share the marker base binmat._Trap, so
 main maps them to exit 3 without importing the modules that define
@@ -99,8 +99,7 @@ def _read_matrix(path: str) -> BinaryMatrix:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .biplane import ParameterError, VerificationError, verify_biplane
-    from .incidence import IncidenceStructure, StructureError
-    from .pbibd import NotPbibdError, verify_pbibd
+    from .pbibd import NotPbibdError, StructureError, verify_pbibd
 
     m = _read_matrix(args.matrix)
     try:
@@ -113,7 +112,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        report = verify_pbibd(IncidenceStructure(m))
+        report = verify_pbibd(m)
     except (StructureError, NotPbibdError, ShapeError) as exc:
         _emit({"verb": "verify", "verified": False,
                "reasons": {"biplane": biplane_reason, "pbibd": str(exc)}})
@@ -156,10 +155,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
         )
     from .extract import family_generate
 
-    structure, report = family_generate(args.m)
+    matrix, report = family_generate(args.m)
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(_format_bytes(structure.matrix))
+            fh.write(_format_bytes(matrix))
     _emit({"verb": "family", **report})
     return 0
 

@@ -18,8 +18,8 @@ row then has scalar product 1 with exactly two other rows and 0 with
 the rest.
 
 family_generate(m) returns the doubled matrix D_m = [[I, L_m], [L_m, I]]
-as an incidence structure: one 3-class PBIBD on 2m points for every
-m >= 3, verified rather than asserted.
+as an incidence matrix: one 3-class PBIBD on 2m points for every m >= 3,
+verified rather than asserted.
 
 "PBIBD" means constant class sizes, as in the pbibd module, without the
 association scheme of Bose and Shimamoto (1952): of these designs only
@@ -35,9 +35,8 @@ import numpy as np
 
 from .binmat import BinaryMatrix, _Trap, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, symmetric_canonical_defect
-from .incidence import IncidenceStructure
 from .pbibd import PairClassification, _pbibd_report, classify, verify_pbibd
-from .scheme import AssociationScheme, NotASchemeError, from_classification
+from .scheme import AssociationScheme, NotASchemeError, from_relation_matrix
 
 
 class PreconditionError(Exception):
@@ -78,10 +77,6 @@ def extraction_indices(k: int) -> tuple[int, ...]:
             "symmetric canonical biplane matrices exist below k = 6"
         )
     return tuple(range(k + 1, 3 * k - 5))
-
-
-def to_one_based(indices: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(i + 1 for i in indices)
 
 
 def check_core_sums(core: BinaryMatrix) -> tuple[bool, Optional[dict]]:
@@ -128,14 +123,9 @@ def check_lemma1(m: BinaryMatrix, k: int) -> tuple[bool, Optional[dict]]:
 class Lemma2Report:
     m: int
     cycle_lengths: tuple[int, ...]  # bipartite cycle lengths, each even and >= 6
-    conclusion_ok: bool
 
     def report(self) -> dict:
-        return {
-            "m": self.m,
-            "cycle_lengths": list(self.cycle_lengths),
-            "conclusion_ok": self.conclusion_ok,
-        }
+        return {"m": self.m, "cycle_lengths": list(self.cycle_lengths)}
 
 
 def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
@@ -194,7 +184,7 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
             size += 1
             x = next((y for y in near[x] if not seen[y]), None)
         lengths.append(2 * size)
-    return Lemma2Report(m=m, cycle_lengths=tuple(sorted(lengths)), conclusion_ok=True)
+    return Lemma2Report(m=m, cycle_lengths=tuple(sorted(lengths)))
 
 
 @dataclass(eq=False)
@@ -214,14 +204,10 @@ class ExtractionReport:
     d_equivalence: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
     scheme_witness: Optional[dict] = None
 
-    @property
-    def indices_one_based(self) -> tuple[int, ...]:
-        return to_one_based(self.indices)
-
     def report(self) -> dict:
         out = {
             "k": self.k,
-            "indices": list(self.indices_one_based),
+            "indices": [i + 1 for i in self.indices],
             "core": self.core.to_lists(),
             "pbibd": self.pbibd,
             "scheme": None if self.scheme is None else self.scheme.report(),
@@ -265,13 +251,12 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     if not core.is_symmetric():
         raise CounterexampleError("core of a symmetric matrix is not symmetric")
 
-    structure = IncidenceStructure(core)
-    classification = classify(structure)
-    pbibd_report = _pbibd_report(structure, classification)
+    classification = classify(core)
+    pbibd_report = _pbibd_report(core, classification)
     _expect(pbibd_report, {"lambda": [0, 1, 2], "n": [2 * k - 11, 2, 2]}, f"core at k={k}")
     core_scheme, scheme_witness = None, None
     try:
-        core_scheme = from_classification(classification)
+        core_scheme = from_relation_matrix(classification.relation)
     except NotASchemeError as exc:
         scheme_witness = exc.witness()
 
@@ -288,19 +273,19 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     )
 
 
-def family_generate(m: int) -> tuple[IncidenceStructure, dict]:
+def family_generate(m: int) -> tuple[BinaryMatrix, dict]:
     """The doubled matrix D_m as a verified 3-class PBIBD on 2m points.
 
-    For every m >= 3 the structure is symmetric with v = b = 2m and
+    For every m >= 3 the matrix is symmetric with v = b = 2m and
     r = k = 3, concurrences (0, 1, 2), and class sizes (2m-5, 2, 2).
     All of that is verified on the generated matrix; a failure would
     raise CounterexampleError (none is possible).
     """
     if m < 3:
         raise PreconditionError(f"family needs m >= 3, got {m}")
-    structure = IncidenceStructure(doubled(m))
-    report = verify_pbibd(structure)
+    matrix = doubled(m)
+    report = verify_pbibd(matrix)
     _expect(report, {"lambda": [0, 1, 2], "n": [2 * m - 5, 2, 2], "v": 2 * m, "b": 2 * m,
                      "r": 3, "k": 3}, f"family member m={m}")
     report["m"] = m
-    return structure, report
+    return matrix, report

@@ -1,18 +1,20 @@
 """Concurrence tables and partially balanced incomplete block designs.
 
-A regular uniform structure is a PBIBD with d associate classes when
-its point pairs split into classes such that pairs in class i lie on
-exactly lambda_i common blocks and every point has exactly n_i i-th
+The functions here take the incidence matrix as a BinaryMatrix: rows are
+points, columns are blocks, and point p lies on block L iff entry (p, L)
+is 1. A regular uniform structure is a PBIBD with d associate classes
+when its point pairs split into classes such that pairs in class i lie
+on exactly lambda_i common blocks and every point has exactly n_i i-th
 associates. classify() groups pairs by their concurrence value, labels
 classes by ascending lambda (the diagonal keeps the reserved label 0),
 and verifies the per-point constancy of each n_i; that constancy is the
 PBIBD condition checked here, not an assumption.
 
 This PBIBD is weaker than Bose and Shimamoto's (1952), whose classes
-must also form an association scheme (scheme.from_classification checks
-that apart): the 16-point cores at k = 11, and D_m at least for m = 4,
-5 and 6, are PBIBDs only in the weaker sense. With d = 1 the design is
-a 2-design, pair balanced with lambda = lambdas[0].
+must also form an association scheme (scheme.from_relation_matrix of the
+relation checks that apart): the 16-point cores at k = 11, and D_m at
+least for m = 4, 5 and 6, are PBIBDs only in the weaker sense. With
+d = 1 the design is a 2-design, pair balanced with lambda = lambdas[0].
 
 classify() finds the concurrences in one of two ways, with the same
 result either way: the same lambdas, counts and relation, or the same
@@ -45,7 +47,9 @@ about 4 v^2, but past v^2 they hold more memory than the table, so the
 table is kept there. Biplanes, with sum_b k_b^2 = v k^2 > v^2, always
 take the table.
 
-Two double counts tie the parameters together: v*r = b*k, and
+_regular_uniform checks that every point lies on r blocks and every
+block holds k points, naming the first that does not. Two double
+counts tie the parameters together: v*r = b*k, and
 sum_i n_i * lambda_i = r(k-1). Both are theorems for valid inputs, so
 their failure is reported as an internal inconsistency, not bad data.
 
@@ -64,12 +68,24 @@ from typing import Optional
 
 import numpy as np
 
-from .binmat import BinaryMatrix
-from .incidence import InconsistencyError, IncidenceStructure, _regular_uniform
+from .binmat import BinaryMatrix, _Trap
 
 # classify() counts block pairs, instead of reading the concurrence
 # table, from this many points on (see the module docstring)
 _PAIRS_MIN_POINTS = 96
+
+
+class StructureError(ValueError):
+    """Structure lacks regularity or uniformity; carries the offending index."""
+
+    def __init__(self, kind: str, index: int, message: str):
+        super().__init__(message)
+        self.kind = kind  # "point" or "block"
+        self.index = index
+
+
+class InconsistencyError(_Trap, RuntimeError):
+    """A counting identity that is a theorem failed; this is a bug trap."""
 
 
 class NotPbibdError(Exception):
@@ -107,9 +123,6 @@ class PairClassification:
     def d(self) -> int:
         return len(self.lambdas)
 
-    def relation_of(self, p: int, q: int) -> int:
-        return int(self.relation[p, q])
-
     def associate_matrix(self, label: int) -> BinaryMatrix:
         """(0,1) indicator of class ``label`` (0 gives the identity)."""
         if not 0 <= label <= self.d:
@@ -117,16 +130,28 @@ class PairClassification:
         return BinaryMatrix.from_numpy(self.relation == label)
 
 
-def concurrence(s: IncidenceStructure) -> np.ndarray:
-    """The v x v int64 table M M^T: entry (p, q) counts blocks through both points.
+def _regular_uniform(m: BinaryMatrix) -> tuple[int, int]:
+    """(r, k) of a regular uniform structure, with v*r = b*k rechecked.
 
-    Exact: each entry is a sum of integer popcounts over the packed
-    rows, at most b, with no floating point involved.
+    Raises StructureError naming the first irregular point or
+    non-uniform block, and InconsistencyError if the double count fails.
     """
-    return s.matrix.row_dots()
+    sums = m.row_sums()
+    r = sums[0]
+    if sums.count(r) != len(sums):
+        bad = next(p for p, total in enumerate(sums) if total != r)
+        raise StructureError("point", bad, f"point {bad} degree {sums[bad]} != {r}")
+    sums = m.col_sums()
+    k = sums[0]
+    if sums.count(k) != len(sums):
+        bad = next(j for j, total in enumerate(sums) if total != k)
+        raise StructureError("block", bad, f"block {bad} size {sums[bad]} != {k}")
+    if m.rows * r != m.cols * k:
+        raise InconsistencyError(f"v*r = {m.rows * r} but b*k = {m.cols * k}")
+    return r, k
 
 
-def classify(s: IncidenceStructure) -> PairClassification:
+def classify(m: BinaryMatrix) -> PairClassification:
     """Partition point pairs by concurrence value.
 
     Class labels are assigned in ascending lambda order. Equal
@@ -141,25 +166,24 @@ def classify(s: IncidenceStructure) -> PairClassification:
     the concurrence table, are classified from their block pairs;
     everything else from the table. Both give the same result.
     """
-    v = s.v
+    v = m.rows
     if v == 1:
         return PairClassification(
             v=1, lambdas=(), n=(), relation=np.zeros((1, 1), dtype=np.int64)
         )
-    m = s.matrix
     # sum_b k_b^2 >= ones^2 / b, with equality for uniform blocks, so
     # dense matrices are sent to the table before their ones are listed
     if v >= _PAIRS_MIN_POINTS and m.count_ones() ** 2 < m.cols * v * v:
         points, sizes = _block_members(m)
         if int(sizes @ sizes) < v * v:
             return _classify_pairs(v, points, sizes)
-    return _classify_table(s)
+    return _classify_table(m)
 
 
-def _classify_table(s: IncidenceStructure) -> PairClassification:
+def _classify_table(m: BinaryMatrix) -> PairClassification:
     """classify() from the whole concurrence table."""
-    v = s.v
-    conc = concurrence(s)
+    v = m.rows
+    conc = m.row_dots()
     # the distinct off-diagonal concurrences in ascending order; np.unique
     # would do, but its first call imports numpy.ma (15 ms with numpy
     # 2.4), a cost every fresh process would pay
@@ -238,7 +262,7 @@ def _class_sizes(lambdas: tuple[int, ...], counts) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def verify_pbibd(s: IncidenceStructure) -> dict:
+def verify_pbibd(m: BinaryMatrix) -> dict:
     """Classify and check the PBIBD identities; returns a JSON-able report.
 
     Requires regularity and uniformity (StructureError otherwise).
@@ -248,15 +272,15 @@ def verify_pbibd(s: IncidenceStructure) -> dict:
     which expect particular classes, compare this report with them
     through extract._expect.
     """
-    return _pbibd_report(s, None)
+    return _pbibd_report(m, None)
 
 
-def _pbibd_report(s: IncidenceStructure, c: Optional[PairClassification]) -> dict:
-    """verify_pbibd for a caller that may already hold classify(s) as c."""
-    r, k = _regular_uniform(s)
+def _pbibd_report(m: BinaryMatrix, c: Optional[PairClassification]) -> dict:
+    """verify_pbibd for a caller that may already hold classify(m) as c."""
+    r, k = _regular_uniform(m)
     if c is None:
-        c = classify(s)
-    v, b = s.v, s.b
+        c = classify(m)
+    v, b = m.rows, m.cols
     if v > 1:
         weighted = sum(n_i * lam_i for n_i, lam_i in zip(c.n, c.lambdas))
         if weighted != r * (k - 1):

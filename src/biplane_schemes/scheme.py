@@ -17,14 +17,10 @@ with exact integer products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binmat import BinaryMatrix, _grid_tokens, _pack, _Trap
-
-if TYPE_CHECKING:  # an annotation only: the scheme verb never loads pbibd
-    from .pbibd import PairClassification
+from .binmat import _grid_tokens, _pack, _Trap
 
 
 class AxiomError(ValueError):
@@ -87,17 +83,19 @@ class AssociationScheme:
 def from_relation_matrix(r) -> AssociationScheme:
     """Verify a relation matrix and build the scheme.
 
-    Structural gates first: square, zero diagonal, symmetric, and
-    off-diagonal labels exactly 1..d with no gaps (AxiomError names the
-    failed gate). Then the intersection count for every (h, i, j) is
-    computed for every ordered pair and compared against the first pair
-    of its class; the first disagreement raises NotASchemeError with
-    both pairs as witness.
+    Structural gates first: square and not empty, zero diagonal,
+    symmetric, and off-diagonal labels exactly 1..d with no gaps and d
+    at most v - 1 (AxiomError names the failed gate). Then the
+    intersection count for every (h, i, j) is computed for every ordered
+    pair and compared against the first pair of its class; the first
+    disagreement raises NotASchemeError with both pairs as witness.
     """
     rel = np.asarray(r, dtype=np.int64)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
         raise AxiomError("shape", f"relation matrix must be square, got {rel.shape}")
     v = int(rel.shape[0])
+    if v == 0:
+        raise AxiomError("shape", "relation matrix has no points")
     if np.any(np.diag(rel) != 0):
         x = int(np.flatnonzero(np.diag(rel))[0])
         raise AxiomError("diagonal", f"diagonal entry ({x},{x}) is {rel[x, x]}, not 0")
@@ -113,11 +111,13 @@ def from_relation_matrix(r) -> AssociationScheme:
         raise AxiomError(
             "partition", f"off-diagonal entry ({x},{y}) is 0; labels must be 1..d"
         )
-    # each of the labels 1..d needs a point pair of its own
-    pairs = v * (v - 1) // 2
-    if d > pairs:
+    # every class has valency at least 1 at every point, and the
+    # valencies of classes 1..d sum to v - 1
+    if d > v - 1:
         raise AxiomError(
-            "labels", f"largest label {d} exceeds the {pairs} point pairs of {v} points"
+            "labels",
+            f"largest label {d} exceeds v - 1 = {v - 1}: "
+            f"a scheme on {v} points has at most {v - 1} classes",
         )
     # np.bincount, not np.unique: the first np.unique call imports numpy.ma
     missing = np.flatnonzero(np.bincount(off, minlength=d + 1)[1:] == 0) + 1
@@ -154,34 +154,6 @@ def from_relation_matrix(r) -> AssociationScheme:
     return AssociationScheme(size=v, d=d, relation=rel.copy(), p=p, n=valencies)
 
 
-def from_classification(c: PairClassification) -> AssociationScheme:
-    """Scheme from a PBIBD pair classification.
-
-    Constant class sizes n_i do not imply constant intersection
-    numbers, so this can legitimately fail: the propagated
-    NotASchemeError then exhibits two same-class pairs with different
-    triple counts.
-    """
-    return from_relation_matrix(c.relation)
-
-
-def associate_matrices(s: AssociationScheme) -> list[BinaryMatrix]:
-    """Indicators A_0 = I, A_1, ..., A_d; they sum to the all-ones matrix."""
-    out = []
-    for label in range(s.d + 1):
-        if label == 0:
-            ind = np.eye(s.size, dtype=bool)
-        else:
-            ind = s.relation == label
-        out.append(BinaryMatrix.from_numpy(ind))
-    return out
-
-
-def relation_matrix(s: AssociationScheme) -> np.ndarray:
-    """The relation matrix back out; round-trips through from_relation_matrix."""
-    return s.relation.copy()
-
-
 def bose_mesner_check(s: AssociationScheme) -> dict:
     """Recheck closure A_i A_j = sum_h p[h][i][j] A_h with integer products.
 
@@ -190,7 +162,8 @@ def bose_mesner_check(s: AssociationScheme) -> dict:
     the intersection tensor is constant, so failure raises
     InternalInconsistencyError rather than reporting bad input.
     """
-    mats = [m.to_numpy() for m in associate_matrices(s)]
+    # past the gates of from_relation_matrix, class 0 is the identity
+    mats = [(s.relation == h).astype(np.int64) for h in range(s.d + 1)]
     total = sum(mats)
     if not np.array_equal(total, np.ones((s.size, s.size), dtype=np.int64)):
         raise InternalInconsistencyError("class indicators do not sum to all-ones")

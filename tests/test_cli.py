@@ -20,7 +20,7 @@ from biplane_schemes.binmat import (
 from biplane_schemes import extract
 from biplane_schemes import search as search_mod
 from biplane_schemes.extract import CounterexampleError
-from biplane_schemes.incidence import InconsistencyError
+from biplane_schemes.pbibd import InconsistencyError
 from biplane_schemes.scheme import InternalInconsistencyError, NotASchemeError
 from biplane_schemes.search import SearchBugError
 
@@ -258,11 +258,9 @@ def test_no_process_pool_machinery_without_a_pool():
 # the package modules a fresh process loads for each verb; where no
 # bytecode is cached, it compiles each of them from source
 VERB_MODULES = [
-    (["verify", "b4c.txt"], {"binmat", "biplane", "cli", "incidence", "pbibd"}),
-    (["extract", "b4c.txt"],
-     {"binmat", "biplane", "cli", "extract", "incidence", "pbibd", "scheme"}),
-    (["family", "--m", "50"],
-     {"binmat", "biplane", "cli", "extract", "incidence", "pbibd", "scheme"}),
+    (["verify", "b4c.txt"], {"binmat", "biplane", "cli", "pbibd"}),
+    (["extract", "b4c.txt"], {"binmat", "biplane", "cli", "extract", "pbibd", "scheme"}),
+    (["family", "--m", "50"], {"binmat", "biplane", "cli", "extract", "pbibd", "scheme"}),
     (["scheme", "relation6.txt"], {"binmat", "cli", "scheme"}),
     (["search", "--k", "6"], {"binmat", "biplane", "cli", "search"}),
 ]
@@ -368,10 +366,10 @@ def test_extract_bad_permutation_witness_exits_3(fixture_dir, capsys, monkeypatc
 
 def test_extract_core_not_a_scheme_exits_0(fixture_dir, capsys, monkeypatch):
     # a core classification that is not a scheme is reported, not trapped
-    def reject(classification):
+    def reject(relation):
         raise NotASchemeError(1, 1, 1, (0, 3), 8, (0, 4), 6)
 
-    monkeypatch.setattr(extract, "from_classification", reject)
+    monkeypatch.setattr(extract, "from_relation_matrix", reject)
     code, payload, err = run_json(capsys, "extract", str(fixture_dir / "b4c.txt"))
     assert code == 0
     assert err == ""
@@ -566,13 +564,55 @@ def test_scheme_axiom_gate(tmp_path, capsys):
 
 
 def test_scheme_label_beyond_the_point_pairs(tmp_path, capsys):
-    # 5 labels cannot all occur among the 3 pairs of 3 points
+    # 3 points carry at most 2 classes
     path = tmp_path / "labels.txt"
     path.write_text("3 3\n0 1 5\n1 0 1\n5 1 0\n")
     code, payload, _ = run_json(capsys, "scheme", str(path))
     assert code == 1
     assert payload["axiom"] == "labels"
-    assert payload["reason"] == "largest label 5 exceeds the 3 point pairs of 3 points"
+    assert payload["reason"] == (
+        "largest label 5 exceeds v - 1 = 2: a scheme on 3 points has at most 2 classes")
+
+
+def test_scheme_of_a_class_for_every_pair_is_rejected_at_once(tmp_path):
+    # 60 points with every pair in a class of its own: 1,770 labels where
+    # at most 59 can be classes. The (d+1)^3 int64 intersection tensor
+    # would take 41 GiB, so the labels gate must run before it is built;
+    # the run has a 3 GB address space, lest a regression fill the memory
+    v = 60
+    pairs = [(x, y) for x in range(v) for y in range(x + 1, v)]
+    rel = [[0] * v for _ in range(v)]
+    for label, (x, y) in enumerate(pairs, start=1):
+        rel[x][y] = rel[y][x] = label
+    path = tmp_path / "pairs.txt"
+    path.write_text(f"{v} {v}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rel))
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from biplane_schemes.cli import main\n"
+        "start = time.perf_counter()\n"
+        "code = main(['scheme', sys.argv[1]])\n"
+        "print(code, time.perf_counter() - start, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=package_env(),
+                          capture_output=True, text=True, timeout=60)
+    code, seconds = done.stderr.split()
+    assert code == "1" and float(seconds) < 1, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["axiom"] == "labels"
+    assert payload["reason"] == (
+        "largest label 1770 exceeds v - 1 = 59: a scheme on 60 points has at most 59 classes")
+
+
+@pytest.mark.parametrize("text,dims", [("0 0\n", "0x0"), ("-1 -2\n1 1\n", "-1x-2"),
+                                       ("0 5\n", "0x5")])
+def test_scheme_nonpositive_dimensions_exit_2(tmp_path, capsys, text, dims):
+    # the entry count fits each header, so the dimension check rejects it
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "scheme", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: dimensions must be positive, got {dims}\n"
 
 
 @pytest.mark.parametrize("label", ["1000000", "100000000000000000000"])

@@ -20,7 +20,6 @@ from biplane_schemes.fixtures import (
     b9e,
     write_fixtures,
 )
-from biplane_schemes.incidence import IncidenceStructure
 from biplane_schemes.pbibd import classify, verify_pbibd
 from biplane_schemes.scheme import parse_relation
 
@@ -31,7 +30,7 @@ def test_cores_16_are_symmetric_pbibd3():
         assert (core.rows, core.cols) == (16, 16)
         assert core.is_symmetric()
         assert core.trace() == 16
-        rep = verify_pbibd(IncidenceStructure(core))
+        rep = verify_pbibd(core)
         assert rep["d"] == 3
         assert rep["lambda"] == [0, 1, 2]
         assert rep["n"] == [11, 2, 2]
@@ -77,7 +76,7 @@ def test_assoc_16_partition_and_symmetry():
 
 
 def test_assoc_16_matches_second_core_classification():
-    c = classify(IncidenceStructure(CORES_16[1]))
+    c = classify(CORES_16[1])
     for label in range(4):
         assert c.associate_matrix(label) == ASSOC_16[label]
 

@@ -11,19 +11,18 @@ PUBLIC = {
     "ASSOC_16", "ASSOC_6", "AUT_ORDERS", "AssociationScheme", "AxiomError",
     "BinaryMatrix", "BiplaneCertificate", "CORES_12", "CORES_16", "CheckpointError",
     "CounterexampleError", "DimensionError", "ExtractionReport", "HypothesisError",
-    "IncidenceStructure", "InconsistencyError", "InternalInconsistencyError",
-    "Lemma2Report", "NotASchemeError", "NotPbibdError", "ParameterError",
-    "PairClassification", "PermutationError", "PreconditionError", "RELATION_6",
-    "SearchBugError", "SearchConfig", "SearchOutcome", "ShapeError", "StructureError",
+    "InconsistencyError", "InternalInconsistencyError", "Lemma2Report",
+    "NotASchemeError", "NotPbibdError", "ParameterError", "PairClassification",
+    "PermutationError", "PreconditionError", "RELATION_6", "SearchBugError",
+    "SearchConfig", "SearchOutcome", "ShapeError", "StructureError",
     "VerificationError", "WitnessError", "anti_diagonal", "assemble", "assemble_b4c",
-    "associate_matrices", "b9e", "border", "bose_mesner_check", "canonical_head",
-    "check_core_sums", "check_lemma1", "check_lemma2", "classify", "concurrence",
-    "constant", "disjoint_cycles", "doubled", "enumerate_reference", "extract_design",
-    "extraction_indices", "family_generate", "format_matrix", "format_relation",
-    "from_classification", "from_relation_matrix", "has_canonical_form", "head_width",
-    "identity", "is_perm_equivalent", "parse_matrix", "parse_relation", "path_loop",
-    "relation_matrix", "search_symmetric_canonical", "verify_biplane", "verify_pbibd",
-    "write_fixtures", "__version__",
+    "b9e", "border", "bose_mesner_check", "canonical_head", "check_core_sums",
+    "check_lemma1", "check_lemma2", "classify", "constant", "disjoint_cycles",
+    "doubled", "enumerate_reference", "extract_design", "extraction_indices",
+    "family_generate", "format_matrix", "format_relation", "from_relation_matrix",
+    "has_canonical_form", "head_width", "identity", "is_perm_equivalent",
+    "parse_matrix", "parse_relation", "path_loop", "search_symmetric_canonical",
+    "verify_biplane", "verify_pbibd", "write_fixtures", "__version__",
 }
 
 
@@ -57,3 +56,15 @@ def test_an_unknown_name_raises_attribute_error():
 def test_a_submodule_import_still_gives_the_module():
     from biplane_schemes import search
     assert search is importlib.import_module("biplane_schemes.search")
+
+
+def test_incidence_structure_is_the_matrix_itself():
+    # perfbench/inputs.py builds its relation tables through this name
+    from biplane_schemes.fixtures import CORES_16
+    from biplane_schemes.incidence import IncidenceStructure
+    from biplane_schemes.pbibd import classify
+
+    m = CORES_16[0]
+    assert IncidenceStructure(m) is m
+    assert (classify(IncidenceStructure(m)).relation == classify(m).relation).all()
+    assert "IncidenceStructure" not in biplane_schemes.__all__

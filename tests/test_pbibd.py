@@ -1,4 +1,4 @@
-"""Concurrence classification and PBIBD verification.
+"""Regularity, uniformity, concurrence classification and PBIBD verification.
 
 classify() has two ways, from the concurrence table and from the point
 pairs inside each block; the differential tests run both on the same
@@ -22,45 +22,39 @@ from biplane_schemes.binmat import (
 )
 from biplane_schemes.biplane import assemble_b4c, verify_biplane
 from biplane_schemes.fixtures import CORES_12, CORES_16
-from biplane_schemes.incidence import IncidenceStructure, StructureError
 from biplane_schemes.pbibd import (
     InconsistencyError,
     NotPbibdError,
+    StructureError,
     _block_members,
     _classify_pairs,
     _classify_table,
+    _regular_uniform,
     classify,
-    concurrence,
     verify_pbibd,
 )
 
 
-def struct(m):
-    return IncidenceStructure(m)
-
-
 def test_concurrence_matrix():
-    c = concurrence(struct(doubled(3)))
+    c = doubled(3).row_dots()
     assert c.shape == (6, 6)
     assert all(c[i, i] == 3 for i in range(6))
     assert c[0, 5] == 0  # opposite corners never concur
     assert c[0, 1] == 1
     assert c[0, 3] == 2
     expected = BinaryMatrix.from_rows([[1, 0], [1, 1]])
-    assert np.array_equal(
-        concurrence(struct(expected)), np.array([[1, 1], [1, 2]])
-    )
+    assert np.array_equal(expected.row_dots(), np.array([[1, 1], [1, 2]]))
 
 
 def test_classify_doubled_three():
-    c = classify(struct(doubled(3)))
+    c = classify(doubled(3))
     assert c.d == 3
     assert c.lambdas == (0, 1, 2)
     assert c.n == (1, 2, 2)
-    assert c.relation_of(0, 0) == 0
-    assert c.relation_of(0, 5) == 1  # concurrence 0
-    assert c.relation_of(0, 1) == 2  # concurrence 1
-    assert c.relation_of(0, 3) == 3  # concurrence 2
+    assert c.relation[0, 0] == 0
+    assert c.relation[0, 5] == 1  # concurrence 0
+    assert c.relation[0, 1] == 2  # concurrence 1
+    assert c.relation[0, 3] == 3  # concurrence 2
     a0 = c.associate_matrix(0)
     assert a0 == identity(6)
     total = sum(
@@ -74,23 +68,23 @@ def test_classify_doubled_three():
 def test_classify_label_order_follows_concurrence():
     # labels 1..d in ascending concurrence order
     for m in (3, 4, 7):
-        c = classify(struct(doubled(m)))
+        c = classify(doubled(m))
         assert c.lambdas == (0, 1, 2)
         assert c.n == (2 * m - 5, 2, 2)
 
 
 def test_classify_complete_and_trivial():
-    c = classify(struct(constant(4, 4, 1)))
+    c = classify(constant(4, 4, 1))
     assert c.d == 1
     assert c.lambdas == (4,)
     assert c.n == (3,)
 
-    c = classify(struct(identity(5)))
+    c = classify(identity(5))
     assert c.d == 1
     assert c.lambdas == (0,)
     assert c.n == (4,)
 
-    c = classify(struct(constant(1, 3, 1)))
+    c = classify(constant(1, 3, 1))
     assert c.d == 0
     assert c.lambdas == ()
 
@@ -98,7 +92,7 @@ def test_classify_complete_and_trivial():
 def test_classify_two_classes_without_splitting():
     # the line-sum-2 path-with-loops matrix on 6 points has pair
     # concurrences 0 and 1 only; equal values are never split apart
-    c = classify(struct(path_loop(6)))
+    c = classify(path_loop(6))
     assert c.lambdas == (0, 1)
     assert c.n == (3, 2)
 
@@ -106,7 +100,7 @@ def test_classify_two_classes_without_splitting():
 def test_classify_rejects_uneven_class_sizes():
     p3 = BinaryMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
     with pytest.raises(NotPbibdError) as err:
-        classify(struct(p3))
+        classify(p3)
     e = err.value
     assert e.lam == 0
     assert {e.count_a, e.count_b} == {0, 1}
@@ -117,7 +111,7 @@ def test_not_pbibd_witness_is_the_first_extreme_points():
     # first with the most such associates, point 1 the first with the fewest
     p3 = BinaryMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
     with pytest.raises(NotPbibdError) as err:
-        classify(struct(p3))
+        classify(p3)
     e = err.value
     assert (e.label, e.lam) == (1, 0)
     assert (e.point_a, e.count_a, e.point_b, e.count_b) == (0, 1, 1, 0)
@@ -140,17 +134,17 @@ def test_classify_doubled_at_v1000(monkeypatch):
     relabelled, _ = relabel(d, 500)
     with monkeypatch.context() as patch:
         refuse_row_dots(patch)
-        c = classify(struct(d))
-        r = classify(struct(relabelled))
+        c = classify(d)
+        r = classify(relabelled)
     assert (c.v, c.lambdas, c.n) == (1000, (0, 1, 2), (995, 2, 2))
     assert (r.v, r.lambdas, r.n) == (c.v, c.lambdas, c.n)
-    conc = concurrence(struct(d))
+    conc = d.row_dots()
     rng = random.Random(2000)
     for _ in range(2000):
         p, q = rng.randrange(1000), rng.randrange(1000)
         assert conc[p, q] == d.row_dot(p, q)
         for m, classes in ((d, c), (relabelled, r)):
-            label = classes.relation_of(p, q)
+            label = classes.relation[p, q]
             if p == q:
                 assert label == 0
             else:
@@ -173,10 +167,10 @@ RELABEL_CASES = [*CORES_16, CORES_12[0], *(doubled(m) for m in range(3, 41))]
 @pytest.mark.parametrize("index", range(len(RELABEL_CASES)))
 def test_classify_is_invariant_under_relabelling(index):
     m = RELABEL_CASES[index]
-    c = classify(struct(m))
+    c = classify(m)
     for seed in range(3):
         relabelled, p = relabel(m, 100 * index + seed)
-        r = classify(struct(relabelled))
+        r = classify(relabelled)
         assert (r.lambdas, r.n) == (c.lambdas, c.n)
         moved = np.empty_like(c.relation)
         moved[np.ix_(p, p)] = c.relation
@@ -185,11 +179,11 @@ def test_classify_is_invariant_under_relabelling(index):
 
 def test_classify_rejects_every_relabelling_of_the_boundary_core():
     with pytest.raises(NotPbibdError) as err:
-        classify(struct(CORES_12[1]))
+        classify(CORES_12[1])
     e = err.value
     for seed in range(5):
         with pytest.raises(NotPbibdError) as again:
-            classify(struct(relabel(CORES_12[1], seed)[0]))
+            classify(relabel(CORES_12[1], seed)[0])
         f = again.value
         assert (f.label, f.lam, f.count_a, f.count_b) == (
             e.label, e.lam, e.count_a, e.count_b
@@ -197,7 +191,7 @@ def test_classify_rejects_every_relabelling_of_the_boundary_core():
 
 
 def test_verify_pbibd_report():
-    rep = verify_pbibd(struct(doubled(3)))
+    rep = verify_pbibd(doubled(3))
     assert rep["v"] == rep["b"] == 6
     assert rep["r"] == rep["k"] == 3
     assert rep["d"] == 3
@@ -208,7 +202,7 @@ def test_verify_pbibd_report():
 
 
 def test_verify_pbibd_expectation():
-    s = struct(doubled(4))
+    s = doubled(4)
     assert verify_pbibd(s)["d"] == 3
 
 
@@ -228,8 +222,53 @@ def test_verify_pbibd_requires_regular_uniform():
     # the check names the first bad line and its sum
     for rows, kind, index, message in IRREGULAR:
         with pytest.raises(StructureError) as err:
-            verify_pbibd(struct(BinaryMatrix.from_rows(rows)))
+            verify_pbibd(BinaryMatrix.from_rows(rows))
         assert (err.value.kind, err.value.index, str(err.value)) == (kind, index, message)
+
+
+def test_regularity_and_uniformity():
+    assert _regular_uniform(constant(3, 4, 1)) == (4, 3)
+    assert _regular_uniform(BinaryMatrix.from_rows([[1, 0], [0, 1]])) == (1, 1)
+
+
+def test_derive_parameters_witnesses():
+    # the first irregular point, or the first non-uniform block once
+    # every point has the same degree, is the witness
+    with pytest.raises(StructureError) as err:
+        _regular_uniform(BinaryMatrix.from_rows([[1, 1], [1, 0]]))
+    assert err.value.kind == "point"
+    assert err.value.index == 1
+
+    with pytest.raises(StructureError) as err:
+        _regular_uniform(BinaryMatrix.from_rows([[1, 1], [0, 1], [1, 0], [0, 0]]))
+    assert err.value.kind == "point"
+
+    # rows regular, columns not
+    with pytest.raises(StructureError) as err:
+        _regular_uniform(BinaryMatrix.from_rows(
+            [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]]))
+    assert err.value.kind == "block"
+    assert err.value.index == 2
+
+
+def test_balance():
+    # a pair-balanced design is the one-class (d = 1) classification
+    rep = verify_pbibd(constant(4, 4, 1))
+    assert (rep["r"], rep["d"], rep["lambda"], rep["n"]) == (4, 1, [4], [3])
+    rep = verify_pbibd(constant(3, 4, 1))
+    assert (rep["r"], rep["k"], rep["d"], rep["lambda"]) == (4, 3, 1, [4])
+    assert classify(doubled(4)).d == 3  # pair counts differ
+
+
+def test_balance_single_point():
+    # one point has no pair, so no class and no lambda
+    c = classify(BinaryMatrix.from_rows([[1, 1, 0]]))
+    assert (c.d, c.lambdas, c.n) == (0, (), ())
+
+
+def test_identity_design():
+    rep = verify_pbibd(identity(4))
+    assert (rep["r"], rep["k"], rep["d"], rep["lambda"], rep["n"]) == (1, 1, 1, [0], [3])
 
 
 def test_double_count_trap_is_shared(monkeypatch):
@@ -238,21 +277,21 @@ def test_double_count_trap_is_shared(monkeypatch):
     # family share hits its trap
     monkeypatch.setattr(BinaryMatrix, "col_sums", lambda m: [m.rows + 1] * m.cols)
     with pytest.raises(InconsistencyError, match=r"v\*r = 24 but b\*k = 72"):
-        verify_pbibd(struct(doubled(4)))
+        verify_pbibd(doubled(4))
 
 
 def test_a_biplane_is_one_class():
     # lambda = 2 is b4c's only concurrence, and its order is r - lambda
     m = assemble_b4c()
-    c = classify(struct(m))
+    c = classify(m)
     assert (c.lambdas, c.n) == ((2,), (15,))
-    assert verify_biplane(m).order == 4 == verify_pbibd(struct(m))["r"] - c.lambdas[0]
+    assert verify_biplane(m).order == 4 == verify_pbibd(m)["r"] - c.lambdas[0]
 
 
 def test_sum_identity_values():
     # sum of n_i * lambda_i equals r(k-1) on the doubled family
     for m in range(3, 12):
-        rep = verify_pbibd(struct(doubled(m)))
+        rep = verify_pbibd(doubled(m))
         total = sum(n * l for n, l in zip(rep["n"], rep["lambda"]))
         assert total == rep["r"] * (rep["k"] - 1) == 6
 
@@ -274,7 +313,7 @@ def outcome(run) -> tuple:
 
 def both_ways(m: BinaryMatrix) -> tuple:
     """The common outcome of both classify paths on m; fails unless they agree."""
-    table = outcome(lambda: _classify_table(struct(m)))
+    table = outcome(lambda: _classify_table(m))
     pairs = outcome(lambda: _classify_pairs(m.rows, *_block_members(m)))
     if table[0] == "not a PBIBD":
         assert pairs == table
@@ -328,7 +367,7 @@ def test_classify_paths_agree_on_a_large_witness(monkeypatch):
     assert {expected[4], expected[6]} == {994, 992}
     with monkeypatch.context() as patch:
         refuse_row_dots(patch)
-        assert outcome(lambda: classify(struct(m))) == expected
+        assert outcome(lambda: classify(m)) == expected
 
 
 def circulant(v: int, width: int) -> BinaryMatrix:
@@ -344,7 +383,7 @@ def test_classify_picks_its_way_from_the_input(monkeypatch):
 
     def way_of(m):
         taken.clear()
-        outcome(lambda: classify(struct(m)))
+        outcome(lambda: classify(m))
         return taken
 
     low = pbibd._PAIRS_MIN_POINTS

@@ -6,20 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from biplane_schemes.binmat import identity
 from biplane_schemes.fixtures import CORES_16, RELATION_6
-from biplane_schemes.incidence import IncidenceStructure
 from biplane_schemes.pbibd import classify
 from biplane_schemes.scheme import (
     AxiomError,
     NotASchemeError,
-    associate_matrices,
     bose_mesner_check,
     format_relation,
-    from_classification,
     from_relation_matrix,
     parse_relation,
-    relation_matrix,
 )
 
 
@@ -63,21 +58,18 @@ def test_cyclic_distance_schemes():
         bose_mesner_check(s)
 
 
-def test_associate_matrices_partition():
-    s = from_relation_matrix(RELATION_6)
-    mats = associate_matrices(s)
-    assert len(mats) == 4
-    assert mats[0] == identity(6)
-    total = sum(m.to_numpy() for m in mats)
-    assert (total == 1).all()
-
-
 def test_relation_matrix_round_trip():
-    s = from_relation_matrix(RELATION_6)
-    assert np.array_equal(relation_matrix(s), RELATION_6)
-    # the copy is detached
-    relation_matrix(s)[0, 1] = 9
-    assert np.array_equal(relation_matrix(s), RELATION_6)
+    rel = RELATION_6.copy()
+    s = from_relation_matrix(rel)
+    # the scheme keeps its own copy
+    rel[0, 1] = 9
+    assert np.array_equal(s.relation, RELATION_6)
+    assert np.array_equal(from_relation_matrix(s.relation).relation, RELATION_6)
+    # the class indicators A_0 = I, A_1, ..., A_d partition the pairs
+    mats = [s.relation == h for h in range(s.d + 1)]
+    assert len(mats) == 4
+    assert np.array_equal(mats[0], np.eye(6, dtype=bool))
+    assert (sum(m.astype(np.int64) for m in mats) == 1).all()
 
 
 def test_bose_mesner_closure():
@@ -85,7 +77,7 @@ def test_bose_mesner_closure():
     rep = bose_mesner_check(s)
     assert rep == {"closure": True, "commutative": True, "sum_to_all_ones": True}
     # spell the closure out once by hand
-    mats = [m.to_numpy() for m in associate_matrices(s)]
+    mats = [(s.relation == h).astype(np.int64) for h in range(4)]
     for i in range(4):
         for j in range(4):
             product = mats[i] @ mats[j]
@@ -97,6 +89,9 @@ def test_axiom_gates():
     with pytest.raises(AxiomError) as err:
         from_relation_matrix(np.zeros((2, 3), dtype=int))
     assert err.value.axiom == "shape"
+    with pytest.raises(AxiomError) as err:
+        from_relation_matrix(np.zeros((0, 0), dtype=int))
+    assert (err.value.axiom, str(err.value)) == ("shape", "relation matrix has no points")
 
     bad = cyclic_distance_relation(5)
     bad[2, 2] = 1
@@ -124,13 +119,14 @@ def test_axiom_gates():
 
 
 def test_huge_label_is_rejected_without_listing_gaps():
-    # 10 point pairs cannot carry labels 1..10**6; the message stays short
+    # 5 points carry at most 4 classes, not 10**6; the message stays short
     bad = cyclic_distance_relation(5)
     bad[0, 1] = bad[1, 0] = 10**6
     with pytest.raises(AxiomError) as err:
         from_relation_matrix(bad)
     assert err.value.axiom == "labels"
-    assert str(err.value) == "largest label 1000000 exceeds the 10 point pairs of 5 points"
+    assert str(err.value) == (
+        "largest label 1000000 exceeds v - 1 = 4: a scheme on 5 points has at most 4 classes")
 
 
 def test_single_point_scheme():
@@ -152,16 +148,16 @@ def test_sixteen_point_classifications_fail_axiom_four():
     # all four tables classify into constant-size classes, yet the
     # triple counts depend on the pair chosen, so no scheme arises
     for core in CORES_16:
-        c = classify(IncidenceStructure(core))
+        c = classify(core)
         assert c.n == (11, 2, 2)
         with pytest.raises(NotASchemeError):
-            from_classification(c)
+            from_relation_matrix(c.relation)
 
 
 def test_sixteen_point_witness_detail():
-    c = classify(IncidenceStructure(CORES_16[1]))
+    c = classify(CORES_16[1])
     with pytest.raises(NotASchemeError) as err:
-        from_classification(c)
+        from_relation_matrix(c.relation)
     w = err.value.witness()
     assert (w["h"], w["i"], w["j"]) == (1, 1, 1)
     assert tuple(w["pair_a"]) == (0, 3) and w["count_a"] == 8
@@ -248,11 +244,11 @@ def test_no_scheme_with_valencies_11_2_2_on_16_points():
     bose_mesner_check(s)
 
 
-def test_from_classification_of_doubled_core():
+def test_scheme_of_the_doubled_core_classification():
     from biplane_schemes.binmat import doubled
 
-    c = classify(IncidenceStructure(doubled(3)))
-    s = from_classification(c)
+    c = classify(doubled(3))
+    s = from_relation_matrix(c.relation)
     assert s.n == (1, 1, 2, 2)
     bose_mesner_check(s)
 
@@ -261,9 +257,9 @@ def test_doubled_family_schemes_fail_beyond_three():
     from biplane_schemes.binmat import doubled
 
     for m in (4, 5, 6):
-        c = classify(IncidenceStructure(doubled(m)))
+        c = classify(doubled(m))
         with pytest.raises(NotASchemeError):
-            from_classification(c)
+            from_relation_matrix(c.relation)
 
 
 def test_axiom_four_agrees_with_closure_on_random_relations():
@@ -311,6 +307,10 @@ def test_axiom_four_agrees_with_closure_on_random_relations():
             from_relation_matrix(rel)
             valid = True
         except NotASchemeError:
+            valid = False
+        except AxiomError as err:
+            # more labels than v - 1: seed 97 draws one with v = 3, d = 3
+            assert err.axiom == "labels"
             valid = False
         assert valid == closure_holds(rel)
         seen_valid += valid
