@@ -65,7 +65,11 @@ def test_relation_matrix_round_trip():
     rel[0, 1] = 9
     assert np.array_equal(s.relation, RELATION_6)
     assert np.array_equal(from_relation_matrix(s.relation).relation, RELATION_6)
+
+
+def test_associate_matrices_partition():
     # the class indicators A_0 = I, A_1, ..., A_d partition the pairs
+    s = from_relation_matrix(RELATION_6)
     mats = [s.relation == h for h in range(s.d + 1)]
     assert len(mats) == 4
     assert np.array_equal(mats[0], np.eye(6, dtype=bool))
