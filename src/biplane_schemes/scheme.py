@@ -194,13 +194,15 @@ def format_relation(r) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INT64_MAX = str(np.iinfo(np.int64).max)
+
+
 def parse_relation(text: str) -> np.ndarray:
     """Inverse of format_relation; '.' is accepted as 0. Other entries
     are ASCII digits, as format_relation writes them: int() would also
-    take a sign, an underscore or another script's digits."""
+    take a sign, an underscore or another script's digits. Any label
+    an int64 holds is read; from_relation_matrix bounds the labels."""
     rows, cols, body = _grid_tokens(text, "table")
-    # the labels 1..d all occur, so d is at most the number of entries
-    largest = rows * cols
     values = []
     for tok in body:
         if tok == ".":
@@ -208,10 +210,13 @@ def parse_relation(text: str) -> np.ndarray:
             continue
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"bad entry token {tok!r}")
-        value = int(tok)
-        if value > largest:
-            raise ValueError(
-                f"entry token {tok!r} cannot be a class label of a {rows}x{cols} table"
-            )
-        values.append(value)
+        # 18 digits always fit; a longer token is compared as a digit
+        # string, since int() refuses one of over 4300 digits
+        if len(tok) > 18:
+            digits = tok.lstrip("0") or "0"
+            if (len(digits), digits) > (len(_INT64_MAX), _INT64_MAX):
+                raise ValueError(
+                    f"entry token {tok!r} is above the largest int64, {_INT64_MAX}")
+            tok = digits
+        values.append(int(tok))
     return np.array(values, dtype=np.int64).reshape(rows, cols)

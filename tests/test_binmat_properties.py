@@ -13,6 +13,8 @@ nonzero, which unpacks only the nonzero bytes, is checked on both.
 parse_matrix is checked against the str.split() tokenizer it replaced,
 on grids with every kind of whitespace run, glued and bad tokens, wrong
 entry counts and bad headers, each as a str and as its UTF-8 bytes.
+The layout format_matrix writes is read in place, and each near miss
+of it is left to the old way with the tokenizer's outcome.
 """
 
 import random
@@ -330,3 +332,83 @@ def test_parse_matrix_matches_the_split_tokenizer(text):
         assert outcome(parse_matrix, text.encode("utf-8")) == expected
     if isinstance(expected, BinaryMatrix) and text.isascii() and not FS_TO_US & set(text):
         assert not slow.called
+
+
+def layout_examples(test):
+    """Add a 3x3 and a 10x3 matrix: their headers, "3 3\\n" and "10 3\\n",
+    have even and odd lengths, so the uint16 view of the body starts at
+    an even and at an odd offset."""
+    for rows, cols in ((3, 3), (10, 3)):
+        rng = random.Random(rows)
+        test = example(BinaryMatrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows))))(test)
+    return test
+
+
+@kernel_settings
+@given(matrices())
+@boundary_examples
+@layout_examples
+def test_format_matrix_text_is_read_in_place(m):
+    # the layout format_matrix writes never takes the byte check or the
+    # token path, whole or in blocks of 7 entries (a block is one row
+    # when a row is longer)
+    text = format_matrix(m)
+    with mock.patch.object(binmat, "_pack_grid") as grid, \
+            mock.patch.object(binmat, "_parse_tokens") as tokens:
+        assert parse_matrix(text) == m
+        assert parse_matrix(text.encode("ascii")) == m
+        with mock.patch.object(binmat, "_LAYOUT_BLOCK", 7):
+            assert parse_matrix(text) == m
+    assert not grid.called and not tokens.called
+
+
+def near_misses(text: str) -> dict[str, str]:
+    """A format_matrix text of at least two columns, by name, changed
+    in each one way that leaves the layout."""
+    header, body = text.split("\n", 1)
+    rows, cols = header.split()
+    last_space = len(header) + 1 + body.rindex(" ")
+    zero = len(header) + 1 + body.index("0")
+    return {
+        "no final newline": text[:-1],
+        "CRLF": text.replace("\n", "\r\n"),
+        "tab": text[:last_space] + "\t" + text[last_space + 1:],
+        "trailing space": text + " ",
+        "space before a newline": text[:-1] + " \n",
+        "double space": text[:last_space] + "  " + text[last_space + 1:],
+        "dot": text[:zero] + "." + text[zero + 1:],
+        "space before the header": " " + text,
+        "newline before the header": "\n" + text,
+        "leading zero in rows": f"0{rows} {cols}\n{body}",
+        "leading zero in cols": f"{rows} 0{cols}\n{body}",
+        "plus sign": f"+{rows} {cols}\n{body}",
+        "one entry short": text[:-3] + "\n",
+        "one entry long": text[:-1] + " 0\n",
+        "0xff token": text[:zero] + "\xff" + text[zero + 1:],
+    }
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 3), (10, 3)])
+def test_near_misses_of_the_layout_take_the_old_path(shape):
+    # "1 2\n" to "3 3\n" have an even length, "10 3\n" an odd one; the
+    # headers include "01 2" and "+2 2". In blocks of 6 entries the last
+    # tab or double space of a 10x3 grid is in the last block, and in its
+    # second row
+    rows, cols = shape
+    # column 0 holds the zeros, the others the ones
+    m = BinaryMatrix(rows, cols, tuple((1 << cols) - 2 for _ in range(rows)))
+    misses = near_misses(format_matrix(m))
+    with mock.patch.object(binmat, "_LAYOUT_BLOCK", 6):
+        for name, text in misses.items():
+            data = text.encode("utf-8")
+            if name == "0xff token":
+                # as bytes: the one byte 0xff, which is not UTF-8
+                data = text.encode("latin-1")
+            assert binmat._parse_layout(text) is None, name
+            assert binmat._parse_layout(data) is None, name
+            expected = outcome(split_oracle, text)
+            assert outcome(parse_matrix, text) == expected, name
+            if name == "0xff token":
+                expected = outcome(lambda b: b.decode("utf-8"), data)
+                assert expected[0] is UnicodeDecodeError
+            assert outcome(parse_matrix, data) == expected, name

@@ -615,17 +615,29 @@ def test_scheme_nonpositive_dimensions_exit_2(tmp_path, capsys, text, dims):
     assert err == f"error: {path}: dimensions must be positive, got {dims}\n"
 
 
-@pytest.mark.parametrize("label", ["1000000", "100000000000000000000"])
+@pytest.mark.parametrize("label", ["10", "1000000", "9223372036854775807"])
+def test_scheme_large_label_is_the_labels_axiom(tmp_path, capsys, label):
+    # every label an int64 holds is read, and one above v - 1 fails the
+    # labels axiom (exit 1) as 5 does: no report that lists the absent labels
+    path = tmp_path / "large.txt"
+    path.write_text(f"3 3\n0 1 {label}\n1 0 1\n{label} 1 0\n")
+    code, payload, _ = run_json(capsys, "scheme", str(path))
+    assert code == 1
+    assert payload["axiom"] == "labels"
+    assert payload["reason"] == (
+        f"largest label {label} exceeds v - 1 = 2: a scheme on 3 points has at most 2 classes")
+
+
+@pytest.mark.parametrize("label", ["100000000000000000000", "9223372036854775808"])
 def test_scheme_huge_label_exits_2(tmp_path, capsys, label):
-    # a label above the entry count of the table is rejected while parsing:
-    # no report that lists the absent labels, no int64 overflow
+    # a label no int64 holds is rejected while parsing, with no overflow
     path = tmp_path / "huge.txt"
     path.write_text(f"3 3\n0 1 {label}\n1 0 1\n{label} 1 0\n")
     code, out, err = run_cli(capsys, "scheme", str(path))
     assert code == 2
     assert out == ""
-    assert err == (f"error: {path}: entry token '{label}' cannot be a class label"
-                   " of a 3x3 table\n")
+    assert err == (f"error: {path}: entry token '{label}' is above the largest int64,"
+                   " 9223372036854775807\n")
 
 
 @pytest.mark.parametrize("label", ["+1", "0_1", "\u0661"])

@@ -334,8 +334,12 @@ def test_relation_text_round_trip():
     for bad in ("-1", "+1", "1_0", "\u0663"):
         with pytest.raises(ValueError, match=re.escape(f"bad entry token {bad!r}")):
             parse_relation(f"2 2\n0 {bad}\n{bad} 0")
-    # labels 1..d all occur, so no label exceeds the entry count
-    assert parse_relation("2 2\n0 4\n4 0").tolist() == [[0, 4], [4, 0]]
-    for huge in ("5", "10" * 10):
-        with pytest.raises(ValueError, match=f"entry token '{huge}' cannot be a class label"):
+    # any label an int64 holds is read, however many points the table
+    # has: from_relation_matrix bounds the labels by v - 1
+    top = str(2**63 - 1)
+    for label in ("4", "5", "10" * 9, top, "0" * 5000 + "7"):
+        value = int(label.lstrip("0"))
+        assert parse_relation(f"2 2\n0 {label}\n{label} 0").tolist() == [[0, value], [value, 0]]
+    for huge in (str(2**63), "10" * 10, "1" * 5000):
+        with pytest.raises(ValueError, match=f"entry token '{huge}' is above the largest int64, {top}"):
             parse_relation(f"2 2\n0 {huge}\n{huge} 0")
