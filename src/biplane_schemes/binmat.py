@@ -14,21 +14,19 @@ permute, and is_symmetric as a transpose) go through one bridge:
 _unpacked() turns the grid into a uint8 array of entries, numpy moves
 the entries, and _pack() packs them into the new matrix and keeps the
 packed bytes as its grid, as it does for from_numpy and a grid text.
-Matrix files are read and written as bytes: an ASCII file is never
-decoded, and format_matrix is the ASCII decode of the bytes the CLI
-writes. parse_matrix reads a text in the first of three ways that
-takes it: the exact layout format_matrix writes, viewed in place as
-one uint16 per entry and its separator; any other ASCII grid, checked
-and packed as bytes; and one string per token, for a text that is not
-ASCII or that the byte check rejects, to parse it or to name its
-first error. Only that last way, the per-entry oracles that the tests
-compare these kernels against (to_lists, col_sum, row_dot) and
-from_rows, which checks outside input, loop over single entries in
-Python. The table of row dots reads each 64-bit word position's
-occupancy: a sparse matrix such as D_m costs work in proportion to its
-nonzero words, not to rows^2 x words. nonzero() unpacks only the
-nonzero bytes, so for D_m it costs rows x cols / 8 byte reads and no
-table.
+Matrix files are read and written as bytes: a file in the layout the
+CLI writes is never decoded, and format_matrix is the ASCII decode of
+the bytes the CLI writes. parse_matrix reads a text in one of two
+ways: the exact layout format_matrix writes, viewed in place as one
+uint16 per entry and its separator, or else one string per token, to
+parse any other text or to name its first error. Only that token way,
+the per-entry oracles that the tests compare these kernels against
+(to_lists, col_sum, row_dot) and from_rows, which checks outside
+input, loop over single entries in Python. The table of row dots reads
+each 64-bit word position's occupancy: a sparse matrix such as D_m
+costs work in proportion to its nonzero words, not to rows^2 x words.
+nonzero() unpacks only the nonzero bytes, so for D_m it costs
+rows x cols / 8 byte reads and no table.
 
 Constructors cover the named matrix families used throughout the
 package: J (constant), I (identity), C- (anti-diagonal), L (path with
@@ -440,8 +438,6 @@ def is_perm_equivalent(
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return None
-    if a.count_ones() != b.count_ones():
-        return None
     if sorted(a.row_sums()) != sorted(b.row_sums()):
         return None
     if sorted(a.col_sums()) != sorted(b.col_sums()):
@@ -542,12 +538,11 @@ def _format_bytes(m: BinaryMatrix) -> bytes:
     return b"".join((f"{m.rows} {m.cols}\n".encode("ascii"), grid))
 
 
-def _header(rows: str | bytes, cols: str | bytes) -> Optional[tuple[int, int]]:
+def _header(rows: str, cols: str) -> Optional[tuple[int, int]]:
     """The "rows cols" header as ints, or None unless each token is ASCII
     digits after at most one minus sign: int() alone would also take a
     plus sign, an underscore or another script's digits."""
-    # a bytes token's first item is the byte's value
-    digits = [t[1:] if t[0] in ("-", ord("-")) else t for t in (rows, cols)]
+    digits = [t[1:] if t[0] == "-" else t for t in (rows, cols)]
     if all(d.isascii() and d.isdigit() for d in digits):
         return int(rows), int(cols)
     return None
@@ -564,49 +559,35 @@ def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
     if dims is None:
         raise ValueError(f"malformed header {tokens[:2]!r}")
     rows, cols = dims
-    body = tokens[2:]
-    if len(body) != rows * cols:
+    # drop the header in place: a slice would copy one pointer per entry
+    del tokens[:2]
+    if len(tokens) != rows * cols:
         raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {len(body)}"
+            f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {len(tokens)}"
         )
     if rows < 1 or cols < 1:
         raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
-    return rows, cols, body
+    return rows, cols, tokens
 
 
 def parse_matrix(text: str | bytes) -> BinaryMatrix:
     """Inverse of format_matrix; '.' is accepted as a synonym for 0.
 
     Tokens are separated as by str.split(): by runs of any whitespace,
-    Unicode included. Bytes are read as UTF-8; ASCII bytes are never
-    decoded. A text is read in the first of three ways that takes it:
-    the exact layout format_matrix writes, read in place
-    (_parse_layout); any other ASCII body, checked and packed as bytes
-    (_pack_grid); and the token-by-token diagnosis, which packs a valid
-    body with non-ASCII whitespace and otherwise raises the first
-    error, in this order: header, entry count, dimensions, then the
-    first bad token in row-major order. The first two make no Python
-    object per entry, and a text either of them refuses goes on to the
-    next way unchanged.
+    Unicode included. Bytes are read as UTF-8. A text is read in one of
+    two ways: the exact layout format_matrix writes, read in place
+    (_parse_layout), or else one str.split() token at a time
+    (_parse_tokens), which packs a valid body and otherwise raises the
+    first error, in this order: header, entry count, dimensions, then
+    the first bad token in row-major order. The layout makes no Python
+    object per entry, and a text it refuses goes on to the tokens
+    unchanged.
     """
     m = _parse_layout(text)
     if m is not None:
         return m
-    if isinstance(text, bytes) and not text.isascii():
-        text = text.decode("utf-8")
-    # bytes.split() does not split on \x1c-\x1f as str.split() does, but
-    # a header token holding one fails _header and takes the token path
-    head = text.split(None, 2)
-    # bytes that are still bytes here passed the isascii() check above
-    if len(head) == 3 and (isinstance(text, bytes) or head[2].isascii()):
-        rows, cols = _header(head[0], head[1]) or (0, 0)
-        if rows >= 1 and cols >= 1:
-            body = head[2] if isinstance(head[2], bytes) else head[2].encode("ascii")
-            m = _pack_grid(body, rows, cols)
-            if m is not None:
-                return m
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        text = text.decode("utf-8")
     return _parse_tokens(text)
 
 
@@ -656,33 +637,14 @@ def _parse_layout(text: str | bytes) -> Optional[BinaryMatrix]:
     return _from_grid(raw, cols)
 
 
-# the ASCII characters that str.split() treats as whitespace
-_WHITESPACE = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
-
-
-def _pack_grid(body: bytes, rows: int, cols: int) -> Optional[BinaryMatrix]:
-    """The matrix of an ASCII grid body, or None unless it holds exactly
-    rows * cols tokens, each a single 0, 1 or '.'."""
-    digits = body.translate(None, _WHITESPACE)
-    if len(digits) != rows * cols or digits.translate(None, b"01."):
-        return None
-    # what is left are token bytes (all above ' ') and whitespace bytes
-    # (all at or below it); two token bytes side by side would be one
-    # token of several characters
-    is_token = np.frombuffer(body, dtype=np.uint8) > ord(" ")
-    if np.any(is_token[1:] & is_token[:-1]):
-        return None
-    return _pack(np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1"))
-
-
 def _parse_tokens(text: str) -> BinaryMatrix:
     """parse_matrix one str.split() token at a time."""
     rows, cols, body = _grid_tokens(text, "matrix")
-    # valid tokens are ASCII, so a body with other characters has a bad one
-    joined = " ".join(body)
-    m = _pack_grid(joined.encode("ascii"), rows, cols) if joined.isascii() else None
-    if m is None:
-        index = next(n for n, tok in enumerate(body) if tok not in _TOKENS)
-        i, j = divmod(index, cols)
-        raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")
-    return m
+    # rows * cols bytes only if every token is one ASCII character; a
+    # lone surrogate, which strict UTF-8 refuses, is 3 bytes here
+    digits = "".join(body).encode("utf-8", "surrogatepass")
+    if len(digits) == rows * cols and not digits.translate(None, b"01."):
+        return _pack(np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1"))
+    index = next(n for n, tok in enumerate(body) if tok not in _TOKENS)
+    i, j = divmod(index, cols)
+    raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")

@@ -60,9 +60,12 @@ LONG_RUN_K = 11
 # the classification's relation is a v x v int64 table, 8 bytes an
 # entry, and 5000 points make 200 MB. For a sparse input it is the only
 # one; a dense input also has its v x v concurrence table built by the
-# classification, and by the biplane check when v = 1 + C(k,2). The
-# largest benchmarked input has 1000 points; CI runs 5000. family
-# writes 2m points, so it takes m of at most MAX_POINTS // 2
+# classification, and by the biplane check when v = 1 + C(k,2). A file
+# not in the layout format_matrix writes is parsed by tokens, and while
+# it is parsed its token list holds an 8-byte slot per entry, 200 MB at
+# 5000 points. The largest benchmarked input has 1000 points; CI runs
+# 5000, in the layout and as a CRLF copy. family writes 2m points, so
+# it takes m of at most MAX_POINTS // 2
 MAX_POINTS = 5000
 
 
@@ -84,7 +87,8 @@ def _read(path: str) -> bytes:
 
 
 def _read_matrix(path: str) -> BinaryMatrix:
-    # parse_matrix decodes (as UTF-8) only a file that is not ASCII
+    # parse_matrix decodes (as UTF-8) only a file that is not in the
+    # layout format_matrix writes
     try:
         m = parse_matrix(_read(path))
     except (ValueError, DimensionError) as exc:
@@ -118,7 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                "reasons": {"biplane": biplane_reason, "pbibd": str(exc)}})
         return 1
 
-    if report["d"] == 0 or all(l == 0 for l in report["lambda"]):
+    if all(l == 0 for l in report["lambda"]):
         _emit({"verb": "verify", "verified": False,
                "reasons": {"biplane": biplane_reason,
                            "pbibd": "degenerate: no pair of points ever concurs"}})

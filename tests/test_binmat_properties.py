@@ -238,7 +238,6 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
 ASCII_SEPARATORS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
                     " ", "\r\n")
 SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000")
-FS_TO_US = set("\x1c\x1d\x1e\x1f")
 BAD_TOKENS = ("00", "1.", "10", "..", "2", "x", "-1", "\x00", "\x1b", "0\x1b", "\xe9", "\uff11")
 BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1",
                "\u0662 1", "- 1", "--1 1")
@@ -319,19 +318,10 @@ def outcome(parse, text):
 @example("1 1")
 @example("-1 -1\n2\n")
 def test_parse_matrix_matches_the_split_tokenizer(text):
-    with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as slow:
-        got = outcome(parse_matrix, text)
     expected = outcome(split_oracle, text)
-    assert got == expected
-    if isinstance(expected, BinaryMatrix) and text.isascii():
-        # an ASCII grid that parses never needs the token-by-token path
-        assert not slow.called
-    # the same text as a file's bytes; bytes.split() does not split on
-    # \x1c-\x1f, so only a text holding one of them may need the token path
-    with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as slow:
-        assert outcome(parse_matrix, text.encode("utf-8")) == expected
-    if isinstance(expected, BinaryMatrix) and text.isascii() and not FS_TO_US & set(text):
-        assert not slow.called
+    assert outcome(parse_matrix, text) == expected
+    # the same text as a file's bytes
+    assert outcome(parse_matrix, text.encode("utf-8")) == expected
 
 
 def layout_examples(test):
@@ -349,17 +339,15 @@ def layout_examples(test):
 @boundary_examples
 @layout_examples
 def test_format_matrix_text_is_read_in_place(m):
-    # the layout format_matrix writes never takes the byte check or the
-    # token path, whole or in blocks of 7 entries (a block is one row
-    # when a row is longer)
+    # the layout format_matrix writes never takes the token path, whole
+    # or in blocks of 7 entries (a block is one row when a row is longer)
     text = format_matrix(m)
-    with mock.patch.object(binmat, "_pack_grid") as grid, \
-            mock.patch.object(binmat, "_parse_tokens") as tokens:
+    with mock.patch.object(binmat, "_parse_tokens") as tokens:
         assert parse_matrix(text) == m
         assert parse_matrix(text.encode("ascii")) == m
         with mock.patch.object(binmat, "_LAYOUT_BLOCK", 7):
             assert parse_matrix(text) == m
-    assert not grid.called and not tokens.called
+    assert not tokens.called
 
 
 def near_misses(text: str) -> dict[str, str]:
@@ -407,8 +395,12 @@ def test_near_misses_of_the_layout_take_the_old_path(shape):
             assert binmat._parse_layout(text) is None, name
             assert binmat._parse_layout(data) is None, name
             expected = outcome(split_oracle, text)
-            assert outcome(parse_matrix, text) == expected, name
-            if name == "0xff token":
-                expected = outcome(lambda b: b.decode("utf-8"), data)
-                assert expected[0] is UnicodeDecodeError
-            assert outcome(parse_matrix, data) == expected, name
+            with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as tokens:
+                assert outcome(parse_matrix, text) == expected, name
+                if name == "0xff token":
+                    expected = outcome(lambda b: b.decode("utf-8"), data)
+                    assert expected[0] is UnicodeDecodeError
+                assert outcome(parse_matrix, data) == expected, name
+            # every near miss is read by tokens, as str and as bytes;
+            # bytes that are not UTF-8 fail before they reach them
+            assert tokens.call_count == (1 if name == "0xff token" else 2), name
