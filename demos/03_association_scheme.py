@@ -41,7 +41,8 @@ print("algebra checks:", bose_mesner_check(scheme))
 print()
 
 # closure means A_i A_j is an exact integer combination of the A_h.
-# bose_mesner_check recomputes every product; nothing here is numerical.
+# bose_mesner_check recomputes every product in float64, which is exact:
+# each entry is a count of at most v terms 0 or 1.
 
 # -- the bad case: 16 points ------------------------------------------------
 

@@ -65,7 +65,8 @@ LONG_RUN_K = 11
 # it is parsed its token list holds an 8-byte slot per entry, 200 MB at
 # 5000 points. The largest benchmarked input has 1000 points; CI runs
 # 5000, in the layout and as a CRLF copy. family writes 2m points, so
-# it takes m of at most MAX_POINTS // 2
+# it takes m of at most MAX_POINTS // 2. scheme takes relation tables
+# of at most this many rows too: each is a v x v int64 table
 MAX_POINTS = 5000
 
 
@@ -202,15 +203,21 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
     from .scheme import (
         AxiomError,
         NotASchemeError,
+        TooManyClassesError,
         bose_mesner_check,
         from_relation_matrix,
         parse_relation,
     )
 
     try:
-        relation = parse_relation(_read(args.relation).decode("utf-8"))
+        relation = parse_relation(_read(args.relation))
     except ValueError as exc:
         raise CliInputError(f"{args.relation}: {exc}") from exc
+    if relation.shape[0] > MAX_POINTS:
+        raise CliInputError(
+            f"{args.relation}: v = {relation.shape[0]} points is above the cap of"
+            f" {MAX_POINTS} (scheme builds v x v tables)"
+        )
     try:
         scheme = from_relation_matrix(relation)
     except AxiomError as exc:
@@ -221,6 +228,8 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         _emit({"verb": "scheme", "valid": False, "axiom": "intersection-numbers",
                "witness": exc.witness(), "reason": str(exc)})
         return 1
+    except TooManyClassesError as exc:
+        raise CliInputError(f"{args.relation}: {exc}") from exc
     algebra = bose_mesner_check(scheme)
     _emit({"verb": "scheme", "valid": True, "scheme": scheme.report(),
            "bose_mesner": algebra})

@@ -5,13 +5,20 @@ the diagonal class 0 and symmetric classes 1..d such that for every
 (x, y) in class h the count of z with (x, z) in class i and (z, y) in
 class j depends only on (h, i, j). Those counts are the intersection
 numbers p[h][i][j]; constancy of every one of them is the axiom that
-actually fails in the wild, and from_relation_matrix verifies it by
-direct counting with bitset neighborhoods.
+actually fails in the wild.
 
 The class indicator matrices A_0 = I, A_1, ..., A_d sum to the all-ones
-matrix and satisfy the closure A_i A_j = sum_h p[h][i][j] A_h over the
-integers; bose_mesner_check recomputes that identity per pair (i, j)
-with exact integer products.
+matrix, and the count for (x, y) and (i, j) is entry (x, y) of the
+product A_i A_j. from_relation_matrix reads p[h] off the first pair of
+each class with one bincount, then computes every product A_i A_j at
+once, block by block of rows (1, 2, 4, ... rows, so that a table that
+fails in its first rows stops there) and of columns, as one float64
+matrix product of the indicators of the block's rows and columns. Each
+entry is a sum of at most v terms 0 or 1, and v < 2**53, so every count
+is exact. No temporary grows past a fixed number of bytes, and a table
+whose tensor p would pass a fixed number of entries is refused before
+anything is built. bose_mesner_check runs the same products against the
+closure A_i A_j = sum_h p[h][i][j] A_h and against A_j A_i.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binmat import _grid_tokens, _pack, _Trap
+from .binmat import _grid_tokens, _parse_layout, _Trap
 
 
 class AxiomError(ValueError):
@@ -57,6 +64,10 @@ class NotASchemeError(Exception):
         }
 
 
+class TooManyClassesError(ValueError):
+    """The relation has more classes than the intersection tensor is built for."""
+
+
 class InternalInconsistencyError(_Trap, RuntimeError):
     """Closure failed for a verified scheme; impossible unless there is a bug."""
 
@@ -80,15 +91,91 @@ class AssociationScheme:
         }
 
 
+# bytes per temporary array of the blocked counts: the indicators of a
+# block of rows, those of a block of columns, their product and the
+# values it is compared with
+_BLOCK_BYTES = 1 << 24
+# the largest intersection tensor p, in entries: (d + 1)**3 int64, 16 MB
+_MAX_TENSOR = 1 << 21
+
+
+def _products(rel: np.ndarray, d: int, rows: int):
+    """Yield (x0, y0, counts) over the table: rows in blocks of rows,
+    2 * rows, 4 * rows, ... rows, and each block of rows in blocks of
+    columns, so that no temporary exceeds _BLOCK_BYTES (except for one
+    row against one column, (d + 1) * v entries). counts[a, b, i, j]
+    is entry (x0 + a, y0 + b) of A_i A_j, the number of z with
+    rel[x0 + a, z] = i and rel[z, y0 + b] = j. Every label of rel is
+    in 0..d.
+
+    Each block is one float64 product of the class indicators of its
+    rows, [(a, i), z], with those of its columns, [z, (b, j)]. Every
+    term is 0 or 1 and every sum at most v < 2**53, so the product is
+    exact.
+    """
+    v = rel.shape[0]
+    # row h of the identity is the indicator vector of label h
+    eye = np.eye(d + 1)
+    per_point = 8 * (d + 1) * v
+    cols = max(1, min(v, _BLOCK_BYTES // per_point))
+    rows_cap = max(1, min(_BLOCK_BYTES // per_point,
+                          _BLOCK_BYTES // (8 * (d + 1) ** 2 * cols)))
+    right = None
+    x0, rows = 0, min(rows, rows_cap)
+    while x0 < v:
+        x1 = min(v, x0 + rows)
+        left = eye.take(rel[x0:x1], axis=0).transpose(0, 2, 1).reshape(-1, v)
+        for y0 in range(0, v, cols):
+            y1 = min(v, y0 + cols)
+            if right is None or cols < v:
+                right = eye.take(rel[:, y0:y1], axis=0).reshape(v, -1)
+            counts = (left @ right).reshape(x1 - x0, d + 1, y1 - y0, d + 1)
+            yield x0, y0, counts.transpose(0, 2, 1, 3)
+        x0, rows = x1, min(2 * rows, rows_cap)
+
+
+def _pair_counts(rel: np.ndarray, d: int, xs, ys) -> np.ndarray:
+    """The (len(xs), d + 1, d + 1) int64 counts of the pairs (xs[k], ys[k]):
+    entry [k, i, j] is the number of z with rel[xs[k], z] = i and
+    rel[z, ys[k]] = j, one bincount of the codes i * (d + 1) + j."""
+    width = (d + 1) ** 2
+    codes = rel.take(xs, axis=0) * (d + 1) + rel.take(ys, axis=1).T
+    codes += np.arange(len(xs))[:, None] * width
+    return np.bincount(codes.ravel(), minlength=len(xs) * width).reshape(-1, d + 1, d + 1)
+
+
+def _first_pairs(rel: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of the first pair of each label 0..d in
+    row-major order, read in blocks of rows until every label is seen."""
+    v = rel.shape[0]
+    first = np.full(d + 1, v * v)
+    step = max(1, _BLOCK_BYTES // (8 * v))
+    for x0 in range(0, v, step):
+        block = rel[x0:x0 + step].ravel()
+        np.minimum.at(first, block, np.arange(x0 * v, x0 * v + block.size))
+        if (first < v * v).all():
+            break
+    return np.divmod(first, v)
+
+
 def from_relation_matrix(r) -> AssociationScheme:
     """Verify a relation matrix and build the scheme.
 
     Structural gates first: square and not empty, zero diagonal,
     symmetric, and off-diagonal labels exactly 1..d with no gaps and d
-    at most v - 1 (AxiomError names the failed gate). Then the
-    intersection count for every (h, i, j) is computed for every ordered
-    pair and compared against the first pair of its class; the first
-    disagreement raises NotASchemeError with both pairs as witness.
+    at most v - 1 (AxiomError names the failed gate). A table of more
+    than 127 classes, whose tensor p would exceed _MAX_TENSOR entries,
+    then raises TooManyClassesError before anything is built.
+
+    p[h] is counted directly on the first pair of class h in row-major
+    order. The counts of every pair come from _products, in blocks of
+    1, 2, 4, ... rows, and each block is compared with p of its pairs'
+    classes before the next is counted. The first pair in row-major
+    order whose counts differ from p[h] of its class h, and the first
+    (i, j) in row-major order where they differ, raise NotASchemeError
+    with both pairs as witness, recounted directly: the same witness as
+    a loop over the pairs in row-major order, and a table that fails in
+    its first rows stops there.
     """
     rel = np.asarray(r, dtype=np.int64)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
@@ -96,20 +183,22 @@ def from_relation_matrix(r) -> AssociationScheme:
     v = int(rel.shape[0])
     if v == 0:
         raise AxiomError("shape", "relation matrix has no points")
-    if np.any(np.diag(rel) != 0):
-        x = int(np.flatnonzero(np.diag(rel))[0])
+    if np.diagonal(rel).any():
+        x = int(np.flatnonzero(np.diagonal(rel))[0])
         raise AxiomError("diagonal", f"diagonal entry ({x},{x}) is {rel[x, x]}, not 0")
-    if np.any(rel != rel.T):
+    if (rel != rel.T).any():
         x, y = map(int, np.argwhere(rel != rel.T)[0])
         raise AxiomError(
             "symmetry", f"entry ({x},{y})={rel[x, y]} but ({y},{x})={rel[y, x]}"
         )
-    off = rel[~np.eye(v, dtype=bool)]
-    d = int(off.max()) if off.size else 0
-    if off.size and off.min() < 1:
-        x, y = map(int, np.argwhere((rel == 0) & ~np.eye(v, dtype=bool))[0])
+    # the diagonal is 0, so d is the largest off-diagonal label (0 if
+    # v = 1), and more than v entries below 1 mean an off-diagonal one
+    d = int(rel.max())
+    if np.count_nonzero(rel < 1) > v:
+        x, y = map(int, np.argwhere((rel < 1) & ~np.eye(v, dtype=bool))[0])
         raise AxiomError(
-            "partition", f"off-diagonal entry ({x},{y}) is 0; labels must be 1..d"
+            "partition",
+            f"off-diagonal entry ({x},{y}) is {rel[x, y]}; labels must be 1..d"
         )
     # every class has valency at least 1 at every point, and the
     # valencies of classes 1..d sum to v - 1
@@ -120,63 +209,74 @@ def from_relation_matrix(r) -> AssociationScheme:
             f"a scheme on {v} points has at most {v - 1} classes",
         )
     # np.bincount, not np.unique: the first np.unique call imports numpy.ma
-    missing = np.flatnonzero(np.bincount(off, minlength=d + 1)[1:] == 0) + 1
+    missing = np.flatnonzero(np.bincount(rel.ravel(), minlength=d + 1)[1:] == 0) + 1
     if missing.size:
         raise AxiomError(
             "labels", f"class labels {missing.tolist()} are absent below max {d}"
         )
+    if (d + 1) ** 3 > _MAX_TENSOR:
+        raise TooManyClassesError(
+            f"{d} classes: the intersection numbers p[h][i][j] would be"
+            f" (d + 1)^3 = {(d + 1) ** 3} entries, above the cap of {_MAX_TENSOR}"
+        )
 
-    # class-i neighborhoods as bit rows: bit z of masks[i][x] <=> rel[x,z] == i;
-    # past the gates, rel == 0 is the identity
-    masks = [_pack(rel == i).bits for i in range(d + 1)]
-
-    p = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
-    first_pair: list[tuple[int, int] | None] = [None] * (d + 1)
-    for x in range(v):
-        for y in range(v):
-            h = int(rel[x, y]) if x != y else 0
-            if first_pair[h] is None:
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        p[h, i, j] = (masks[i][x] & masks[j][y]).bit_count()
-                first_pair[h] = (x, y)
-            else:
-                for i in range(d + 1):
-                    for j in range(d + 1):
-                        count = (masks[i][x] & masks[j][y]).bit_count()
-                        if count != p[h, i, j]:
-                            raise NotASchemeError(
-                                h, i, j,
-                                first_pair[h], int(p[h, i, j]),
-                                (x, y), count,
-                            )
+    first_x, first_y = _first_pairs(rel, d)
+    p = _pair_counts(rel, d, first_x, first_y)
+    for x0, y0, counts in _products(rel, d, 1):
+        rows, cols = counts.shape[:2]
+        if y0 == 0:
+            bad = np.empty((rows, v), dtype=bool)
+        expected = p.take(rel[x0:x0 + rows, y0:y0 + cols], axis=0)
+        bad[:, y0:y0 + cols] = (counts != expected).any(axis=(2, 3))
+        if y0 + cols == v and bad.any():
+            x, y = divmod(int(np.argmax(bad)), v)
+            x += x0
+            h = int(rel[x, y])
+            count = _pair_counts(rel, d, [x], [y])[0]
+            i, j = divmod(int(np.argmax(count != p[h])), d + 1)
+            raise NotASchemeError(
+                h, i, j,
+                (int(first_x[h]), int(first_y[h])), int(p[h, i, j]),
+                (x, y), int(count[i, j]),
+            )
     valencies = tuple(int(p[0, i, i]) for i in range(d + 1))
     return AssociationScheme(size=v, d=d, relation=rel.copy(), p=p, n=valencies)
 
 
 def bose_mesner_check(s: AssociationScheme) -> dict:
-    """Recheck closure A_i A_j = sum_h p[h][i][j] A_h with integer products.
+    """Recheck closure A_i A_j = sum_h p[h][i][j] A_h with exact products.
 
-    Also confirms commutativity of every product and that the
-    indicators sum to the all-ones matrix. All three are theorems once
-    the intersection tensor is constant, so failure raises
-    InternalInconsistencyError rather than reporting bad input.
+    Also confirms that the indicators A_0, ..., A_d sum to the
+    all-ones matrix, and commutativity of every product. The products
+    are the float64 blocks of _products, exact since every sum is at
+    most v < 2**53; each block is compared with its p-expansion, the
+    product of its pairs' class indicators with p, and with its
+    transpose in (i, j). The blocks run to the end, and the first
+    (i, j) in row-major order that fails either check is named, the
+    closure first. All three are theorems once the intersection
+    tensor is constant, so failure raises InternalInconsistencyError
+    rather than reporting bad input.
     """
-    # past the gates of from_relation_matrix, class 0 is the identity
-    mats = [(s.relation == h).astype(np.int64) for h in range(s.d + 1)]
-    total = sum(mats)
-    if not np.array_equal(total, np.ones((s.size, s.size), dtype=np.int64)):
+    rel, d = s.relation, s.d
+    # the indicators of 0..d sum to all-ones iff every label is in 0..d
+    if ((rel < 0) | (rel > d)).any():
         raise InternalInconsistencyError("class indicators do not sum to all-ones")
-    for i in range(s.d + 1):
-        for j in range(s.d + 1):
-            prod = mats[i] @ mats[j]
-            expect = sum(int(s.p[h, i, j]) * mats[h] for h in range(s.d + 1))
-            if not np.array_equal(prod, expect):
-                raise InternalInconsistencyError(
-                    f"A_{i} A_{j} deviates from its p-expansion"
-                )
-            if not np.array_equal(prod, mats[j] @ mats[i]):
-                raise InternalInconsistencyError(f"A_{i} and A_{j} do not commute")
+    eye = np.eye(d + 1)
+    expansion = s.p.reshape(d + 1, -1).astype(np.float64)
+    closure = np.zeros((d + 1, d + 1), dtype=bool)
+    commute = np.zeros((d + 1, d + 1), dtype=bool)
+    for x0, y0, counts in _products(rel, d, s.size):
+        rows, cols = counts.shape[:2]
+        classes = eye.take(rel[x0:x0 + rows, y0:y0 + cols], axis=0)
+        expect = (classes @ expansion).reshape(counts.shape)
+        closure |= (counts != expect).any(axis=(0, 1))
+        commute |= (counts != counts.swapaxes(2, 3)).any(axis=(0, 1))
+    failed = closure | commute
+    if failed.any():
+        i, j = divmod(int(np.argmax(failed)), d + 1)
+        if closure[i, j]:
+            raise InternalInconsistencyError(f"A_{i} A_{j} deviates from its p-expansion")
+        raise InternalInconsistencyError(f"A_{i} and A_{j} do not commute")
     return {"closure": True, "commutative": True, "sum_to_all_ones": True}
 
 
@@ -197,12 +297,34 @@ def format_relation(r) -> str:
 _INT64_MAX = str(np.iinfo(np.int64).max)
 
 
-def parse_relation(text: str) -> np.ndarray:
+def parse_relation(text: str | bytes) -> np.ndarray:
     """Inverse of format_relation; '.' is accepted as 0. Other entries
     are ASCII digits, as format_relation writes them: int() would also
     take a sign, an underscore or another script's digits. Any label
-    an int64 holds is read; from_relation_matrix bounds the labels."""
+    an int64 holds is read; from_relation_matrix bounds the labels.
+    Bytes are read as UTF-8.
+
+    A table of single-digit labels in the exact layout format_relation
+    writes is read in place, by the layout reader of parse_matrix.
+    Any other text is split into tokens. When every token is '.' or at
+    most 18 ASCII digits, which always fit an int64, all are checked
+    at once on their concatenation and converted by one int() map. Only
+    otherwise are the tokens read one at a time, to name the first bad
+    one or to read a longer one.
+    """
+    digits = _parse_layout(text)
+    if digits is not None:
+        return digits.astype(np.int64)
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     rows, cols, body = _grid_tokens(text, "table")
+    joined = "".join(body)
+    dots = body.count(".")
+    if (joined.isascii() and joined.replace(".", "0").isdigit()
+            and joined.count(".") == dots and max(map(len, body)) <= 18):
+        if dots:
+            body = ["0" if tok == "." else tok for tok in body]
+        return np.fromiter(map(int, body), np.int64, len(body)).reshape(rows, cols)
     values = []
     for tok in body:
         if tok == ".":
@@ -210,13 +332,13 @@ def parse_relation(text: str) -> np.ndarray:
             continue
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"bad entry token {tok!r}")
-        # 18 digits always fit; a longer token is compared as a digit
-        # string, since int() refuses one of over 4300 digits
+        # a token of over 18 digits is compared as a digit string,
+        # since int() refuses one of over 4300 digits
         if len(tok) > 18:
-            digits = tok.lstrip("0") or "0"
-            if (len(digits), digits) > (len(_INT64_MAX), _INT64_MAX):
+            significant = tok.lstrip("0") or "0"
+            if (len(significant), significant) > (len(_INT64_MAX), _INT64_MAX):
                 raise ValueError(
                     f"entry token {tok!r} is above the largest int64, {_INT64_MAX}")
-            tok = digits
+            tok = significant
         values.append(int(tok))
     return np.array(values, dtype=np.int64).reshape(rows, cols)

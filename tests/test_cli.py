@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import biplane_schemes
@@ -20,8 +21,9 @@ from biplane_schemes.binmat import (
 from biplane_schemes import extract
 from biplane_schemes import search as search_mod
 from biplane_schemes.extract import CounterexampleError
+from biplane_schemes.fixtures import RELATION_6
 from biplane_schemes.pbibd import InconsistencyError
-from biplane_schemes.scheme import InternalInconsistencyError, NotASchemeError
+from biplane_schemes.scheme import InternalInconsistencyError, NotASchemeError, format_relation
 from biplane_schemes.search import SearchBugError
 
 TRAPS = (CounterexampleError, InconsistencyError, InternalInconsistencyError,
@@ -602,6 +604,46 @@ def test_scheme_of_a_class_for_every_pair_is_rejected_at_once(tmp_path):
     assert payload["axiom"] == "labels"
     assert payload["reason"] == (
         "largest label 1770 exceeds v - 1 = 59: a scheme on 60 points has at most 59 classes")
+
+
+def test_scheme_with_too_many_classes_exits_2_before_the_tensor(tmp_path):
+    # 600 points labelled (x + y) mod 599 + 1 pass every gate with d =
+    # 599, and the 600^3 int64 tensor p would take 1.6 GiB: the cap on
+    # (d + 1)^3 refuses the table first. The run has a 1.2 GB address
+    # space, in which that tensor cannot be allocated
+    v = 600
+    x = np.arange(v)
+    rel = (x[:, None] + x[None, :]) % (v - 1) + 1
+    np.fill_diagonal(rel, 0)
+    path = tmp_path / "classes600.txt"
+    path.write_text(format_relation(rel))
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_200_000 * 1024, 1_200_000 * 1024))\n"
+        "from biplane_schemes.cli import main\n"
+        "sys.exit(main(['scheme', sys.argv[1]]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (2, ""), done.stderr
+    assert done.stderr == (
+        f"error: {path}: 599 classes: the intersection numbers p[h][i][j] would be"
+        " (d + 1)^3 = 216000000 entries, above the cap of 2097152\n")
+
+
+def test_scheme_point_cap(tmp_path, capsys, monkeypatch):
+    # scheme takes tables of at most MAX_POINTS points, as verify does
+    monkeypatch.setattr(cli, "MAX_POINTS", 6)
+    at_cap, above = tmp_path / "at.txt", tmp_path / "above.txt"
+    at_cap.write_text(format_relation(RELATION_6))
+    cycle = np.array([[min(abs(a - b), 7 - abs(a - b)) for b in range(7)] for a in range(7)])
+    above.write_text(format_relation(cycle))
+    code, payload, _ = run_json(capsys, "scheme", str(at_cap))
+    assert (code, payload["scheme"]["n"]) == (0, [1, 1, 2, 2])
+    code, out, err = run_cli(capsys, "scheme", str(above))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {above}: v = 7 points is above the cap of 6"
+                   " (scheme builds v x v tables)\n")
 
 
 @pytest.mark.parametrize("text,dims", [("0 0\n", "0x0"), ("-1 -2\n1 1\n", "-1x-2"),

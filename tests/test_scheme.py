@@ -2,20 +2,29 @@
 
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from biplane_schemes.binmat import _grid_tokens
 from biplane_schemes.fixtures import CORES_16, RELATION_6
+from biplane_schemes import scheme
 from biplane_schemes.pbibd import classify
 from biplane_schemes.scheme import (
+    AssociationScheme,
     AxiomError,
+    InternalInconsistencyError,
     NotASchemeError,
+    TooManyClassesError,
     bose_mesner_check,
     format_relation,
     from_relation_matrix,
     parse_relation,
 )
+
+
+WITNESS_KEYS = ("h", "i", "j", "pair_a", "count_a", "pair_b", "count_b")
 
 
 def cyclic_distance_relation(n: int) -> np.ndarray:
@@ -258,12 +267,21 @@ def test_scheme_of_the_doubled_core_classification():
 
 
 def test_doubled_family_schemes_fail_beyond_three():
+    # the full scheme check of every m in 4..64, witness by witness
     from biplane_schemes.binmat import doubled
 
-    for m in (4, 5, 6):
+    for m in range(4, 65):
         c = classify(doubled(m))
-        with pytest.raises(NotASchemeError):
+        with pytest.raises(NotASchemeError) as err:
             from_relation_matrix(c.relation)
+        if m == 4:
+            expected = (1, 1, 2, [0, 3], 0, [0, 6], 1)
+        elif m == 5:
+            expected = (1, 1, 1, [0, 3], 1, [0, 7], 2)
+        else:
+            expected = (1, 1, 1, [0, 3], 2 * m - 9, [0, 5], 2 * m - 10)
+        w = err.value.witness()
+        assert tuple(w[key] for key in WITNESS_KEYS) == expected, m
 
 
 def test_axiom_four_agrees_with_closure_on_random_relations():
@@ -343,3 +361,290 @@ def test_relation_text_round_trip():
     for huge in (str(2**63), "10" * 10, "1" * 5000):
         with pytest.raises(ValueError, match=f"entry token '{huge}' is above the largest int64, {top}"):
             parse_relation(f"2 2\n0 {huge}\n{huge} 0")
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the scheme check as one loop over the pairs
+# ---------------------------------------------------------------------------
+
+
+def oracle_from_relation_matrix(r):
+    """The scheme check pair by pair: the same gates, then for every pair
+    (x, y) in row-major order and every (i, j) one popcount of two class
+    neighbourhoods as bit rows. p[h] is set at the first pair of class h
+    and compared at every later one; returns (p, n)."""
+    rel = np.asarray(r, dtype=np.int64)
+    if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
+        raise AxiomError("shape", f"relation matrix must be square, got {rel.shape}")
+    v = int(rel.shape[0])
+    if v == 0:
+        raise AxiomError("shape", "relation matrix has no points")
+    if np.any(np.diag(rel) != 0):
+        x = int(np.flatnonzero(np.diag(rel))[0])
+        raise AxiomError("diagonal", f"diagonal entry ({x},{x}) is {rel[x, x]}, not 0")
+    if np.any(rel != rel.T):
+        x, y = map(int, np.argwhere(rel != rel.T)[0])
+        raise AxiomError(
+            "symmetry", f"entry ({x},{y})={rel[x, y]} but ({y},{x})={rel[y, x]}")
+    off = rel[~np.eye(v, dtype=bool)]
+    d = int(off.max()) if off.size else 0
+    if off.size and off.min() < 1:
+        x, y = map(int, np.argwhere((rel < 1) & ~np.eye(v, dtype=bool))[0])
+        raise AxiomError(
+            "partition", f"off-diagonal entry ({x},{y}) is {rel[x, y]}; labels must be 1..d")
+    if d > v - 1:
+        raise AxiomError(
+            "labels",
+            f"largest label {d} exceeds v - 1 = {v - 1}: "
+            f"a scheme on {v} points has at most {v - 1} classes")
+    missing = sorted(set(range(1, d + 1)) - set(off.tolist()))
+    if missing:
+        raise AxiomError("labels", f"class labels {missing} are absent below max {d}")
+    masks = [[sum(1 << z for z in range(v) if rel[x, z] == i) for x in range(v)]
+             for i in range(d + 1)]
+    p = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
+    first_pair = [None] * (d + 1)
+    for x in range(v):
+        for y in range(v):
+            h = int(rel[x, y])
+            for i in range(d + 1):
+                for j in range(d + 1):
+                    count = (masks[i][x] & masks[j][y]).bit_count()
+                    if first_pair[h] is None:
+                        p[h, i, j] = count
+                    elif count != p[h, i, j]:
+                        raise NotASchemeError(h, i, j, first_pair[h], int(p[h, i, j]),
+                                              (x, y), count)
+            if first_pair[h] is None:
+                first_pair[h] = (x, y)
+    return p, tuple(int(p[0, i, i]) for i in range(d + 1))
+
+
+def oracle_bose_mesner_check(s):
+    """Closure, commutativity and the all-ones sum, one product at a time."""
+    mats = [(s.relation == h).astype(np.int64) for h in range(s.d + 1)]
+    if not (sum(mats) == 1).all():
+        return "class indicators do not sum to all-ones"
+    for i in range(s.d + 1):
+        for j in range(s.d + 1):
+            prod = mats[i] @ mats[j]
+            if not np.array_equal(prod, sum(int(s.p[h, i, j]) * mats[h]
+                                            for h in range(s.d + 1))):
+                return f"A_{i} A_{j} deviates from its p-expansion"
+            if not np.array_equal(prod, mats[j] @ mats[i]):
+                return f"A_{i} and A_{j} do not commute"
+    return {"closure": True, "commutative": True, "sum_to_all_ones": True}
+
+
+def scheme_outcome(check, rel):
+    """What a scheme check gives on rel, in a form == can compare."""
+    try:
+        result = check(rel)
+    except AxiomError as err:
+        return "axiom", err.axiom, str(err)
+    except NotASchemeError as err:
+        return "witness", err.witness(), str(err)
+    return "scheme", result
+
+
+def fast_scheme(rel):
+    s = from_relation_matrix(rel)
+    try:
+        algebra = bose_mesner_check(s)
+    except InternalInconsistencyError as err:
+        algebra = str(err)
+    return s.p.tolist(), s.n, s.size, s.d, s.relation.tolist(), algebra
+
+
+def slow_scheme(rel):
+    p, n = oracle_from_relation_matrix(rel)
+    s = AssociationScheme(size=len(rel), d=len(p) - 1, relation=np.asarray(rel), p=p, n=n)
+    return p.tolist(), n, s.size, s.d, s.relation.tolist(), oracle_bose_mesner_check(s)
+
+
+def random_relations(count: int, seed: int):
+    """Seeded tables on at most 10 points: random symmetric labels, with
+    and without gaps or labels above v - 1; cyclic distance schemes
+    relabelled by a point and a class permutation; and such schemes with
+    one entry or one mirrored pair of entries rewritten."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = int(rng.integers(1, 11))
+        kind = int(rng.integers(0, 4))
+        if kind == 0:
+            d = int(rng.integers(1, v + 2))
+            upper = np.triu(rng.integers(1, d + 1, size=(v, v)), 1)
+            yield upper + upper.T
+            continue
+        base = cyclic_distance_relation(v)
+        d = int(base.max())
+        classes = np.concatenate(([0], rng.permutation(d) + 1))
+        perm = rng.permutation(v)
+        rel = classes[base[np.ix_(perm, perm)]]
+        if kind >= 2 and v > 1:
+            x, y = (int(t) for t in rng.integers(0, v, size=2))
+            rel[x, y] = int(rng.integers(0, v + 1))
+            if kind == 2:
+                rel[y, x] = rel[x, y]
+        yield rel
+
+
+def differential_corpus():
+    from biplane_schemes.binmat import doubled
+
+    yield RELATION_6
+    for core in CORES_16:
+        yield classify(core).relation
+    for m in range(3, 65):
+        yield classify(doubled(m)).relation
+    for n in range(2, 30):
+        yield cyclic_distance_relation(n)
+    yield from random_relations(2400, seed=30)
+
+
+def test_scheme_check_matches_the_pair_loop(monkeypatch):
+    # each table also in blocks of 1000 bytes, which cut every table of
+    # more than a few points into blocks of a few columns, and its rows
+    # into blocks of at most a few rows
+    seen = {"axiom": 0, "witness": 0, "scheme": 0}
+    for rel in differential_corpus():
+        expected = scheme_outcome(slow_scheme, rel)
+        assert scheme_outcome(fast_scheme, rel) == expected, rel.tolist()
+        with monkeypatch.context() as small:
+            small.setattr(scheme, "_BLOCK_BYTES", 1000)
+            assert scheme_outcome(fast_scheme, rel) == expected, rel.tolist()
+        seen[expected[0]] += 1
+    # every outcome is well represented
+    assert min(seen.values()) >= 300, seen
+
+
+def test_bose_mesner_traps_match_the_product_loop():
+    # schemes no gate would pass: a p entry off by one, a label outside
+    # 0..d, and the thin scheme of S_3, closed but not commutative
+    def trap(s):
+        try:
+            return bose_mesner_check(s)
+        except InternalInconsistencyError as err:
+            return str(err)
+
+    rng = np.random.default_rng(31)
+    broken = []
+    for n in range(3, 12):
+        s = from_relation_matrix(cyclic_distance_relation(n))
+        for _ in range(4):
+            p = s.p.copy()
+            p[tuple(rng.integers(0, s.d + 1, size=3))] += 1
+            broken.append(AssociationScheme(s.size, s.d, s.relation, p, s.n))
+        relation = s.relation.copy()
+        relation[0, 1] = s.d + 1
+        broken.append(AssociationScheme(s.size, s.d, relation, s.p, s.n))
+    group = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+    def compose(f, g):
+        return tuple(f[g[k]] for k in range(3))
+
+    def inverse(f):
+        return tuple(sorted(range(3), key=f.__getitem__))
+
+    relation = np.array([[group.index(compose(inverse(f), g)) for g in group] for f in group])
+    p = np.zeros((6, 6, 6), dtype=np.int64)
+    for i, f in enumerate(group):
+        for j, g in enumerate(group):
+            p[group.index(compose(f, g)), i, j] = 1
+    broken.append(AssociationScheme(6, 5, relation, p, (1,) * 6))
+    outcomes = [trap(s) for s in broken]
+    assert outcomes == [oracle_bose_mesner_check(s) for s in broken]
+    assert "A_1 and A_2 do not commute" in outcomes
+    assert "class indicators do not sum to all-ones" in outcomes
+    assert sum("p-expansion" in str(out) for out in outcomes) >= 30
+
+
+def test_a_negative_label_fails_the_partition_gate():
+    with pytest.raises(AxiomError) as err:
+        from_relation_matrix(np.array([[0, -1], [-1, 0]]))
+    assert (err.value.axiom, str(err.value)) == (
+        "partition", "off-diagonal entry (0,1) is -1; labels must be 1..d")
+
+
+def test_too_many_classes_are_refused_before_the_tensor(monkeypatch):
+    # (d + 1)^3 entries of p at most: 128 classes pass, 129 do not
+    rel = cyclic_distance_relation(257)
+    with pytest.raises(TooManyClassesError) as err:
+        from_relation_matrix(rel)
+    assert str(err.value) == (
+        "128 classes: the intersection numbers p[h][i][j] would be (d + 1)^3 = 2146689"
+        " entries, above the cap of 2097152")
+    # the boundary, on a smaller cap: d = 3 makes 64 entries, d = 4 makes 125
+    monkeypatch.setattr(scheme, "_MAX_TENSOR", 64)
+    assert from_relation_matrix(cyclic_distance_relation(7)).d == 3
+    with pytest.raises(TooManyClassesError):
+        from_relation_matrix(cyclic_distance_relation(9))
+
+
+def oracle_parse_relation(text):
+    """parse_relation one token at a time, for str input."""
+    rows, cols, body = _grid_tokens(text, "table")
+    values = []
+    for tok in body:
+        if tok == ".":
+            values.append(0)
+            continue
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"bad entry token {tok!r}")
+        digits = tok.lstrip("0") or "0"
+        if (len(digits), int(digits[:19])) > (19, 2**63 - 1):
+            raise ValueError(
+                f"entry token {tok!r} is above the largest int64, {2**63 - 1}")
+        values.append(int(digits))
+    return np.array(values, dtype=np.int64).reshape(rows, cols)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text).tolist()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def relation_texts(count: int, seed: int):
+    """format_relation texts of random tables, with labels of one digit
+    (the layout) or more, each possibly changed in one way that leaves
+    the layout or the grammar."""
+    rng = random.Random(seed)
+    tokens = ["0", "7", "12", ".", "-1", "+1", "1_0", "\u0663", "x", "1.", ".1", "..",
+              "1" * 18, "9" * 19, "0" * 30 + "5", str(2**63 - 1), str(2**63)]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        top = rng.choice((1, 9, 60, 10**6))
+        grid = np.array([[rng.randint(0, top) for _ in range(cols)] for _ in range(rows)])
+        text = f"{rows} {cols}\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
+        change = rng.randrange(7)
+        if change == 1:
+            text = text.replace("\n", "\r\n")
+        elif change == 2:
+            text = text.replace(" ", "\t", 1)
+        elif change == 3:
+            text = text[:-1]
+        elif change >= 4:
+            # one entry token replaced
+            parts = text.split(" ")
+            at = rng.randrange(len(parts))
+            tail = parts[at][-1] if parts[at].endswith("\n") else ""
+            if at > 0:
+                parts[at] = rng.choice(tokens) + tail
+            text = " ".join(parts)
+        yield text
+
+
+def test_parse_relation_matches_the_token_loop():
+    # as str and as a file's bytes; a text in the layout never reaches
+    # the tokens
+    for text in relation_texts(3000, seed=30):
+        expected = parse_outcome(oracle_parse_relation, text)
+        assert parse_outcome(parse_relation, text) == expected, text
+        assert parse_outcome(parse_relation, text.encode("utf-8")) == expected, text
+    text = format_relation(cyclic_distance_relation(19))
+    with mock.patch.object(scheme, "_grid_tokens") as tokens:
+        for data in (text, text.encode("ascii")):
+            assert np.array_equal(parse_relation(data), cyclic_distance_relation(19))
+    assert not tokens.called
