@@ -19,9 +19,9 @@ CLI writes is never decoded, and format_matrix is the ASCII decode of
 the bytes the CLI writes. parse_matrix reads a text in one of two
 ways: the exact layout format_matrix writes, viewed in place as one
 uint16 per entry and its separator, or else one string per token, to
-parse any other text or to name its first error. The layout reader
-gives the grid of digits, so scheme.parse_relation reads a table of
-single-digit labels through it as well. Only that token way,
+parse any other text or to name its first error. scheme.parse_relation
+views a table of single-digit labels in that layout in the same way
+(_layout_pairs). Only that token way,
 the per-entry oracles that the tests compare these kernels against
 (to_lists, col_sum, row_dot) and from_rows, which checks outside
 input, loop over single entries in Python. The table of row dots reads
@@ -286,15 +286,19 @@ class BinaryMatrix:
 
 def _pack(grid: np.ndarray) -> BinaryMatrix:
     """The matrix of a 2-d grid of 0s and 1s, the inverse of
-    BinaryMatrix._unpacked(); it keeps the packed bytes, made read-only,
-    as its _grid."""
-    raw = np.packbits(grid, axis=1, bitorder="little")
+    BinaryMatrix._unpacked(); it keeps the packed bytes as its _grid."""
+    return _from_grid(np.packbits(grid, axis=1, bitorder="little"), grid.shape[1])
+
+
+def _from_grid(raw: np.ndarray, cols: int) -> BinaryMatrix:
+    """The matrix with cols columns whose row i is the little-endian
+    bytes raw[i]; it keeps raw, made read-only, as its _grid."""
     raw.flags.writeable = False
     width = raw.shape[1]
     data = raw.tobytes()
-    m = BinaryMatrix(grid.shape[0], grid.shape[1], tuple(
+    m = BinaryMatrix(raw.shape[0], cols, tuple(
         int.from_bytes(data[i * width:(i + 1) * width], "little")
-        for i in range(grid.shape[0])
+        for i in range(raw.shape[0])
     ))
     m.__dict__["_grid"] = raw
     return m
@@ -574,16 +578,16 @@ def parse_matrix(text: str | bytes) -> BinaryMatrix:
     Tokens are separated as by str.split(): by runs of any whitespace,
     Unicode included. Bytes are read as UTF-8. A text is read in one of
     two ways: the exact layout format_matrix writes, read in place
-    (_parse_layout) and holding only 0s and 1s, or else one str.split()
-    token at a time (_parse_tokens), which packs a valid body and
-    otherwise raises the first error, in this order: header, entry
-    count, dimensions, then the first bad token in row-major order. The
-    layout makes no Python object per entry, and a text it refuses, or
-    a layout with another digit, goes on to the tokens unchanged.
+    (_parse_layout), or else one str.split() token at a time
+    (_parse_tokens), which packs a valid body and otherwise raises the
+    first error, in this order: header, entry count, dimensions, then
+    the first bad token in row-major order. The layout makes no Python
+    object per entry, and a text it refuses goes on to the tokens
+    unchanged.
     """
-    digits = _parse_layout(text)
-    if digits is not None and digits.max() <= 1:
-        return _pack(digits)
+    m = _parse_layout(text)
+    if m is not None:
+        return m
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     return _parse_tokens(text)
@@ -592,24 +596,24 @@ def parse_matrix(text: str | bytes) -> BinaryMatrix:
 # the "rows cols\n" header as format_matrix writes it: no sign and no
 # leading zero, and at most 19 digits each, so int() reads no long string
 _LAYOUT_HEADER = rb"([1-9][0-9]{0,18}) ([1-9][0-9]{0,18})\n"
-# entries checked per block of rows, so that no uint16 temporary grows
-# with the file: only the digit grid does, one byte an entry. With blocks
-# of 2**18 a relabelled doubled(500) parses in about 1.0 ms, and a fresh
-# verify of doubled(2500) peaks at 252 MB RSS (2 vCPUs, numpy 2.4)
+# entries checked and packed per block of rows, so that no temporary
+# grows with the file. Blocks of 2**18 parsed a relabelled doubled(500)
+# in 1.0 ms against 1.9 ms for 2**20, and left a fresh verify of
+# doubled(2500) at 250 MB peak RSS against 253: the larger temporaries
+# fall out of cache, and glibc keeps more freed heap after them
 _LAYOUT_BLOCK = 1 << 18
 
 
-def _parse_layout(text: str | bytes) -> Optional[np.ndarray]:
-    """The rows x cols uint8 grid of the digits of a text in exactly the
-    layout format_matrix writes, with any digit 0..9 as an entry, or
-    None if any byte differs from that layout.
+def _layout_pairs(text: str | bytes) -> Optional[np.ndarray]:
+    """The entries of a text whose header and length are those of the
+    layout format_matrix writes, as a rows x cols array of uint16 viewed
+    in place, or None if they are not; the caller checks every entry.
 
-    Past the header each entry is two bytes: its token, one ASCII digit
-    (0x30 to 0x39), then a space (0x20), or a newline (0x0A) at the end
-    of a row, and nothing follows the last row. Read as a little-endian
-    uint16 in place, entry n minus 0x2030, or 0x0A30 in the last column,
-    is its digit; any other pair of bytes leaves a difference above 9,
-    as uint16 arithmetic wraps below 0.
+    Past the header each entry is two bytes: its token, one ASCII digit,
+    then a space (0x20), or a newline (0x0A) at the end of a row, and
+    nothing follows the last row. Read as a little-endian uint16, a
+    token 0 is _layout_zeros(cols)[n] in column n: 0x2030, or 0x0A30 in
+    the last column.
     """
     if isinstance(text, str):
         if not text.isascii():
@@ -621,17 +625,38 @@ def _parse_layout(text: str | bytes) -> Optional[np.ndarray]:
     rows, cols = int(head[1]), int(head[2])
     if len(text) != head.end() + 2 * rows * cols:
         return None
-    pairs = np.frombuffer(text, "<u2", offset=head.end()).reshape(rows, cols)
+    return np.frombuffer(text, "<u2", offset=head.end()).reshape(rows, cols)
+
+
+def _layout_zeros(cols: int) -> np.ndarray:
+    """The uint16 of a token 0 in each column of the layout."""
     zeros = np.full(cols, 0x2030, dtype="<u2")
     zeros[-1] = 0x0A30
-    digits = np.empty((rows, cols), dtype=np.uint8)
+    return zeros
+
+
+def _parse_layout(text: str | bytes) -> Optional[BinaryMatrix]:
+    """The matrix of a text in exactly the layout format_matrix writes,
+    or None if any byte differs from it.
+
+    Entry n of _layout_pairs with its low bit set is that of a token 1,
+    0x2031, or 0x0A31 in the last column, and its low bit is the entry.
+    """
+    pairs = _layout_pairs(text)
+    if pairs is None:
+        return None
+    rows, cols = pairs.shape
+    expected = _layout_zeros(cols) | 1
+    raw = np.empty((rows, (cols + 7) // 8), dtype=np.uint8)
     step = max(1, _LAYOUT_BLOCK // cols)
     for start in range(0, rows, step):
-        block = pairs[start:start + step] - zeros
-        if not (block <= 9).all():
+        block = pairs[start:start + step]
+        if not ((block | 1) == expected).all():
             return None
-        digits[start:start + step] = block
-    return digits
+        # packbits is several times slower on uint16 than on uint8
+        entries = (block & 1).astype(np.uint8)
+        raw[start:start + step] = np.packbits(entries, axis=1, bitorder="little")
+    return _from_grid(raw, cols)
 
 
 def _parse_tokens(text: str) -> BinaryMatrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binmat import _grid_tokens, _parse_layout, _Trap
+from .binmat import _grid_tokens, _layout_pairs, _layout_zeros, _Trap
 
 
 class AxiomError(ValueError):
@@ -249,26 +249,23 @@ def bose_mesner_check(s: AssociationScheme) -> dict:
     Also confirms that the indicators A_0, ..., A_d sum to the
     all-ones matrix, and commutativity of every product. The products
     are the float64 blocks of _products, exact since every sum is at
-    most v < 2**53; each block is compared with its p-expansion, the
-    product of its pairs' class indicators with p, and with its
-    transpose in (i, j). The blocks run to the end, and the first
-    (i, j) in row-major order that fails either check is named, the
-    closure first. All three are theorems once the intersection
-    tensor is constant, so failure raises InternalInconsistencyError
-    rather than reporting bad input.
+    most v < 2**53; each block is compared with its p-expansion, which
+    at pair (x, y) is p[rel[x, y]], and with its transpose in (i, j).
+    The blocks run to the end, and the first (i, j) in row-major order
+    that fails either check is named, the closure first. All three are
+    theorems once the intersection tensor is constant, so failure
+    raises InternalInconsistencyError rather than reporting bad input.
     """
     rel, d = s.relation, s.d
     # the indicators of 0..d sum to all-ones iff every label is in 0..d
     if ((rel < 0) | (rel > d)).any():
         raise InternalInconsistencyError("class indicators do not sum to all-ones")
-    eye = np.eye(d + 1)
-    expansion = s.p.reshape(d + 1, -1).astype(np.float64)
     closure = np.zeros((d + 1, d + 1), dtype=bool)
     commute = np.zeros((d + 1, d + 1), dtype=bool)
     for x0, y0, counts in _products(rel, d, s.size):
         rows, cols = counts.shape[:2]
-        classes = eye.take(rel[x0:x0 + rows, y0:y0 + cols], axis=0)
-        expect = (classes @ expansion).reshape(counts.shape)
+        # entry (x, y) of sum_h p[h][i][j] A_h is p[rel[x, y]][i][j]
+        expect = s.p.take(rel[x0:x0 + rows, y0:y0 + cols], axis=0)
         closure |= (counts != expect).any(axis=(0, 1))
         commute |= (counts != counts.swapaxes(2, 3)).any(axis=(0, 1))
     failed = closure | commute
@@ -305,26 +302,20 @@ def parse_relation(text: str | bytes) -> np.ndarray:
     Bytes are read as UTF-8.
 
     A table of single-digit labels in the exact layout format_relation
-    writes is read in place, by the layout reader of parse_matrix.
-    Any other text is split into tokens. When every token is '.' or at
-    most 18 ASCII digits, which always fit an int64, all are checked
-    at once on their concatenation and converted by one int() map. Only
-    otherwise are the tokens read one at a time, to name the first bad
-    one or to read a longer one.
+    writes is viewed in place, one uint16 per entry and its separator,
+    as parse_matrix views its layout. Any other text is read one
+    str.split() token at a time, which also names the first bad token.
     """
-    digits = _parse_layout(text)
-    if digits is not None:
-        return digits.astype(np.int64)
+    pairs = _layout_pairs(text)
+    if pairs is not None:
+        # a digit's pair less that of a 0 is the digit; any other pair
+        # leaves more than 9, as uint16 arithmetic wraps below 0
+        labels = pairs - _layout_zeros(pairs.shape[1])
+        if (labels <= 9).all():
+            return labels.astype(np.int64)
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     rows, cols, body = _grid_tokens(text, "table")
-    joined = "".join(body)
-    dots = body.count(".")
-    if (joined.isascii() and joined.replace(".", "0").isdigit()
-            and joined.count(".") == dots and max(map(len, body)) <= 18):
-        if dots:
-            body = ["0" if tok == "." else tok for tok in body]
-        return np.fromiter(map(int, body), np.int64, len(body)).reshape(rows, cols)
     values = []
     for tok in body:
         if tok == ".":
@@ -332,13 +323,13 @@ def parse_relation(text: str | bytes) -> np.ndarray:
             continue
         if not (tok.isascii() and tok.isdigit()):
             raise ValueError(f"bad entry token {tok!r}")
-        # a token of over 18 digits is compared as a digit string,
-        # since int() refuses one of over 4300 digits
+        # 18 digits always fit; a longer token is compared as a digit
+        # string, since int() refuses one of over 4300 digits
         if len(tok) > 18:
-            significant = tok.lstrip("0") or "0"
-            if (len(significant), significant) > (len(_INT64_MAX), _INT64_MAX):
+            digits = tok.lstrip("0") or "0"
+            if (len(digits), digits) > (len(_INT64_MAX), _INT64_MAX):
                 raise ValueError(
                     f"entry token {tok!r} is above the largest int64, {_INT64_MAX}")
-            tok = significant
+            tok = digits
         values.append(int(tok))
     return np.array(values, dtype=np.int64).reshape(rows, cols)

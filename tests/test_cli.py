@@ -644,6 +644,11 @@ def test_scheme_point_cap(tmp_path, capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == (f"error: {above}: v = 7 points is above the cap of 6"
                    " (scheme builds v x v tables)\n")
+    # a table of 7 rows that is not square has no v: it fails the shape gate
+    tall = tmp_path / "tall.txt"
+    tall.write_text("7 1\n" + "0\n" * 7)
+    code, payload, _ = run_json(capsys, "scheme", str(tall))
+    assert (code, payload["valid"], payload["axiom"]) == (1, False, "shape")
 
 
 @pytest.mark.parametrize("text,dims", [("0 0\n", "0x0"), ("-1 -2\n1 1\n", "-1x-2"),
