@@ -15,8 +15,9 @@ JSON on stdout with a schema_version field. Exit status meanings:
 extract reports a core classification that is not an association
 scheme as data ("scheme": null plus "scheme_witness"), with exit 0.
 
-search --threads only chooses where subtrees run: a search that stays
-in this process gives the same report on any thread count.
+search --threads only chooses where subtrees run: only a search of
+k >= 11 with no --node-limit or --max-solutions starts a pool, and the
+report is the same on any thread count.
 
 The argument parser is built on the first main() call and reused by
 every later call in the process; importing the module builds nothing.
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -51,11 +53,6 @@ from .binmat import (
 
 SCHEMA_VERSION = 2
 
-# searches from this block size on must be requested explicitly: k = 10
-# exhausts in a quarter of a second, but k = 11 takes about 1.37M nodes
-# and minutes, and k = 12 more
-LONG_RUN_K = 11
-
 # verify and extract take matrices of at most this many rows (points):
 # the classification's relation is a v x v int64 table, 8 bytes an
 # entry, and 5000 points make 200 MB. For a sparse input it is the only
@@ -68,6 +65,11 @@ LONG_RUN_K = 11
 # it takes m of at most MAX_POINTS // 2. scheme takes square relation
 # tables of at most this many points too: each is a v x v int64 table
 MAX_POINTS = 5000
+
+# a "rows cols" header of ASCII digits, each ended by ASCII whitespace
+# (where str.split() splits too), capped before the body is split into
+# tokens; any other header is capped once the body is parsed
+_HEADER = rb"\s*(\d{1,18})\s+(\d{1,18})\s"
 
 
 class CliInputError(Exception):
@@ -87,18 +89,28 @@ def _read(path: str) -> bytes:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
 
 
+def _header(data: bytes) -> tuple[int, int]:
+    head = re.match(_HEADER, data)
+    return (int(head[1]), int(head[2])) if head else (0, 0)
+
+
+def _cap(path: str, rows: int, cols: int, builds: str, square: bool = False) -> None:
+    # a table that must be square and is not has no v: its shape gate reports it
+    if rows > MAX_POINTS and (rows == cols or not square):
+        raise CliInputError(
+            f"{path}: v = {rows} points is above the cap of {MAX_POINTS} ({builds} v x v tables)")
+
+
 def _read_matrix(path: str) -> BinaryMatrix:
+    data = _read(path)
+    _cap(path, *_header(data), "verify and extract build")
     # parse_matrix decodes (as UTF-8) only a file that is not in the
     # layout format_matrix writes
     try:
-        m = parse_matrix(_read(path))
+        m = parse_matrix(data)
     except (ValueError, DimensionError) as exc:
         raise CliInputError(f"{path}: {exc}") from exc
-    if m.rows > MAX_POINTS:
-        raise CliInputError(
-            f"{path}: v = {m.rows} points is above the cap of {MAX_POINTS}"
-            " (verify and extract build v x v tables)"
-        )
+    _cap(path, m.rows, m.cols, "verify and extract build")
     return m
 
 
@@ -169,14 +181,14 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import LONG_RUN_K, CheckpointError, SearchConfig, search_symmetric_canonical
+
     if args.k >= LONG_RUN_K and not args.long_run:
         raise CliInputError(
             f"k = {args.k} searches run for minutes or more (k = 10 exhausts in"
             f" a quarter of a second, k = 11 in about 1.37M nodes); pass --long-run"
             f" (ideally with --checkpoint) to proceed"
         )
-    from .search import CheckpointError, SearchConfig, search_symmetric_canonical
-
     try:
         cfg = SearchConfig(
             k=args.k,
@@ -209,16 +221,13 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         parse_relation,
     )
 
+    data = _read(args.relation)
+    _cap(args.relation, *_header(data), "scheme builds", square=True)
     try:
-        relation = parse_relation(_read(args.relation))
+        relation = parse_relation(data)
     except ValueError as exc:
         raise CliInputError(f"{args.relation}: {exc}") from exc
-    # a table that is not square has no v: the shape gate reports it
-    if relation.shape[0] == relation.shape[1] > MAX_POINTS:
-        raise CliInputError(
-            f"{args.relation}: v = {relation.shape[0]} points is above the cap of"
-            f" {MAX_POINTS} (scheme builds v x v tables)"
-        )
+    _cap(args.relation, *relation.shape, "scheme builds", square=True)
     try:
         scheme = from_relation_matrix(relation)
     except AxiomError as exc:
@@ -272,20 +281,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="block size, k >= 3")
     p.add_argument("--max-solutions", type=int, help="stop after this many solutions")
     p.add_argument("--node-limit", type=int, help="stop after this many search nodes")
-    # 10,000 is search._POOL_AFTER_NODES, pinned by a test: reading it here
-    # would import search for every verb
+    # 11 is search.LONG_RUN_K, pinned by a test: reading it here would
+    # import search for every verb
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the subtrees left once a search without"
-                        " --node-limit passes 10,000 nodes (default 1);"
-                        " subtrees run in process stop at the limits on any count")
+                   help="worker processes for the subtrees of a search of k >= 11 with"
+                        " no --node-limit or --max-solutions (default 1); every other"
+                        " search runs in this process")
     p.add_argument("--checkpoint",
                    help="progress log for resumable runs (schema 8): one line per finished"
                         " subtree, so a kill loses only unfinished subtrees;"
                         " files of schema 7 and older are refused")
     p.add_argument("--solutions-out", help="append solution matrices to this file")
     p.add_argument("--long-run", action="store_true",
-                   help=f"required for k >= {LONG_RUN_K}: k = 10 exhausts in a quarter"
-                        " of a second, k = 11 takes about 1.37M nodes and minutes")
+                   help="required for k >= 11: k = 10 exhausts in a quarter of a"
+                        " second, k = 11 takes about 1.37M nodes and minutes")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("scheme", help="check a relation table for the scheme axioms")

@@ -60,15 +60,13 @@ candidates and the tie puts row k first. Its candidates partition the
 space into disjoint subtrees, the branches, each counted as one node;
 a node limit that trips among them stops the search before any
 subtree runs.
-One loop runs the subtrees in order and merges their node counts and
-solutions. It appends each finished subtree to the checkpoint, a log
-of JSON lines, before the next subtree runs. The subtrees run in this
-process, under the node and solution budgets, until the search has
-visited _POOL_AFTER_NODES nodes. With several threads and no node
-limit the rest, if two or more, then go to a pool of worker processes
-and run to completion. So a small search never pays to start workers,
-a resumed big one starts them at once, and the thread count changes no
-result of a search that stays in process.
+One loop runs the subtrees in order, merges their node counts and
+solutions, and appends each finished subtree to the checkpoint, a log
+of JSON lines. Where they run is decided once, before the first: only
+a search of k >= LONG_RUN_K with several threads, no budget and two
+subtrees or more left uses a pool, at most one worker per subtree.
+With no budget a subtree runs to completion wherever it runs, so the
+thread count changes no result.
 Checkpoints have schema 8: a header line {"schema_version", "k",
 "branches"}, then one line [branch index, nodes, solutions] per
 finished subtree, so a hard kill loses only the subtrees that had not
@@ -92,13 +90,10 @@ from .biplane import canonical_head, head_width, symmetric_canonical_defect
 
 CHECKPOINT_SCHEMA = 8
 
-# nodes a search visits in process before it hands its remaining
-# subtrees to worker processes. Starting 2 workers costs 15-45 ms on 2
-# cores, and each builds its own tables; the search visits 40-80k
-# nodes/s at k=10 and about 10k at k=11. So k <= 10 (7,845 nodes) never
-# pools: k=10 on 2 threads takes 0.18-0.22 s in process, against
-# 0.27-0.32 s with the pool started at once. k=11 pools after about 1 s
-_POOL_AFTER_NODES = 10_000
+# the block size from which a search runs long enough to pool and to
+# need the CLI's --long-run: k = 10 exhausts in 7,845 nodes and 0.1 s,
+# k = 11 in 1,372,539 nodes, 108.8 s on 1 thread, 57.9 s on 2 (2 vCPUs)
+LONG_RUN_K = 11
 
 # masks a tail row's memo stores: at k <= 10 every mask fits, and at
 # k=11, where a mask takes about 0.5 kB, an unbroken run fills the 44
@@ -225,6 +220,14 @@ def _completion_tables(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
         rows.append((tuple(1 << c for c in cols), tuple(has),
                      sum(1 << c for c, h in zip(cols, held) if h)))
     return factors, tuple(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _branches(k: int) -> tuple[int, ...]:
+    """The first tail row's candidate rows, the roots of the subtrees."""
+    factors, tables = _completion_tables(k)
+    row, column_bit = _base_rows(k)[k], tables[0][0].__getitem__
+    return tuple(row | sum(map(column_bit, edges)) for edges in factors)
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,31 +467,25 @@ def search_symmetric_canonical(
 ) -> SearchOutcome:
     """Run the search described by cfg and return a verified outcome.
 
-    Subtrees run in this process, in branch order, and stop at the node
-    and solution budgets left, whatever the thread count. With several
-    threads and no node_limit, once the search has visited
-    _POOL_AFTER_NODES nodes (a resumed search counts its checkpoint's),
-    the remaining subtrees, if two or more, run on at most one worker
-    process each. Those run to completion, so max_solutions then
-    truncates the merged result instead of stopping early; node counts
-    still add up to the sequential totals. A checkpoint works either
-    way: it is a log of schema 8, one line per finished subtree after a
-    header, each written before the next subtree runs, and a rerun on
-    the same file skips the subtrees it lists. A search that finishes no
-    subtree writes no file, and a subtree that trips a limit is never
-    written. So Ctrl-C, a failed write (which is not retried) or a hard
-    kill loses only the subtrees that had not finished. A zero-byte file
-    is no log. A file that is malformed, of schema 7 or older, or of
-    another search raises CheckpointError.
+    Subtrees run to completion on a pool of min(threads, subtrees left)
+    workers only at k >= LONG_RUN_K with no node_limit or max_solutions;
+    otherwise they run in this process, in branch order, and stop at the
+    budgets left. So the thread count changes no result. A checkpoint
+    works either way: it is a log of schema 8, one line per finished
+    subtree after a header, each written as its subtree is merged, and a
+    rerun on the same file skips the subtrees it lists. A search that
+    finishes no subtree writes no file, and a subtree that trips a limit
+    is never written. So Ctrl-C, a failed write (which is not retried)
+    or a hard kill loses only the subtrees that had not finished. A
+    zero-byte file is no log. A file that is malformed, of schema 7 or
+    older, or of another search raises CheckpointError.
 
     exhausted is True only when every subtree ran to completion with no
     limit tripping.
     """
     start = time.perf_counter()
 
-    factors, tables = _completion_tables(cfg.k)
-    row, column_bit = _base_rows(cfg.k)[cfg.k], tables[0][0].__getitem__
-    branches = [row | sum(map(column_bit, edges)) for edges in factors]
+    branches = _branches(cfg.k)
     v = head_width(cfg.k)
     nodes, found, done = len(branches), [], set()
     # the bytes of the log to keep: 0 for a new log, which gets a header
@@ -496,9 +493,9 @@ def search_symmetric_canonical(
     stopped = False
     # a zero-byte file, left by a kill between the log's open and first write, is no log
     if checkpoint is not None and os.path.exists(checkpoint) and os.path.getsize(checkpoint):
-        # the branch list is the search's, whatever the node limit; the
-        # limit applies to the nodes the checkpoint has counted
-        records, kept = _load_checkpoint(checkpoint, cfg.k, branches)
+        # the header's list never equals a tuple; a node limit applies
+        # to the nodes the checkpoint has counted
+        records, kept = _load_checkpoint(checkpoint, cfg.k, list(branches))
         for index, record_nodes, solutions in records:
             done.add(index)
             nodes += record_nodes
@@ -508,11 +505,8 @@ def search_symmetric_canonical(
         stopped = True
         nodes = cfg.node_limit
     todo = [] if stopped else [i for i in range(len(branches)) if i not in done]
-    pooling = cfg.threads > 1 and cfg.node_limit is None
 
     def job(index: int) -> tuple:
-        # the budgets see the running totals, as each in-process job is
-        # made only after the previous result is merged
         node_budget = solution_budget = None
         if cfg.node_limit is not None:
             node_budget = cfg.node_limit - nodes
@@ -521,27 +515,23 @@ def search_symmetric_canonical(
         return cfg.k, branches[index], node_budget, solution_budget
 
     pool = log = None
-
-    def results():
-        nonlocal pool
-        for n, index in enumerate(todo):
-            # a pool pays off only for a big search with two subtrees
-            # or more left to share
-            if pooling and len(todo) - n > 1 and nodes >= _POOL_AFTER_NODES:
-                # imported here, as the pool machinery (multiprocessing,
-                # logging) costs a fresh process 20-30 ms to import
-                from concurrent.futures import ProcessPoolExecutor
-
-                # the pool takes every job up front, so none has a budget
-                rest = todo[n:]
-                jobs = [(cfg.k, branches[i], None, None) for i in rest]
-                pool = ProcessPoolExecutor(min(cfg.threads, len(rest)))
-                yield from zip(rest, pool.map(_run_branch, jobs))
-                return
-            yield index, _run_branch(job(index))
-
     try:
-        for index, (branch_nodes, solutions, branch_stopped) in results():
+        # the one choice of where the subtrees run: a pool pays only for
+        # a long search with no budget and two subtrees or more to share
+        workers = min(cfg.threads, len(todo))
+        if (workers > 1 and cfg.k >= LONG_RUN_K
+                and cfg.node_limit is None and cfg.max_solutions is None):
+            # imported here, as the pool machinery (multiprocessing,
+            # logging) costs a fresh process 20-30 ms to import
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers)
+            results = zip(todo, pool.map(_run_branch, map(job, todo)))
+        else:
+            # each job is made once the previous result is merged, so
+            # its budgets see the running totals
+            results = ((index, _run_branch(job(index))) for index in todo)
+        for index, (branch_nodes, solutions, branch_stopped) in results:
             for bits in solutions:
                 defect = symmetric_canonical_defect(BinaryMatrix(v, v, bits))
                 if defect:
@@ -557,8 +547,8 @@ def search_symmetric_canonical(
                 continue
             line = json.dumps([index, branch_nodes, solutions]).encode() + b"\n"
             if log is None:
-                # unbuffered, so each record reaches the file before the next
-                # subtree runs, and a pool worker forks with nothing unwritten
+                # unbuffered, so each record reaches the file before the
+                # next subtree is merged
                 log = open(checkpoint, "ab", buffering=0)
                 if kept:
                     # drop a final record cut short. Not on a new log: on

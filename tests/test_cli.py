@@ -1,5 +1,6 @@
 """Command-line verbs, JSON reports, and the exit-code contract."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from biplane_schemes.binmat import (
     identity,
 )
 from biplane_schemes import extract
+from biplane_schemes import scheme as scheme_mod
 from biplane_schemes import search as search_mod
 from biplane_schemes.extract import CounterexampleError
 from biplane_schemes.fixtures import RELATION_6
@@ -127,10 +129,12 @@ def test_a_file_that_is_not_utf8_exits_2_naming_the_byte(fixture_dir, capsys, ve
 def test_matrix_above_the_point_cap_exits_2_before_any_table(tmp_path, capsys,
                                                               monkeypatch, verb):
     # 20000 x 1 all ones is regular and uniform, so verify would go on to
-    # the 20000 x 20000 concurrence table
-    def no_table(self):
-        raise AssertionError("a whole-matrix table was built")
+    # the 20000 x 20000 concurrence table; the header alone refuses it,
+    # before the body is parsed
+    def no_table(*args):
+        raise AssertionError("the body was parsed, or a whole-matrix table built")
 
+    monkeypatch.setattr(cli, "parse_matrix", no_table)
     monkeypatch.setattr(BinaryMatrix, "row_dots", no_table)
     monkeypatch.setattr(BinaryMatrix, "_unpacked", no_table)
     path = tmp_path / "tall.txt"
@@ -149,8 +153,12 @@ def test_point_cap_boundary(tmp_path, capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", str(at_cap))
     assert (code, payload["kind"], payload["design"]["v"]) == (0, "pbibd", 4)
     assert run_json(capsys, "extract", str(at_cap))[0] == 1
-    for verb in ("verify", "extract"):
-        code, out, err = run_cli(capsys, verb, str(above))
+    # a header the pattern does not read (U+3000 is whitespace only to
+    # str.split()) is capped once the body is parsed
+    spaced = tmp_path / "spaced.txt"
+    spaced.write_text("5\u30001\n" + "1\n" * 5, encoding="utf-8")
+    for verb, path in itertools.product(("verify", "extract"), (above, spaced)):
+        code, out, err = run_cli(capsys, verb, str(path))
         assert (code, out) == (2, "")
         assert "v = 5 points is above the cap of 4" in err
 
@@ -198,11 +206,14 @@ def test_help_twice_gives_the_same_text(capsys, argv):
 
 
 def test_search_help_states_the_pool_threshold(capsys):
-    # the help text spells the threshold out, so that building the parser
+    # the help texts spell LONG_RUN_K out, so that building the parser
     # does not import search
     code, out, _ = run_cli(capsys, "search", "--help")
     assert code == 0
-    assert f" passes {search_mod._POOL_AFTER_NODES:,} nodes " in " ".join(out.split())
+    text = " ".join(out.split())
+    k = search_mod.LONG_RUN_K
+    assert f"worker processes for the subtrees of a search of k >= {k} with" in text
+    assert f"required for k >= {k}:" in text
 
 
 def package_env():
@@ -239,7 +250,8 @@ def test_verbs_repeated_in_process_match_a_fresh_process(fixture_dir, capsys):
 
 def test_no_process_pool_machinery_without_a_pool():
     # importing concurrent.futures.process (multiprocessing, logging)
-    # costs a fresh process 20-30 ms; k=8 exhausts long before a pool
+    # costs a fresh process 20-30 ms; k=8 is below search.LONG_RUN_K, so
+    # it never starts a pool
     script = (
         "import sys\n"
         "import biplane_schemes\n"
@@ -649,6 +661,49 @@ def test_scheme_point_cap(tmp_path, capsys, monkeypatch):
     tall.write_text("7 1\n" + "0\n" * 7)
     code, payload, _ = run_json(capsys, "scheme", str(tall))
     assert (code, payload["valid"], payload["axiom"]) == (1, False, "shape")
+
+
+def test_scheme_above_the_point_cap_exits_2_before_parsing(tmp_path, capsys, monkeypatch):
+    # the header alone refuses a square table above the cap, though its
+    # body is short: parsing it would name the entry count instead
+    def no_parse(data):
+        raise AssertionError("the body was parsed")
+
+    monkeypatch.setattr(scheme_mod, "parse_relation", no_parse)
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"\r\n 20000\t20000\r\n0 1\r\n")
+    code, out, err = run_cli(capsys, "scheme", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: v = 20000 points is above the cap of 5000"
+                   " (scheme builds v x v tables)\n")
+
+
+def test_an_over_cap_crlf_matrix_is_refused_before_its_tokens(tmp_path):
+    # a CRLF file leaves the layout, so its body would be split into one
+    # token per entry (25M, a 200 MB list) before the parsed matrix's
+    # size is known; the header refuses it first
+    v = cli.MAX_POINTS + 1
+    path = tmp_path / "over.txt"
+    row = b"0 " * (v - 1) + b"1\r\n"
+    with open(path, "wb") as fh:
+        fh.write(f"{v} {v}\r\n".encode())
+        for _ in range(v):
+            fh.write(row)
+    try:
+        with open(tmp_path / "err.txt", "wb") as err:
+            child = subprocess.Popen([sys.executable, "-m", "biplane_schemes.cli", "verify", str(path)],
+                                     env=package_env(), stdout=subprocess.DEVNULL, stderr=err)
+            # os.wait4 gives this one child's peak RSS, in kB on Linux
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+    finally:
+        path.unlink()
+    assert child.returncode == 2
+    assert (tmp_path / "err.txt").read_text() == (
+        f"error: {path}: v = {v} points is above the cap of {cli.MAX_POINTS}"
+        " (verify and extract build v x v tables)\n")
+    # the 50 MB file read whole, and the interpreter with numpy
+    assert usage.ru_maxrss / 1024 < 150
 
 
 @pytest.mark.parametrize("text,dims", [("0 0\n", "0x0"), ("-1 -2\n1 1\n", "-1x-2"),

@@ -365,14 +365,20 @@ def test_first_row_orbits_share_a_subtree_size(tmp_path):
         assert sizes == {t: {n} for t, n in expected.items()}, k
 
 
-def test_parallel_matches_sequential(tmp_path):
+def test_parallel_matches_sequential(tmp_path, monkeypatch):
+    # with LONG_RUN_K at 7, the runs on two threads at k=7..10 each start
+    # a pool; k=6 has one first-row branch, which runs in process
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 7)
+    pools = counting_pools(monkeypatch)
     for k, (nodes, profile) in FINGERPRINTS.items():
+        pools.clear()
         paths = {
             "sequential": run(k),
             "checkpoint": run(k, checkpoint=str(tmp_path / f"seq{k}.json")),
             "pool": run(k, threads=2),
             "pool+checkpoint": run(k, threads=2, checkpoint=str(tmp_path / f"pool{k}.json")),
         }
+        assert pools == ([] if k == 6 else [(2,), (2,)]), k
         seq = paths["sequential"]
         for name, out in paths.items():
             assert out.exhausted, name
@@ -381,6 +387,8 @@ def test_parallel_matches_sequential(tmp_path):
             assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions], name
         for name in ("seq", "pool"):
             assert branch_profile(tmp_path / f"{name}{k}.json") == profile, (name, k)
+        pooled = (tmp_path / f"pool{k}.json").read_bytes()
+        assert pooled == (tmp_path / f"seq{k}.json").read_bytes(), k
 
 
 # (k, node limit) -> (nodes, log profile). The first tail row's
@@ -416,12 +424,14 @@ def test_max_solutions_stops_early():
     assert not out.exhausted  # stopped before covering the space
 
 
-def test_the_thread_count_changes_no_in_process_result():
-    # none of these runs passes _POOL_AFTER_NODES, so every subtree runs
-    # in process and stops at the limits whatever the thread count
+def test_the_thread_count_changes_no_in_process_result(monkeypatch):
+    # each of these runs is below LONG_RUN_K or has a budget, so every
+    # subtree runs in process and stops at the limits whatever the
+    # thread count: a pooled subtree would run to completion
+    pools = counting_pools(monkeypatch)
     cases = [{"k": k} for k in FINGERPRINTS]
     cases += [{"k": k, "node_limit": limit} for k, limit in NODE_LIMITS]
-    cases.append({"k": 6, "max_solutions": 1})
+    cases += [{"k": 6, "max_solutions": 1}, {"k": search_mod.LONG_RUN_K, "max_solutions": 1}]
     for case in cases:
         reports = []
         for threads in (1, 2):
@@ -429,6 +439,7 @@ def test_the_thread_count_changes_no_in_process_result():
             del report["elapsed_seconds"]
             reports.append(report)
         assert reports[0] == reports[1], case
+    assert pools == []
 
 
 def counting_pools(monkeypatch):
@@ -486,16 +497,8 @@ def watch_log_writes(monkeypatch, before_write):
     monkeypatch.setattr(search_mod, "open", watched_open, raising=False)
 
 
-def pools_at_writes(monkeypatch, pools):
-    """Record, at each write to the checkpoint log, how many pools have
-    started."""
-    seen = []
-    watch_log_writes(monkeypatch, lambda data: seen.append(len(pools)))
-    return seen
-
-
 def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 7)
     pools = counting_pools(monkeypatch)
     run(7, threads=2, checkpoint=str(tmp_path / "progress.json"))
     assert pools == [(2,)]
@@ -504,11 +507,11 @@ def test_checkpoint_keeps_the_pool(tmp_path, monkeypatch):
 
 
 def test_a_pooled_log_holds_one_record_per_branch(tmp_path, monkeypatch):
-    # the log is open when the pool forks its workers, which must add
-    # no line to it
+    # the pool's results are merged and logged in branch order, so its
+    # log is the sequential one, byte for byte
     seq_path = tmp_path / "sequential.log"
     run(8, checkpoint=str(seq_path))
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 8)
     pools = counting_pools(monkeypatch)
     path = tmp_path / "progress.log"
     out = run(8, threads=2, checkpoint=str(path))
@@ -522,6 +525,7 @@ def test_a_pooled_log_holds_one_record_per_branch(tmp_path, monkeypatch):
 
 
 def test_a_lone_subtree_skips_the_pool(monkeypatch):
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 6)
     pools = counting_pools(monkeypatch)
     out = run(6, threads=2)  # k=6 has one first-row branch
     nodes, _ = FINGERPRINTS[6]
@@ -532,7 +536,7 @@ def test_a_lone_subtree_skips_the_pool(monkeypatch):
 
 
 def test_small_searches_skip_the_pool(monkeypatch):
-    # k=7 to k=10 exhaust in fewer nodes than a pool is worth
+    # k=7 to k=10 are below LONG_RUN_K: they exhaust sooner than a pool starts
     pools = counting_pools(monkeypatch)
     for k in (7, 8, 9, 10):
         nodes, _ = FINGERPRINTS[k]
@@ -541,44 +545,6 @@ def test_small_searches_skip_the_pool(monkeypatch):
         assert out.nodes_visited == nodes
         assert out.solutions == ()
     assert pools == []
-
-
-def test_the_pool_starts_once_the_search_is_big(tmp_path, monkeypatch):
-    seq_path = tmp_path / "sequential.json"
-    seq = run(10, checkpoint=str(seq_path))
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 480)
-    pools = counting_pools(monkeypatch)
-    seen = pools_at_writes(monkeypatch, pools)
-    path = tmp_path / "progress.json"
-    out = run(10, threads=2, checkpoint=str(path))
-    # 465 first-row nodes and 12 in each of the first subtrees: 477
-    # after the first subtree, 489 after the second, so the other 463
-    # go to the pool
-    assert pools == [(2,)]
-    assert seen == [0, 0] + [1] * 463
-    assert out.exhausted
-    assert out.nodes_visited == seq.nodes_visited
-    assert [m.bits for m in out.solutions] == [m.bits for m in seq.solutions]
-    assert path.read_bytes() == seq_path.read_bytes()
-
-
-def test_a_resumed_big_search_pools_at_once(tmp_path, monkeypatch):
-    path = str(tmp_path / "progress.json")
-    run(10, node_limit=520, checkpoint=path)
-    # the fifth subtree holds 17 nodes and trips the limit
-    assert logged_nodes(path) == 465 + 4 * 12
-    assert [r[0] for r in read_log(path)[1]] == [0, 1, 2, 3]
-
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 500)
-    pools = counting_pools(monkeypatch)
-    seen = pools_at_writes(monkeypatch, pools)
-    out = run(10, threads=2, checkpoint=path)
-    assert pools == [(2,)]
-    assert seen == [1] * 461  # every remaining subtree ran on the pool
-    nodes, profile = FINGERPRINTS[10]
-    assert out.exhausted
-    assert (out.nodes_visited, branch_profile(path)) == (nodes, profile)
-    assert out.solutions == ()
 
 
 _RUN_BRANCH = search_mod._run_branch
@@ -609,7 +575,7 @@ def test_failed_checkpoint_write_cancels_queued_subtrees(tmp_path, monkeypatch):
     def full_disk(data):
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     watch_log_writes(monkeypatch, full_disk)
     with pytest.raises(OSError):
@@ -649,7 +615,7 @@ def test_interrupted_pool_checkpoint_resumes(tmp_path, monkeypatch):
         if len(writes) > 1:
             raise Killed
 
-    monkeypatch.setattr(search_mod, "_POOL_AFTER_NODES", 0)
+    monkeypatch.setattr(search_mod, "LONG_RUN_K", 7)
     watch_log_writes(monkeypatch, write_once_then_die)
     with pytest.raises(Killed):
         run(7, threads=2, checkpoint=path)
