@@ -54,10 +54,12 @@ from .binmat import (
 SCHEMA_VERSION = 2
 
 # verify and extract take matrices of at most this many rows (points):
-# the classification's relation is a v x v int64 table, 8 bytes an
-# entry, and 5000 points make 200 MB. For a sparse input it is the only
-# one; a dense input also has its v x v concurrence table built by the
-# classification, and by the biplane check when v = 1 + C(k,2). A file
+# a dense input has its v x v int64 concurrence table and relation built
+# by the classification, and the table by the biplane check when
+# v = 1 + C(k,2), each 8 bytes an entry, 200 MB at 5000 points. A large
+# sparse input is classified from its block pairs (see pbibd), and
+# verify never builds its relation: a fresh verify of D_2500 peaks at
+# 85 MB RSS. A file
 # not in the layout format_matrix writes is parsed by tokens, and while
 # it is parsed its token list holds an 8-byte slot per entry, 200 MB at
 # 5000 points. The largest benchmarked input has 1000 points; CI runs

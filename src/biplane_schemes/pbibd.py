@@ -27,9 +27,10 @@ NotPbibdError with the same witness points.
 - From the block pairs: the pairs p < q of points inside each block,
   sum_b k_b(k_b - 1)/2 in all, sorted once and run-length counted, give
   each nonzero concurrence; a point's concurrence-0 associates are the
-  v - 1 others less those. It never forms the table; only the relation
-  it returns is v x v. For D_500 that is 3,000 pairs against 1,000,000
-  table entries.
+  v - 1 others less those. It never forms the table, and it keeps only
+  the pairs that meet and their labels: the v x v relation is filled
+  from them the first time a caller reads it, and verify_pbibd never
+  does. For D_500 that is 3,000 pairs against 1,000,000 table entries.
 
 The rule that picks one is read off the input: the block pairs when v is
 at least 96 and sum_b k_b^2 < v^2, the table otherwise. sum_b k_b^2
@@ -63,6 +64,7 @@ they are exact too.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -112,12 +114,27 @@ class PairClassification:
     relation[p][q] is the class label of the pair {p, q}; the diagonal
     carries the reserved label 0. lambdas[i-1] is the concurrence of
     class i and n[i-1] the (constant) count of i-th associates per point.
+
+    The table way stores the relation it built to count the classes. The
+    block-pair way keeps _pairs: the pairs p < q that meet in some block,
+    their labels, and the label of every other pair; relation, a v x v
+    int64 table, is filled from them on first read and then kept.
     """
 
     v: int
     lambdas: tuple[int, ...]
     n: tuple[int, ...]
-    relation: np.ndarray = field(repr=False)
+    _pairs: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = field(
+        default=None, repr=False)
+
+    @functools.cached_property
+    def relation(self) -> np.ndarray:
+        p, q, labels, fill = self._pairs
+        relation = np.full((self.v, self.v), fill, dtype=np.int64)
+        relation[p, q] = labels
+        relation[q, p] = labels
+        np.fill_diagonal(relation, 0)
+        return relation
 
     @property
     def d(self) -> int:
@@ -167,10 +184,6 @@ def classify(m: BinaryMatrix) -> PairClassification:
     everything else from the table. Both give the same result.
     """
     v = m.rows
-    if v == 1:
-        return PairClassification(
-            v=1, lambdas=(), n=(), relation=np.zeros((1, 1), dtype=np.int64)
-        )
     # sum_b k_b^2 >= ones^2 / b, with equality for uniform blocks, so
     # dense matrices are sent to the table before their ones are listed
     if v >= _PAIRS_MIN_POINTS and m.count_ones() ** 2 < m.cols * v * v:
@@ -197,9 +210,9 @@ def _classify_table(m: BinaryMatrix) -> PairClassification:
     np.fill_diagonal(relation, 0)
     counts = (np.count_nonzero(relation == label, axis=1)
               for label in range(1, len(lambdas) + 1))
-    return PairClassification(
-        v=v, lambdas=lambdas, n=_class_sizes(lambdas, counts), relation=relation
-    )
+    c = PairClassification(v=v, lambdas=lambdas, n=_class_sizes(lambdas, counts))
+    c.__dict__["relation"] = relation
+    return c
 
 
 def _block_members(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -238,12 +251,8 @@ def _classify_pairs(v: int, points: np.ndarray, sizes: np.ndarray) -> PairClassi
     ).reshape(-1, v)
     if zero:
         counts[1] = zero_count
-    n = _class_sizes(lambdas, counts[1:])
-    relation = np.full((v, v), zero, dtype=np.int64)
-    relation[p, q] = labels
-    relation[q, p] = labels
-    np.fill_diagonal(relation, 0)
-    return PairClassification(v=v, lambdas=lambdas, n=n, relation=relation)
+    return PairClassification(v=v, lambdas=lambdas, n=_class_sizes(lambdas, counts[1:]),
+                              _pairs=(p, q, labels, zero))
 
 
 def _class_sizes(lambdas: tuple[int, ...], counts) -> tuple[int, ...]:

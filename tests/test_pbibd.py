@@ -6,6 +6,7 @@ inputs and require the same classification or the same NotPbibdError.
 """
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from biplane_schemes.binmat import (
     path_loop,
 )
 from biplane_schemes.biplane import assemble_b4c, verify_biplane
+from biplane_schemes.extract import family_generate
 from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.pbibd import (
     InconsistencyError,
@@ -151,6 +153,38 @@ def test_classify_doubled_at_v1000(monkeypatch):
                 assert classes.lambdas[label - 1] == m.row_dot(p, q)
 
 
+def test_pairs_way_fills_the_relation_on_first_read():
+    # the block-pair way keeps the pairs that meet; the 1000 x 1000
+    # relation is filled when it is first read, equal to the table's
+    d = doubled(500)
+    c = classify(d)
+    assert "relation" not in c.__dict__
+    table = _classify_table(d)
+    assert (c.v, c.lambdas, c.n) == (table.v, table.lambdas, table.n)
+    assert "relation" not in c.__dict__
+    assert c.relation.dtype == np.int64 and np.array_equal(c.relation, table.relation)
+    assert c.__dict__["relation"] is c.relation
+    for label in range(c.d + 1):
+        assert c.associate_matrix(label) == table.associate_matrix(label)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes tracemalloc sees while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_family_and_verify_pbibd_leave_the_relation_unbuilt():
+    # neither reads the relation, so at v = 1000 neither fills its 8 MB
+    relabelled, _ = relabel(doubled(500), 501)
+    assert traced_peak(lambda: family_generate(500)) < 2 * 2**20
+    assert traced_peak(lambda: verify_pbibd(relabelled)) < 2 * 2**20
+
+
 def relabel(m, seed):
     """m with its points and its blocks relabelled by seeded permutations,
     and the point permutation p (point i becomes point p[i])."""
@@ -264,6 +298,7 @@ def test_balance_single_point():
     # one point has no pair, so no class and no lambda
     c = classify(BinaryMatrix.from_rows([[1, 1, 0]]))
     assert (c.d, c.lambdas, c.n) == (0, (), ())
+    assert c.relation.dtype == np.int64 and c.relation.tolist() == [[0]]
 
 
 def test_identity_design():
