@@ -1,22 +1,28 @@
 """Exact (0,1)-matrix kernel with bit-packed rows.
 
-A matrix is an immutable tuple of Python ints, one int per row, bit j
-holding the entry in column j. The scalar product of two rows is then a
-single AND plus popcount, which is where verification and search spend
-nearly all of their time. Whole-matrix work starts from one packed
-byte grid per matrix, _grid: row i as its little-endian bytes, in a
-read-only uint8 array built from the row ints on first use and kept
-(it is no field, so ==, hash, repr and pickle ignore it). Numpy
-conversions, column sums, the positions of the ones, the table of all
-row dots and the text grid all read it, so a matrix is turned into
-bytes at most once. The rearrangements (transpose, submatrix,
-permute, and is_symmetric as a transpose) go through one bridge:
-_unpacked() turns the grid into a uint8 array of entries, numpy moves
-the entries, and _pack() packs them into the new matrix and keeps the
-packed bytes as its grid, as it does for from_numpy and a grid text.
+An immutable matrix is held packed in one of two forms, and keeps the
+one it was built from. The row ints, bits: one Python int per row,
+bit j holding the entry in column j, so that the scalar product of
+two rows is a single AND plus popcount. BinaryMatrix(rows, cols, bits)
+builds these, as from_rows, the search and the named constructors but
+doubled do. The byte grid, _grid: row i as its little-endian bytes,
+in a read-only uint8 array. _from_grid builds these, and with it
+parsing, from_numpy, doubled, transpose, permute and submatrix. The
+other form is built on first read and kept, so a v=1000 matrix that
+is parsed, checked and written never makes its 1000 row ints. ==,
+hash, repr and pickle read bits. Whole-matrix work reads the grid:
+row and column sums, the count of ones, numpy conversions, the
+positions of the ones, the table of all row dots and the text grid.
+Column sums unpack the grid and are kept, so a matrix is unpacked for
+them at most once. The rearrangements (transpose, submatrix, permute)
+go through one bridge: _unpacked() turns the grid into a uint8 array
+of entries, numpy moves the entries, and _pack() packs them into the
+new matrix's grid, as it does for from_numpy and a grid text;
+is_symmetric compares the entries with their transpose.
 Matrix files are read and written as bytes: a file in the layout the
 CLI writes is never decoded, and format_matrix is the ASCII decode of
-the bytes the CLI writes. parse_matrix reads a text in one of two
+the bytes the CLI writes as two buffers, the header line and an array
+of the rows (_format_parts). parse_matrix reads a text in one of two
 ways: the exact layout format_matrix writes, viewed in place as one
 uint16 per entry and its separator, or else one string per token, to
 parse any other text or to name its first error. scheme.parse_relation
@@ -44,7 +50,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -77,29 +82,48 @@ class WitnessError(_Trap, RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BinaryMatrix:
-    """Dense (0,1) matrix; ``bits[i]`` packs row i with bit j = column j."""
+    """Dense (0,1) matrix; ``bits[i]`` packs row i with bit j = column j.
+
+    A matrix keeps the packed form it was built from: bits when built
+    as BinaryMatrix(rows, cols, bits), which checks them, or the
+    read-only byte grid _grid when built by _from_grid. The other form
+    is built on first read and kept. Equality, hash, repr and pickle
+    read bits, so they do not depend on the form. A matrix cannot be
+    changed: assigning or deleting an attribute raises AttributeError.
+    """
 
     rows: int
     cols: int
-    bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise DimensionError(
-                f"dimensions must be positive, got {self.rows}x{self.cols}"
-            )
-        if len(self.bits) != self.rows:
-            raise DimensionError(
-                f"expected {self.rows} packed rows, got {len(self.bits)}"
-            )
-        for i, row in enumerate(self.bits):
-            if row < 0 or row >> self.cols:
-                raise DimensionError(f"row {i} has bits outside {self.cols} columns")
+    def __init__(self, rows: int, cols: int, bits: tuple[int, ...]) -> None:
+        _check_dimensions(rows, cols)
+        if len(bits) != rows:
+            raise DimensionError(f"expected {rows} packed rows, got {len(bits)}")
+        for i, row in enumerate(bits):
+            if row < 0 or row >> cols:
+                raise DimensionError(f"row {i} has bits outside {cols} columns")
+        vars(self).update(rows=rows, cols=cols, bits=bits)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.bits) == (other.rows, other.cols, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.bits))
+
+    def __repr__(self) -> str:
+        return f"BinaryMatrix(rows={self.rows!r}, cols={self.cols!r}, bits={self.bits!r})"
 
     def __reduce__(self):
-        # pickle the fields only, not the cached _grid
+        # pickle the row ints only, not the cached forms
         return BinaryMatrix, (self.rows, self.cols, self.bits)
 
     # -- construction -------------------------------------------------------
@@ -159,11 +183,18 @@ class BinaryMatrix:
         return sum((row >> j) & 1 for row in self.bits)
 
     def row_sums(self) -> list[int]:
-        return [row.bit_count() for row in self.bits]
+        return np.bitwise_count(self._grid).sum(axis=1).tolist()
 
     def col_sums(self) -> list[int]:
+        # a fresh list, which a caller may sort
+        return list(self._col_sums)
+
+    @functools.cached_property
+    def _col_sums(self) -> tuple[int, ...]:
+        """The column sums; the one unpacking of the grid they cost is
+        made on first use and kept."""
         # uint32 is exact below 2**32 rows and half the work of int64
-        return self._unpacked().sum(axis=0, dtype=np.uint32).tolist()
+        return tuple(self._unpacked().sum(axis=0, dtype=np.uint32).tolist())
 
     def row_dot(self, i: int, j: int) -> int:
         """Number of columns where rows i and j are both 1."""
@@ -206,7 +237,7 @@ class BinaryMatrix:
         return dots
 
     def count_ones(self) -> int:
-        return sum(row.bit_count() for row in self.bits)
+        return int(np.bitwise_count(self._grid).sum())
 
     def trace(self) -> int:
         if self.rows != self.cols:
@@ -216,7 +247,8 @@ class BinaryMatrix:
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
             raise ShapeError("is_symmetric requires a square matrix")
-        return self.transpose() == self
+        entries = self._unpacked()
+        return bool((entries == entries.T).all())
 
     # -- derived matrices ----------------------------------------------------
 
@@ -275,10 +307,19 @@ class BinaryMatrix:
     @functools.cached_property
     def _grid(self) -> np.ndarray:
         """Row i as its (cols + 7) // 8 little-endian bytes, in row i of a
-        read-only uint8 array; built on first use and kept."""
+        read-only uint8 array; built from bits on first use and kept."""
         width = (self.cols + 7) // 8
         raw = b"".join(row.to_bytes(width, "little") for row in self.bits)
         return np.frombuffer(raw, dtype=np.uint8).reshape(self.rows, width)
+
+    @functools.cached_property
+    def bits(self) -> tuple[int, ...]:
+        """Row i as a Python int, bit j = column j; built from _grid on
+        first read and kept."""
+        width = self._grid.shape[1]
+        data = self._grid.tobytes()
+        return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little")
+                     for i in range(self.rows))
 
     def __str__(self) -> str:
         return format_matrix(self)
@@ -292,16 +333,22 @@ def _pack(grid: np.ndarray) -> BinaryMatrix:
 
 def _from_grid(raw: np.ndarray, cols: int) -> BinaryMatrix:
     """The matrix with cols columns whose row i is the little-endian
-    bytes raw[i]; it keeps raw, made read-only, as its _grid."""
+    bytes raw[i]; it keeps raw, made read-only, as its _grid and builds
+    no row ints. As BinaryMatrix() does, it refuses a bit outside cols."""
+    _check_dimensions(raw.shape[0], cols)
+    if cols % 8:
+        outside = np.flatnonzero(raw[:, -1] >> (cols % 8))
+        if outside.size:
+            raise DimensionError(f"row {outside[0]} has bits outside {cols} columns")
     raw.flags.writeable = False
-    width = raw.shape[1]
-    data = raw.tobytes()
-    m = BinaryMatrix(raw.shape[0], cols, tuple(
-        int.from_bytes(data[i * width:(i + 1) * width], "little")
-        for i in range(raw.shape[0])
-    ))
-    m.__dict__["_grid"] = raw
+    m = object.__new__(BinaryMatrix)
+    vars(m).update(rows=raw.shape[0], cols=cols, _grid=raw)
     return m
+
+
+def _check_dimensions(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
 
 
 def _validated_perm(perm: Sequence[int], n: int, which: str) -> list[int]:
@@ -322,8 +369,7 @@ def constant(m: int, n: int, v: int) -> BinaryMatrix:
     """The all-v matrix J (v=1) or zero matrix (v=0) of shape m x n."""
     if v not in (0, 1):
         raise ValueError("fill value must be 0 or 1")
-    if m < 1 or n < 1:
-        raise DimensionError(f"dimensions must be positive, got {m}x{n}")
+    _check_dimensions(m, n)
     row = (1 << n) - 1 if v else 0
     return BinaryMatrix(m, n, (row,) * m)
 
@@ -370,11 +416,24 @@ def border(n: int) -> BinaryMatrix:
 
 
 def doubled(m: int) -> BinaryMatrix:
-    """D_m = [[I_m, L_m], [L_m, I_m]]: symmetric, trace 2m, all sums 3."""
+    """D_m = [[I_m, L_m], [L_m, I_m]]: symmetric, trace 2m, all sums 3.
+
+    Built as its byte grid from the 3 ones of each row. Row i of L_m has
+    its ones at max(i-1, 0) and min(i+1, m-1), so row i of D_m has them
+    at i and at m plus those two, and row m + i at those two and m + i.
+    """
     if m < 3:
         raise DimensionError("doubled needs m >= 3")
-    ell = path_loop(m)
-    return assemble([[identity(m), ell], [ell, identity(m)]])
+    v = 2 * m
+    i = np.arange(m)
+    ell = (np.maximum(i - 1, 0), np.minimum(i + 1, m - 1))
+    rows = np.concatenate([i, i, i, i + m, i + m, i + m])
+    cols = np.concatenate([i, ell[0] + m, ell[1] + m, ell[0], ell[1], i + m])
+    width = (v + 7) // 8
+    raw = np.zeros(v * width, dtype=np.uint8)
+    # two ones of a row may share a byte; distinct bits add as they or
+    np.add.at(raw, rows * width + (cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+    return _from_grid(raw.reshape(v, width), v)
 
 
 def disjoint_cycles(lengths: Sequence[int]) -> BinaryMatrix:
@@ -527,17 +586,17 @@ _TOKENS = frozenset("01.")
 
 def format_matrix(m: BinaryMatrix) -> str:
     """First line "rows cols", then one line of 0/1 tokens per row."""
-    return _format_bytes(m).decode("ascii")
+    return b"".join(_format_parts(m)).decode("ascii")
 
 
-def _format_bytes(m: BinaryMatrix) -> bytes:
-    """format_matrix as ASCII bytes, ready for a file opened in binary mode."""
-    # row i is ASCII bytes: a digit in each even column, a space in each
-    # odd one, and the newline in place of the last space
-    grid = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
-    grid[:, 0::2] = m._unpacked() + ord("0")
-    grid[:, -1] = ord("\n")
-    return b"".join((f"{m.rows} {m.cols}\n".encode("ascii"), grid))
+def _format_parts(m: BinaryMatrix) -> tuple[bytes, np.ndarray]:
+    """format_matrix as ASCII in two buffers, the header line and then
+    the rows as a rows x 2*cols uint8 array, so that a file opened in
+    binary mode takes each as it is, with no copy of the whole text."""
+    # entry n of a row and its separator are the little-endian uint16
+    # of a token 0 in that column (see _layout_pairs) plus the entry
+    pairs = np.add(m._unpacked(), _layout_zeros(m.cols), dtype="<u2")
+    return f"{m.rows} {m.cols}\n".encode("ascii"), pairs.view(np.uint8)
 
 
 def _header(rows: str, cols: str) -> Optional[tuple[int, int]]:

@@ -46,7 +46,7 @@ from .binmat import (
     DimensionError,
     ShapeError,
     _Trap,
-    _format_bytes,
+    _format_parts,
     format_matrix,
     parse_matrix,
 )
@@ -58,13 +58,16 @@ SCHEMA_VERSION = 2
 # by the classification, and the table by the biplane check when
 # v = 1 + C(k,2), each 8 bytes an entry, 200 MB at 5000 points. A large
 # sparse input is classified from its block pairs (see pbibd), and
-# verify never builds its relation: a fresh verify of D_2500 peaks at
-# 85 MB RSS. A file
+# verify never builds its relation; nor does it build one Python int per
+# row, as a parsed matrix keeps its byte grid (see binmat): a fresh
+# verify of D_2500 peaks at 81 MB RSS. A file
 # not in the layout format_matrix writes is parsed by tokens, and while
 # it is parsed its token list holds an 8-byte slot per entry, 200 MB at
 # 5000 points. The largest benchmarked input has 1000 points; CI runs
 # 5000, in the layout and as a CRLF copy. family writes 2m points, so
-# it takes m of at most MAX_POINTS // 2. scheme takes square relation
+# it takes m of at most MAX_POINTS // 2; a fresh family --m 2500 --out
+# peaks at 105 MB RSS, mostly its 50 MB text and the 25 MB of entries
+# it is made from. scheme takes square relation
 # tables of at most this many points too: each is a v x v int64 table
 MAX_POINTS = 5000
 
@@ -116,6 +119,13 @@ def _read_matrix(path: str) -> BinaryMatrix:
     return m
 
 
+def _write_matrix(path: str, m: BinaryMatrix) -> None:
+    # the header and the rows go out as two buffers, never joined
+    with open(path, "wb") as fh:
+        for part in _format_parts(m):
+            fh.write(part)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .biplane import ParameterError, VerificationError, verify_biplane
     from .pbibd import NotPbibdError, StructureError, verify_pbibd
@@ -158,8 +168,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         _emit({"verb": "extract", "verified": False, "reason": str(exc)})
         return 1
     if args.core_out:
-        with open(args.core_out, "wb") as fh:
-            fh.write(_format_bytes(result.core))
+        _write_matrix(args.core_out, result.core)
     _emit({"verb": "extract", "verified": True, **result.report()})
     return 0
 
@@ -176,8 +185,7 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
     matrix, report = family_generate(args.m)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(_format_bytes(matrix))
+        _write_matrix(args.out, matrix)
     _emit({"verb": "family", **report})
     return 0
 

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from biplane_schemes import binmat
 from biplane_schemes.binmat import (
     BinaryMatrix,
     DimensionError,
@@ -272,14 +273,67 @@ def test_the_cached_grid_is_read_only():
             grid[0, 0] = 1
 
 
+def same_entries_two_ways(m: BinaryMatrix) -> tuple[BinaryMatrix, BinaryMatrix]:
+    """Fresh copies of m, one built from row ints and one from its byte grid."""
+    return BinaryMatrix(m.rows, m.cols, m.bits), binmat._from_grid(m._grid.copy(), m.cols)
+
+
 def test_equality_and_hash_ignore_the_cached_grid():
-    a, b = doubled(20), doubled(20)
-    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
-    a._grid
-    assert "_grid" in vars(a) and "_grid" not in vars(b)
-    assert (a, hash(a), repr(a)) == (b, hash(b), repr(b))
-    b._grid
-    assert a == b and hash(a) == hash(b)
+    # a grid-built and an int-built matrix with the same entries agree on
+    # ==, hash, repr, pickle and bits, whichever form is read first
+    for first in ("bits", "_grid"):
+        for m in (doubled(20), border(9).submatrix(range(9), range(1, 7)), constant(3, 8, 1)):
+            by_ints, by_grid = same_entries_two_ways(m)
+            assert "_grid" not in vars(by_ints) and "bits" not in vars(by_grid)
+            for got in (by_ints, by_grid):
+                getattr(got, first)
+            assert by_ints == by_grid and hash(by_ints) == hash(by_grid)
+            assert repr(by_ints) == repr(by_grid) and by_ints.bits == by_grid.bits
+            assert np.array_equal(by_ints._grid, by_grid._grid)
+            assert pickle.dumps(by_ints) == pickle.dumps(by_grid)
+            assert pickle.loads(pickle.dumps(by_grid)) == m
+
+
+def test_a_grid_built_matrix_builds_its_row_ints_only_when_read():
+    _, m = same_entries_two_ways(doubled(30))
+    assert (m.row_sums(), m.col_sums(), m.count_ones()) == ([3] * 60, [3] * 60, 180)
+    m.nonzero(), m.row_dots(), m.transpose(), format_matrix(m)
+    assert "bits" not in vars(m)
+    assert m.bits is vars(m)["bits"] == doubled(30).bits
+
+
+def test_matrices_are_immutable():
+    for m in same_entries_two_ways(identity(3)):
+        with pytest.raises(AttributeError):
+            m.rows = 4
+        with pytest.raises(AttributeError):
+            del m.cols
+
+
+def test_a_grid_with_a_bit_outside_cols_is_refused_as_row_ints_are():
+    raw = np.zeros((4, 2), dtype=np.uint8)
+    raw[2, 1] = 0b100  # column 10 of 10 columns
+    raw[3, 1] = 0b1000
+    with pytest.raises(DimensionError) as by_grid:
+        binmat._from_grid(raw, 10)
+    with pytest.raises(DimensionError) as by_ints:
+        BinaryMatrix(4, 10, (0, 0, 1 << 10, 1 << 11))
+    assert str(by_grid.value) == str(by_ints.value) == "row 2 has bits outside 10 columns"
+    raw[2:, 1] = 0b11
+    assert binmat._from_grid(raw, 10) == BinaryMatrix(4, 10, (0, 0, 0b11 << 8, 0b11 << 8))
+    with pytest.raises(DimensionError, match="dimensions must be positive, got 0x3"):
+        binmat._from_grid(np.zeros((0, 1), dtype=np.uint8), 3)
+
+
+def test_col_sums_are_counted_once_and_returned_fresh(monkeypatch):
+    m = doubled(6)
+    calls = []
+    unpacked = BinaryMatrix._unpacked
+    monkeypatch.setattr(BinaryMatrix, "_unpacked", lambda self: calls.append(1) or unpacked(self))
+    first = m.col_sums()
+    first.sort(reverse=True)
+    first[0] = 99
+    assert m.col_sums() == [3] * 12 and len(calls) == 1
 
 
 def test_constructors_store_the_grid_they_packed():
@@ -289,11 +343,21 @@ def test_constructors_store_the_grid_they_packed():
     rng.shuffle(p)
     rng.shuffle(q)
     made = (parse_matrix(format_matrix(m)), parse_matrix(format_matrix(m).encode("ascii")),
-            m.transpose(), m.permute(p, q), m.submatrix(p[:13], q[:70]))
+            m.transpose(), m.permute(p, q), m.submatrix(p[:13], q[:70]), m,
+            BinaryMatrix.from_numpy(m.to_numpy()))
     for got in made:
-        assert "_grid" in vars(got)
+        assert "_grid" in vars(got) and "bits" not in vars(got)
         assert not got._grid.flags.writeable
         assert np.array_equal(got._grid, rebuilt_grid(got))
+
+
+@pytest.mark.parametrize("m", [*range(3, 65), 500])
+def test_doubled_is_its_blocks_assembled(m):
+    ell = path_loop(m)
+    blocks = assemble([[identity(m), ell], [ell, identity(m)]])
+    d = doubled(m)
+    assert d == blocks
+    assert format_matrix(d) == format_matrix(blocks)
 
 
 def test_pickle_round_trip_drops_the_grid():

@@ -230,7 +230,7 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
         " ".join(map(str, row)) + "\n" for row in m.to_lists()
     )
     assert format_matrix(m) == expected
-    assert binmat._format_bytes(m) == expected.encode("ascii")
+    assert b"".join(binmat._format_parts(m)) == expected.encode("ascii")
 
 
 # every character str.split() splits on below 0x80, CRLF, and three

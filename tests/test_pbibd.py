@@ -21,7 +21,7 @@ from biplane_schemes.binmat import (
     identity,
     path_loop,
 )
-from biplane_schemes.biplane import assemble_b4c, verify_biplane
+from biplane_schemes.biplane import VerificationError, assemble_b4c, verify_biplane
 from biplane_schemes.extract import family_generate
 from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.pbibd import (
@@ -183,6 +183,28 @@ def test_family_and_verify_pbibd_leave_the_relation_unbuilt():
     relabelled, _ = relabel(doubled(500), 501)
     assert traced_peak(lambda: family_generate(500)) < 2 * 2**20
     assert traced_peak(lambda: verify_pbibd(relabelled)) < 2 * 2**20
+
+
+def test_family_and_verify_of_a_relabelled_copy_build_no_row_ints(monkeypatch):
+    # both work on the byte grid they were built from, and unpack its
+    # entries once, for the column sums, however many checks read them
+    relabelled, _ = relabel(doubled(500), 501)
+    unpacked = BinaryMatrix._unpacked
+    calls = []
+
+    def no_row_ints(m):
+        raise AssertionError("a matrix built its row ints")
+
+    monkeypatch.setattr(BinaryMatrix, "bits", property(no_row_ints))
+    monkeypatch.setattr(BinaryMatrix, "_unpacked",
+                        lambda m: calls.append(m) or unpacked(m))
+    family_generate(500)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(VerificationError, match="1000 points"):
+        verify_biplane(relabelled)
+    verify_pbibd(relabelled)
+    assert len(calls) == 1 and calls[0] is relabelled
 
 
 def relabel(m, seed):
