@@ -21,20 +21,18 @@ new matrix's grid, as it does for from_numpy and a grid text;
 is_symmetric compares the entries with their transpose.
 Matrix files are read and written as bytes: a file in the layout the
 CLI writes is never decoded, and format_matrix is the ASCII decode of
-the bytes the CLI writes as two buffers, the header line and an array
-of the rows (_format_parts). parse_matrix reads a text in one of two
-ways: the exact layout format_matrix writes, viewed in place as one
-uint16 per entry and its separator, or else one string per token, to
-parse any other text or to name its first error. scheme.parse_relation
-views a table of single-digit labels in that layout in the same way
-(_layout_pairs). Only that token way,
-the per-entry oracles that the tests compare these kernels against
-(to_lists, col_sum, row_dot) and from_rows, which checks outside
-input, loop over single entries in Python. The table of row dots reads
-each 64-bit word position's occupancy: a sparse matrix such as D_m
-costs work in proportion to its nonzero words, not to rows^2 x words.
-nonzero() unpacks only the nonzero bytes, so for D_m it costs
-rows x cols / 8 byte reads and no table.
+the two buffers the CLI writes, the header line and an array of the
+rows (_format_parts). parse_matrix and scheme.parse_relation view that
+layout in place, one uint16 per entry and its separator
+(_layout_pairs); any other text goes a line at a time through one
+reader, _read_grid. Only its lines of longer or bad tokens, the
+per-entry oracles the tests compare these kernels against (to_lists,
+col_sum, row_dot) and from_rows, which checks outside input, loop over
+single entries in Python. The table of row dots reads each 64-bit word
+position's occupancy: a sparse matrix such as D_m costs work in
+proportion to its nonzero words, not to rows^2 x words. nonzero()
+unpacks only the nonzero bytes, so for D_m it costs rows x cols / 8
+byte reads and no table.
 
 Constructors cover the named matrix families used throughout the
 package: J (constant), I (identity), C- (anti-diagonal), L (path with
@@ -581,9 +579,6 @@ def is_perm_equivalent(
 # text format
 # ---------------------------------------------------------------------------
 
-_TOKENS = frozenset("01.")
-
-
 def format_matrix(m: BinaryMatrix) -> str:
     """First line "rows cols", then one line of 0/1 tokens per row."""
     return b"".join(_format_parts(m)).decode("ascii")
@@ -599,57 +594,20 @@ def _format_parts(m: BinaryMatrix) -> tuple[bytes, np.ndarray]:
     return f"{m.rows} {m.cols}\n".encode("ascii"), pairs.view(np.uint8)
 
 
-def _header(rows: str, cols: str) -> Optional[tuple[int, int]]:
-    """The "rows cols" header as ints, or None unless each token is ASCII
-    digits after at most one minus sign: int() alone would also take a
-    plus sign, an underscore or another script's digits."""
-    digits = [t[1:] if t[0] == "-" else t for t in (rows, cols)]
-    if all(d.isascii() and d.isdigit() for d in digits):
-        return int(rows), int(cols)
-    return None
-
-
-def _grid_tokens(text: str, what: str) -> tuple[int, int, list[str]]:
-    """Split the "rows cols" header off a token grid and check the entry
-    count, then that both dimensions are positive; ``what`` names the
-    grid in the error message."""
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("missing 'rows cols' header")
-    dims = _header(tokens[0], tokens[1])
-    if dims is None:
-        raise ValueError(f"malformed header {tokens[:2]!r}")
-    rows, cols = dims
-    # drop the header in place: a slice would copy one pointer per entry
-    del tokens[:2]
-    if len(tokens) != rows * cols:
-        raise ValueError(
-            f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {len(tokens)}"
-        )
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
-    return rows, cols, tokens
-
-
 def parse_matrix(text: str | bytes) -> BinaryMatrix:
     """Inverse of format_matrix; '.' is accepted as a synonym for 0.
 
     Tokens are separated as by str.split(): by runs of any whitespace,
-    Unicode included. Bytes are read as UTF-8. A text is read in one of
-    two ways: the exact layout format_matrix writes, read in place
-    (_parse_layout), or else one str.split() token at a time
-    (_parse_tokens), which packs a valid body and otherwise raises the
-    first error, in this order: header, entry count, dimensions, then
-    the first bad token in row-major order. The layout makes no Python
-    object per entry, and a text it refuses goes on to the tokens
-    unchanged.
+    Unicode included. Bytes are read as UTF-8. The exact layout
+    format_matrix writes is read in place (_parse_layout); any other
+    text, or one the layout refuses, a line at a time (_read_grid),
+    which raises the first error: header, entry count, dimensions, then
+    the first bad token in row-major order.
     """
     m = _parse_layout(text)
     if m is not None:
         return m
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    return _parse_tokens(text)
+    return _pack(_read_grid(text, "matrix", 1))
 
 
 # the "rows cols\n" header as format_matrix writes it: no sign and no
@@ -718,14 +676,69 @@ def _parse_layout(text: str | bytes) -> Optional[BinaryMatrix]:
     return _from_grid(raw, cols)
 
 
-def _parse_tokens(text: str) -> BinaryMatrix:
-    """parse_matrix one str.split() token at a time."""
-    rows, cols, body = _grid_tokens(text, "matrix")
-    # rows * cols bytes only if every token is one ASCII character; a
-    # lone surrogate, which strict UTF-8 refuses, is 3 bytes here
-    digits = "".join(body).encode("utf-8", "surrogatepass")
-    if len(digits) == rows * cols and not digits.translate(None, b"01."):
-        return _pack(np.frombuffer(digits, dtype=np.uint8).reshape(rows, cols) == ord("1"))
-    index = next(n for n, tok in enumerate(body) if tok not in _TOKENS)
-    i, j = divmod(index, cols)
-    raise ValueError(f"bad entry token {body[index]!r} at row {i}, column {j}")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _read_grid(text: str | bytes, what: str, top: int) -> np.ndarray:
+    """The entries of a "rows cols" grid text as a rows x cols array:
+    uint8 where top, the largest entry, is 1 (a matrix), else int64 (a
+    relation table, top the largest int64). ``what`` names the grid in
+    the entry-count message. Bytes are read as UTF-8.
+
+    Tokens are split as by str.split(). Header tokens are ASCII digits
+    after at most one minus sign; an entry is '.' for 0 or ASCII digits,
+    one character in a matrix. The text is decoded once and split a line
+    at a time into one array, so at most one line of str objects is
+    alive. Errors come in this order: header, entry count, dimensions,
+    then the first bad token in row-major order; tokens after it are
+    only counted. n tokens take 2n - 1 characters, so a header of more
+    entries than the text holds allocates nothing.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    # the first two tokens, as str.split() gives them: \s is str.isspace()
+    head = re.match(r"\s*(\S+)\s+(\S+)", text)
+    if head is None:
+        raise ValueError("missing 'rows cols' header")
+    if not all(re.fullmatch("-?[0-9]+", t) for t in head.groups()):
+        raise ValueError(f"malformed header {list(head.groups())!r}")
+    rows, cols = map(int, head.groups())
+    fits = 0 <= rows * cols <= (len(text) - head.end() + 1) // 2
+    out = np.empty(rows * cols if fits else 0, dtype=np.uint8 if top < 10 else np.int64)
+    count, bad = 0, None
+    # one line a match, as "." is anything but "\n"
+    for line in re.compile(".*").finditer(text, head.end()):
+        tokens = line[0].split()
+        at, count = count, count + len(tokens)
+        if bad is not None or count > out.size:
+            continue
+        joined = "".join(tokens)
+        if joined.isascii() and len(joined) == len(tokens):
+            # one character a token: a digit, or '.' for 0
+            digits = np.frombuffer(joined.encode().replace(b".", b"0"), np.uint8) - ord("0")
+            if (digits <= min(top, 9)).all():
+                out[at:count] = digits
+                continue
+        elif top > 9 and joined.isascii() and joined.isdigit():
+            # int() refuses over 4300 digits, and int64 a value above it
+            try:
+                out[at:count] = list(map(int, tokens))
+                continue
+            except (ValueError, OverflowError):
+                pass
+        for j, tok in enumerate(tokens, at):
+            digits = "0" if tok == "." else tok.lstrip("0") or "0"
+            if not (digits.isascii() and digits.isdigit()) or (
+                    top < 10 and (len(tok) > 1 or int(digits) > top)):
+                bad = f"bad entry token {tok!r} at row {j // cols}, column {j % cols}"
+                break
+            if len(digits) > 19 or int(digits) > _INT64_MAX:
+                bad = f"entry token {tok!r} is above the largest int64, {_INT64_MAX}"
+                break
+            out[j] = int(digits)
+    if count != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries for a {rows}x{cols} {what}, got {count}")
+    _check_dimensions(rows, cols)
+    if bad is not None:
+        raise ValueError(bad)
+    return out.reshape(rows, cols)

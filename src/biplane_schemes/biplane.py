@@ -19,6 +19,7 @@ its block pieces; it is symmetric, canonical, and has full trace.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -174,8 +175,9 @@ def symmetric_canonical_defect(m: BinaryMatrix) -> Optional[str]:
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_head(k: int) -> BinaryMatrix:
-    """The forced first k rows of a canonical biplane matrix.
+    """The forced first k rows of a canonical biplane matrix, built once per k.
 
     Column 0 is all ones. The remaining k(k-1)/2 columns are the
     unordered pairs {s, t} with s < t, grouped into bands by s: the
@@ -206,8 +208,8 @@ def has_canonical_form(m: BinaryMatrix) -> bool:
     k = block_size_for(m.rows)
     if k < 3:
         raise ShapeError(f"width {m.rows} gives block size {k}, below 3")
-    head = canonical_head(k)
-    return m.bits[:k] == head.bits and m.transpose().bits[:k] == head.bits
+    entries, head = m._unpacked(), canonical_head(k)._unpacked()
+    return bool((entries[:k] == head).all() and (entries[:, :k] == head.T).all())
 
 
 def assemble_b4c() -> BinaryMatrix:

@@ -58,22 +58,17 @@ SCHEMA_VERSION = 2
 # by the classification, and the table by the biplane check when
 # v = 1 + C(k,2), each 8 bytes an entry, 200 MB at 5000 points. A large
 # sparse input is classified from its block pairs (see pbibd), and
-# verify never builds its relation; nor does it build one Python int per
-# row, as a parsed matrix keeps its byte grid (see binmat): a fresh
-# verify of D_2500 peaks at 81 MB RSS. A file
-# not in the layout format_matrix writes is parsed by tokens, and while
-# it is parsed its token list holds an 8-byte slot per entry, 200 MB at
-# 5000 points. The largest benchmarked input has 1000 points; CI runs
-# 5000, in the layout and as a CRLF copy. family writes 2m points, so
-# it takes m of at most MAX_POINTS // 2; a fresh family --m 2500 --out
-# peaks at 105 MB RSS, mostly its 50 MB text and the 25 MB of entries
-# it is made from. scheme takes square relation
-# tables of at most this many points too: each is a v x v int64 table
+# verify builds neither its relation nor a Python int per row: verify of
+# D_2500 peaks at 81 MB RSS, and at 148 MB for a CRLF copy, which is
+# decoded and read a line at a time into a 25 MB uint8 array. family
+# writes 2m points, so it takes m of at most MAX_POINTS // 2. scheme
+# takes square relation tables of at most this many points too, each
+# read into a v x v int64 table: 354 MB for 5000 points of 2-digit labels
 MAX_POINTS = 5000
 
 # a "rows cols" header of ASCII digits, each ended by ASCII whitespace
-# (where str.split() splits too), capped before the body is split into
-# tokens; any other header is capped once the body is parsed
+# (where str.split() splits too), capped before the body is read; any
+# other header is capped once the body is parsed
 _HEADER = rb"\s*(\d{1,18})\s+(\d{1,18})\s"
 
 

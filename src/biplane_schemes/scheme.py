@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binmat import _grid_tokens, _layout_pairs, _layout_zeros, _Trap
+from .binmat import _INT64_MAX, _Trap, _layout_pairs, _layout_zeros, _read_grid
 
 
 class AxiomError(ValueError):
@@ -287,24 +287,17 @@ def format_relation(r) -> str:
     rel = np.asarray(r, dtype=np.int64)
     lines = [f"{rel.shape[0]} {rel.shape[1]}"]
     for row in rel:
-        lines.append(" ".join(str(int(x)) for x in row))
+        lines.append(" ".join(map(str, row.tolist())))
     return "\n".join(lines) + "\n"
-
-
-_INT64_MAX = str(np.iinfo(np.int64).max)
 
 
 def parse_relation(text: str | bytes) -> np.ndarray:
     """Inverse of format_relation; '.' is accepted as 0. Other entries
-    are ASCII digits, as format_relation writes them: int() would also
-    take a sign, an underscore or another script's digits. Any label
-    an int64 holds is read; from_relation_matrix bounds the labels.
-    Bytes are read as UTF-8.
-
-    A table of single-digit labels in the exact layout format_relation
-    writes is viewed in place, one uint16 per entry and its separator,
-    as parse_matrix views its layout. Any other text is read one
-    str.split() token at a time, which also names the first bad token.
+    are ASCII digits; any label an int64 holds is read, and
+    from_relation_matrix bounds the labels. Bytes are read as UTF-8. A
+    table of single-digit labels in the layout format_relation writes is
+    viewed in place, as parse_matrix views its layout; any other text is
+    read a line at a time by parse_matrix's reader, binmat._read_grid.
     """
     pairs = _layout_pairs(text)
     if pairs is not None:
@@ -313,23 +306,4 @@ def parse_relation(text: str | bytes) -> np.ndarray:
         labels = pairs - _layout_zeros(pairs.shape[1])
         if (labels <= 9).all():
             return labels.astype(np.int64)
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows, cols, body = _grid_tokens(text, "table")
-    values = []
-    for tok in body:
-        if tok == ".":
-            values.append(0)
-            continue
-        if not (tok.isascii() and tok.isdigit()):
-            raise ValueError(f"bad entry token {tok!r}")
-        # 18 digits always fit; a longer token is compared as a digit
-        # string, since int() refuses one of over 4300 digits
-        if len(tok) > 18:
-            digits = tok.lstrip("0") or "0"
-            if (len(digits), digits) > (len(_INT64_MAX), _INT64_MAX):
-                raise ValueError(
-                    f"entry token {tok!r} is above the largest int64, {_INT64_MAX}")
-            tok = digits
-        values.append(int(tok))
-    return np.array(values, dtype=np.int64).reshape(rows, cols)
+    return _read_grid(text, "table", _INT64_MAX)

@@ -171,23 +171,37 @@ def _two_factors(m: int) -> list[tuple[int, ...]]:
     The cycle through the lowest label left is chosen first; its second
     label is below its last, so each cycle is listed once.
     """
-    index = {edge: n for n, edge in enumerate(combinations(range(m), 2))}
+    index = [[0] * m for _ in range(m)]
+    for n, (a, b) in enumerate(combinations(range(m), 2)):
+        index[a][b] = index[b][a] = n
     found: list[tuple[int, ...]] = []
+    # the labels on no cycle yet and the edges so far, kept in place
+    free, edges = [True] * m, []
 
-    def cycles(path: list[int], left: tuple[int, ...], edges: list) -> None:
-        if len(path) >= 3 and path[1] < path[-1]:
-            closed = zip(path, path[1:] + path[:1])
-            rest(left, edges + [index[min(a, b), max(a, b)] for a, b in closed])
-        for n, x in enumerate(left):
-            cycles(path + [x], left[:n] + left[n + 1:], edges)
+    def cycles(first: int, second: int, last: int, length: int) -> None:
+        if length >= 3 and second < last:
+            edges.append(index[last][first])
+            rest()
+            edges.pop()
+        # every label left is above first, the lowest one when it began
+        for x in range(first + 1, m):
+            if free[x]:
+                free[x] = False
+                edges.append(index[last][x])
+                cycles(first, x if length == 1 else second, x, length + 1)
+                edges.pop()
+                free[x] = True
 
-    def rest(left: tuple[int, ...], edges: list) -> None:
-        if not left:
+    def rest() -> None:
+        if len(edges) == m:
             found.append(tuple(sorted(edges)))
         else:
-            cycles([left[0]], left[1:], edges)
+            first = free.index(True)
+            free[first] = False
+            cycles(first, -1, first, 1)
+            free[first] = True
 
-    rest(tuple(range(m)), [])
+    rest()
     return found
 
 

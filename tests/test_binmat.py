@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +425,19 @@ def test_parse_names_a_token_of_several_valid_characters():
     with pytest.raises(ValueError) as err:
         parse_matrix("2 2\n1 0\n0 1.\n")
     assert str(err.value) == "bad entry token '1.' at row 1, column 1"
+
+
+def test_parse_of_a_header_of_more_entries_than_the_text_holds_allocates_nothing():
+    # the header alone would ask for 10^10 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            parse_matrix("100000 100000\n0 1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "expected 10000000000 entries for a 100000x100000 matrix, got 2"
+    assert peak < 1 << 20
 
 
 def test_parse_checks_dimensions_before_tokens():

@@ -233,11 +233,14 @@ def test_format_matrix_matches_an_entrywise_oracle(m):
     assert b"".join(binmat._format_parts(m)) == expected.encode("ascii")
 
 
-# every character str.split() splits on below 0x80, CRLF, and three
-# non-ASCII ones: NEL, no-break space and the ideographic space
+# every character str.split() splits on below 0x80, CRLF, and four
+# non-ASCII ones: NEL, no-break space, the ideographic space and the
+# line separator
 ASCII_SEPARATORS = ("\t", "\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x1f",
                     " ", "\r\n")
-SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000")
+SEPARATORS = ASCII_SEPARATORS + ("\x85", "\xa0", "\u3000", "\u2028")
+# the same without "\n": a text made of these is one line to the reader
+ONE_LINE = tuple(sep for sep in SEPARATORS if "\n" not in sep)
 BAD_TOKENS = ("00", "1.", "10", "..", "2", "x", "-1", "\x00", "\x1b", "0\x1b", "\xe9", "\uff11")
 BAD_HEADERS = ("", "3", "x y", "2 x", "1.5 2", "-1 -1", "-2 3", "3 0", "0 0", "+2 1", "1_0 1",
                "\u0662 1", "- 1", "--1 1")
@@ -273,10 +276,12 @@ def split_oracle(text: str) -> BinaryMatrix:
 @st.composite
 def grid_texts(draw) -> str:
     """A grid text: valid, or spoilt in one way (glued or bad tokens, too
-    few or too many entries, a bad header)."""
+    few or too many entries, a bad header). Its separators break rows
+    across lines at random, or keep it all on one line, or end each
+    line with a carriage return only; it may have no final newline."""
     rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     spoil = draw(st.sampled_from(("none", "glued", "token", "count", "header")))
-    alphabet = draw(st.sampled_from((ASCII_SEPARATORS, SEPARATORS)))
+    alphabet = draw(st.sampled_from((ASCII_SEPARATORS, SEPARATORS, ONE_LINE, ("\r",))))
     run = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map("".join)
     count = rows * cols
     if spoil == "count":
@@ -297,7 +302,8 @@ def grid_texts(draw) -> str:
         for index in draw(st.sets(st.integers(1, len(tokens) - 1), min_size=1)):
             gaps[index] = ""
     body = "".join(gap + tok for gap, tok in zip(gaps, tokens))
-    return draw(st.sampled_from(("", " ", "\n"))) + header + body + draw(run)
+    end = draw(st.one_of(st.sampled_from(("", "\n", "\r\n")), run))
+    return draw(st.sampled_from(("", " ", "\n"))) + header + body + end
 
 
 def outcome(parse, text):
@@ -315,6 +321,11 @@ def outcome(parse, text):
 @example("2 2\x1f1 0\n0 1")
 @example("1 2\n00")
 @example("2 2\n1\u30000\n0\xa01\x85")
+@example("2 2\r1 0\r. 1\r")
+@example("2 2 1 0 . 1")
+@example("2 2\n1\n0 .\n1")
+@example("2 2\u20281\u20280\u2028.\u20281")
+@example("2 2\n1 0\n. x\n1 1 1")
 @example("1 1")
 @example("-1 -1\n2\n")
 def test_parse_matrix_matches_the_split_tokenizer(text):
@@ -339,10 +350,10 @@ def layout_examples(test):
 @boundary_examples
 @layout_examples
 def test_format_matrix_text_is_read_in_place(m):
-    # the layout format_matrix writes never takes the token path, whole
+    # the layout format_matrix writes never reaches the line reader, whole
     # or in blocks of 7 entries (a block is one row when a row is longer)
     text = format_matrix(m)
-    with mock.patch.object(binmat, "_parse_tokens") as tokens:
+    with mock.patch.object(binmat, "_read_grid") as tokens:
         assert parse_matrix(text) == m
         assert parse_matrix(text.encode("ascii")) == m
         with mock.patch.object(binmat, "_LAYOUT_BLOCK", 7):
@@ -395,12 +406,12 @@ def test_near_misses_of_the_layout_take_the_old_path(shape):
             assert binmat._parse_layout(text) is None, name
             assert binmat._parse_layout(data) is None, name
             expected = outcome(split_oracle, text)
-            with mock.patch.object(binmat, "_parse_tokens", wraps=binmat._parse_tokens) as tokens:
+            with mock.patch.object(binmat, "_read_grid", wraps=binmat._read_grid) as tokens:
                 assert outcome(parse_matrix, text) == expected, name
                 if name == "0xff token":
                     expected = outcome(lambda b: b.decode("utf-8"), data)
                     assert expected[0] is UnicodeDecodeError
                 assert outcome(parse_matrix, data) == expected, name
-            # every near miss is read by tokens, as str and as bytes;
-            # bytes that are not UTF-8 fail before they reach them
-            assert tokens.call_count == (1 if name == "0xff token" else 2), name
+            # every near miss goes to the line reader, as str and as
+            # bytes; bytes that are not UTF-8 fail there, as they decode
+            assert tokens.call_count == 2, name

@@ -275,6 +275,33 @@ def test_has_canonical_form():
         has_canonical_form(identity(2))  # width gives k = 2, below 3
 
 
+def test_has_canonical_form_matches_the_row_int_definition():
+    # the head's rows, then its transpose's rows, as row ints; a
+    # perturbed copy changes one row or one column pair in or out of
+    # the head, or the head itself
+    def by_row_ints(m):
+        head = canonical_head(biplane.block_size_for(m.rows))
+        return m.bits[:head.rows] == head.bits and m.transpose().bits[:head.rows] == head.bits
+
+    rng = np.random.default_rng(34)
+    seen = set()
+    for m in (assemble_b4c(), b9e()):
+        v = m.rows
+        copies = [m, BinaryMatrix.from_numpy(m.to_numpy())]
+        for _ in range(40):
+            a, b = sorted(rng.choice(v, size=2, replace=False).tolist())
+            swap = list(range(v))
+            swap[a], swap[b] = b, a
+            copies += [m.permute(swap, range(v)), m.permute(range(v), swap), m.permute(swap, swap)]
+            flipped = m.to_numpy()
+            flipped[rng.integers(v), rng.integers(v)] ^= 1
+            copies.append(BinaryMatrix.from_numpy(flipped))
+        for copy in copies:
+            assert has_canonical_form(copy) == by_row_ints(copy)
+            seen.add(by_row_ints(copy))
+    assert seen == {True, False}
+
+
 def test_symmetric_canonical_defect_names_the_first_failed_property():
     b4c = assemble_b4c()
     swap = list(range(14)) + [15, 14]

@@ -750,7 +750,7 @@ def test_scheme_label_not_in_ascii_digits_exits_2(tmp_path, capsys, label):
     code, out, err = run_cli(capsys, "scheme", str(path))
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}: bad entry token {label!r}\n"
+    assert err == f"error: {path}: bad entry token {label!r} at row 0, column 1\n"
 
 
 @pytest.mark.parametrize("verb", ["verify", "scheme"])

@@ -2,12 +2,13 @@
 
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from biplane_schemes.binmat import _grid_tokens
+from biplane_schemes.binmat import DimensionError
 from biplane_schemes.fixtures import CORES_16, RELATION_6
 from biplane_schemes import scheme
 from biplane_schemes.pbibd import classify
@@ -582,15 +583,28 @@ def test_too_many_classes_are_refused_before_the_tensor(monkeypatch):
 
 
 def oracle_parse_relation(text):
-    """parse_relation one token at a time, for str input."""
-    rows, cols, body = _grid_tokens(text, "table")
+    """parse_relation as one str.split() token at a time, for str input,
+    with its messages."""
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("missing 'rows cols' header")
+    if not all(re.fullmatch("-?[0-9]+", t) for t in tokens[:2]):
+        raise ValueError(f"malformed header {tokens[:2]!r}")
+    rows, cols = int(tokens[0]), int(tokens[1])
+    body = tokens[2:]
+    if len(body) != rows * cols:
+        raise ValueError(
+            f"expected {rows * cols} entries for a {rows}x{cols} table, got {len(body)}")
+    if rows < 1 or cols < 1:
+        raise DimensionError(f"dimensions must be positive, got {rows}x{cols}")
     values = []
-    for tok in body:
+    for index, tok in enumerate(body):
         if tok == ".":
             values.append(0)
             continue
         if not (tok.isascii() and tok.isdigit()):
-            raise ValueError(f"bad entry token {tok!r}")
+            i, j = divmod(index, cols)
+            raise ValueError(f"bad entry token {tok!r} at row {i}, column {j}")
         digits = tok.lstrip("0") or "0"
         if (len(digits), int(digits[:19])) > (19, 2**63 - 1):
             raise ValueError(
@@ -608,24 +622,32 @@ def parse_outcome(parse, text):
 
 def relation_texts(count: int, seed: int):
     """format_relation texts of random tables, with labels of one digit
-    (the layout) or more, each possibly changed in one way that leaves
-    the layout or the grammar."""
+    (the layout), more, or 19, each possibly changed in one way that
+    leaves the layout or the grammar, then laid out in one of several
+    ways: other line ends, rows broken across lines at random, all on
+    one line, other separators, no final newline."""
     rng = random.Random(seed)
     tokens = ["0", "7", "12", ".", "-1", "+1", "1_0", "\u0663", "x", "1.", ".1", "..",
-              "1" * 18, "9" * 19, "0" * 30 + "5", str(2**63 - 1), str(2**63)]
+              "1" * 18, "9" * 19, "0" * 30 + "5", str(2**63 - 1), str(2**63),
+              "0" * 4400 + "8", "9" * 4400]
+    layouts = (
+        lambda text: text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: text.replace("\n", " "),
+        lambda text: text[:-1],
+        lambda text: "".join(rng.choice((c, "\n")) if c == " " else c for c in text),
+        lambda text: "".join(rng.choice(" \u3000\u2028\x1c") if c == " " else c for c in text),
+    )
     for _ in range(count):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        top = rng.choice((1, 9, 60, 10**6))
-        grid = np.array([[rng.randint(0, top) for _ in range(cols)] for _ in range(rows)])
+        top = rng.choice((1, 9, 60, 10**6, 2**63 - 1))
+        grid = [[rng.randint(0, top) for _ in range(cols)] for _ in range(rows)]
         text = f"{rows} {cols}\n" + "".join(" ".join(map(str, row)) + "\n" for row in grid)
-        change = rng.randrange(7)
+        change = rng.randrange(5)
         if change == 1:
-            text = text.replace("\n", "\r\n")
-        elif change == 2:
             text = text.replace(" ", "\t", 1)
-        elif change == 3:
-            text = text[:-1]
-        elif change >= 4:
+        elif change >= 2:
             # one entry token replaced
             parts = text.split(" ")
             at = rng.randrange(len(parts))
@@ -633,7 +655,7 @@ def relation_texts(count: int, seed: int):
             if at > 0:
                 parts[at] = rng.choice(tokens) + tail
             text = " ".join(parts)
-        yield text
+        yield rng.choice(layouts)(text)
 
 
 def test_parse_relation_matches_the_token_loop():
@@ -644,7 +666,51 @@ def test_parse_relation_matches_the_token_loop():
         assert parse_outcome(parse_relation, text) == expected, text
         assert parse_outcome(parse_relation, text.encode("utf-8")) == expected, text
     text = format_relation(cyclic_distance_relation(19))
-    with mock.patch.object(scheme, "_grid_tokens") as tokens:
+    with mock.patch.object(scheme, "_read_grid") as tokens:
         for data in (text, text.encode("ascii")):
             assert np.array_equal(parse_relation(data), cyclic_distance_relation(19))
     assert not tokens.called
+
+
+def test_a_header_of_more_entries_than_the_text_holds_allocates_nothing():
+    # 10^10 int64 entries would be 80 GB; the header alone allocates none
+    for text in ("100000 100000\n0 1", "100000 100000\n" + "7 " * 1000):
+        count = len(text.split()) - 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                parse_relation(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"expected 10000000000 entries for a 100000x100000 table, got {count}")
+        assert peak < 1 << 20
+
+
+def test_a_table_is_read_a_line_at_a_time():
+    # 300 x 300 two-digit labels: one str per entry (90,000 of them) would
+    # take about 5 MB, the int64 table takes 0.7 MB and a line 2,400 bytes
+    x = np.arange(300)
+    rel = (x[:, None] + x[None, :]) % 50 + 10
+    text = format_relation(rel)
+    tracemalloc.start()
+    try:
+        back = parse_relation(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, rel)
+    assert peak < rel.nbytes + (300 << 10)
+
+
+def test_format_relation_matches_an_entrywise_loop():
+    rng = np.random.default_rng(34)
+    for top in (9, 99):
+        for _ in range(50):
+            rows, cols = rng.integers(1, 12, size=2)
+            rel = rng.integers(0, top + 1, size=(rows, cols))
+            lines = [f"{rel.shape[0]} {rel.shape[1]}"]
+            for row in rel:
+                lines.append(" ".join(str(int(x)) for x in row))
+            assert format_relation(rel) == "\n".join(lines) + "\n"

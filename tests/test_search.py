@@ -145,6 +145,35 @@ def test_two_factor_counts():
             assert degree == [2] * m
 
 
+def two_factors_by_copies(m):
+    """_two_factors as a recursion that copies the path, the labels left
+    and the edges at every step: the order the branch indices and the
+    checkpoint headers rest on."""
+    index = {edge: n for n, edge in enumerate(itertools.combinations(range(m), 2))}
+    found = []
+
+    def cycles(path, left, edges):
+        if len(path) >= 3 and path[1] < path[-1]:
+            closed = zip(path, path[1:] + path[:1])
+            rest(left, edges + [index[min(a, b), max(a, b)] for a, b in closed])
+        for n, x in enumerate(left):
+            cycles(path + [x], left[:n] + left[n + 1:], edges)
+
+    def rest(left, edges):
+        if not left:
+            found.append(tuple(sorted(edges)))
+        else:
+            cycles([left[0]], left[1:], edges)
+
+    rest(tuple(range(m)), [])
+    return found
+
+
+def test_two_factors_keep_the_order_of_the_copying_recursion():
+    for m in range(10):
+        assert search_mod._two_factors(m) == two_factors_by_copies(m), m
+
+
 @functools.lru_cache(maxsize=None)
 def candidates(k, i):
     """Tail row i's candidates, built from the shared 2-factors and the
