@@ -22,10 +22,11 @@ is_symmetric compares the entries with their transpose.
 Matrix files are read and written as bytes: a file in the layout the
 CLI writes is never decoded, and format_matrix is the ASCII decode of
 the two buffers the CLI writes, the header line and an array of the
-rows (_format_parts). parse_matrix and scheme.parse_relation view that
-layout in place, one uint16 per entry and its separator
-(_layout_pairs); any other text goes a line at a time through one
-reader, _read_grid. Only its lines of longer or bad tokens, the
+rows (_format_parts). Every such file, and every fixture, is written
+by _rewrite, in place over an existing file. parse_matrix and
+scheme.parse_relation view that layout in place, one uint16 per entry
+and its separator (_layout_pairs); any other text goes a line at a
+time through one reader, _read_grid. Only its lines of longer or bad tokens, the
 per-entry oracles the tests compare these kernels against (to_lists,
 col_sum, row_dot) and from_rows, which checks outside input, loop over
 single entries in Python. The table of row dots reads each 64-bit word
@@ -46,6 +47,7 @@ Indexing is 0-based everywhere in this module.
 from __future__ import annotations
 
 import functools
+import os
 import re
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
@@ -592,6 +594,23 @@ def _format_parts(m: BinaryMatrix) -> tuple[bytes, np.ndarray]:
     # of a token 0 in that column (see _layout_pairs) plus the entry
     pairs = np.add(m._unpacked(), _layout_zeros(m.cols), dtype="<u2")
     return f"{m.rows} {m.cols}\n".encode("ascii"), pairs.view(np.uint8)
+
+
+def _rewrite(path: str, parts: Iterable) -> None:
+    """Write the buffers to path, rewriting an existing file in place.
+
+    The file is opened without O_TRUNC and cut to the bytes written only
+    when it was longer, so an existing file keeps its inode and mode, a
+    symlink writes its target, and a FIFO or /dev/null (size 0) is never
+    truncated. Truncating a file to 0 and writing it again makes ext4
+    flush the whole file to storage at close; writing over the old bytes
+    does not.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        written = sum(map(fh.write, parts))
+        fh.flush()
+        if os.fstat(fh.fileno()).st_size > written:
+            fh.truncate(written)
 
 
 def parse_matrix(text: str | bytes) -> BinaryMatrix:

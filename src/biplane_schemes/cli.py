@@ -15,6 +15,13 @@ JSON on stdout with a schema_version field. Exit status meanings:
 extract reports a core classification that is not an association
 scheme as data ("scheme": null plus "scheme_witness"), with exit 0.
 
+family --out, extract --core-out and fixtures --out rewrite an
+existing file in place (binmat._rewrite): it keeps its inode and mode,
+a symlink writes its target, and only an old tail longer than the new
+bytes is cut, so /dev/null and FIFOs take the bytes unchanged. A run
+killed while writing leaves a file that is neither the old matrix nor
+the new one, and may still have the old length.
+
 search --threads only chooses where subtrees run: only a search of
 k >= 11 with no --node-limit or --max-solutions starts a pool, and the
 report is the same on any thread count.
@@ -47,6 +54,7 @@ from .binmat import (
     ShapeError,
     _Trap,
     _format_parts,
+    _rewrite,
     format_matrix,
     parse_matrix,
 )
@@ -116,9 +124,7 @@ def _read_matrix(path: str) -> BinaryMatrix:
 
 def _write_matrix(path: str, m: BinaryMatrix) -> None:
     # the header and the rows go out as two buffers, never joined
-    with open(path, "wb") as fh:
-        for part in _format_parts(m):
-            fh.write(part)
+    _rewrite(path, _format_parts(m))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

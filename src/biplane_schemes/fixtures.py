@@ -27,6 +27,7 @@ import numpy as np
 
 from .binmat import (
     BinaryMatrix,
+    _rewrite,
     anti_diagonal,
     assemble,
     border,
@@ -191,8 +192,7 @@ def write_fixtures(directory: str) -> dict[str, str]:
 
     def put(name: str, content: str) -> None:
         path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        _rewrite(path, (content.encode("utf-8"),))
         entries[name] = path
 
     put("b4c.txt", format_matrix(assemble_b4c()))

@@ -174,8 +174,9 @@ def from_relation_matrix(r) -> AssociationScheme:
     order whose counts differ from p[h] of its class h, and the first
     (i, j) in row-major order where they differ, raise NotASchemeError
     with both pairs as witness, recounted directly: the same witness as
-    a loop over the pairs in row-major order, and a table that fails in
-    its first rows stops there.
+    a loop over the pairs in row-major order. A table that fails in its
+    first rows stops there, and one whose first bad pair is in the first
+    row of a block of rows stops at that pair's block of columns.
     """
     rel = np.asarray(r, dtype=np.int64)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
@@ -228,7 +229,11 @@ def from_relation_matrix(r) -> AssociationScheme:
             bad = np.empty((rows, v), dtype=bool)
         expected = p.take(rel[x0:x0 + rows, y0:y0 + cols], axis=0)
         bad[:, y0:y0 + cols] = (counts != expected).any(axis=(2, 3))
-        if y0 + cols == v and bad.any():
+        # every pair of the rows before this block passed, and so did the
+        # first row's pairs in the column blocks before this one; so a bad
+        # pair here in the first row is the first in row-major order
+        if bad[0, y0:y0 + cols].any() or (y0 + cols == v and bad.any()):
+            # the entries not yet counted are all past the first bad one
             x, y = divmod(int(np.argmax(bad)), v)
             x += x0
             h = int(rel[x, y])

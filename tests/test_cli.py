@@ -3,8 +3,10 @@
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -435,6 +437,98 @@ def test_family_point_cap_boundary(tmp_path, capsys, monkeypatch):
                    " (verify and extract build v x v tables)\n")
     assert built == [3]
     assert not above.exists()
+
+
+# the CLI rewrites an output file in place (binmat._rewrite): it cuts a
+# longer old file to the new bytes and never truncates what has no size
+D3 = format_matrix(doubled(3)).encode("ascii")
+
+
+def test_family_out_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path, capsys):
+    out_path = tmp_path / "d.txt"
+    assert run_cli(capsys, "family", "--m", "50", "--out", str(out_path))[0] == 0
+    assert out_path.stat().st_size > len(D3)
+    code, out, _ = run_cli(capsys, "family", "--m", "3", "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == D3
+    assert out == run_cli(capsys, "family", "--m", "3")[1]
+
+
+def test_core_out_over_a_longer_file_leaves_exactly_the_new_bytes(fixture_dir, tmp_path, capsys):
+    b4c, core_path = str(fixture_dir / "b4c.txt"), tmp_path / "core.txt"
+    assert run_cli(capsys, "extract", b4c, "--core-out", str(core_path))[0] == 0
+    core = core_path.read_bytes()
+    core_path.write_bytes(b"1" * (10 * len(core)))
+    assert run_cli(capsys, "extract", b4c, "--core-out", str(core_path))[0] == 0
+    assert core_path.read_bytes() == core
+
+
+def test_family_out_over_an_identical_file_gives_the_same_bytes(tmp_path, capsys):
+    out_path = tmp_path / "d.txt"
+    for _ in range(2):
+        assert run_cli(capsys, "family", "--m", "3", "--out", str(out_path))[0] == 0
+        assert out_path.read_bytes() == D3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_family_out_to_dev_null(capsys):
+    # /dev/null has size 0, so it is never truncated: ftruncate on it
+    # raises EINVAL
+    code, out, err = run_cli(capsys, "family", "--m", "3", "--out", "/dev/null")
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "family", "--m", "3")[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_family_out_to_a_fifo_sends_the_exact_bytes(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = run_cli(capsys, "family", "--m", "3", "--out", str(fifo))[0]
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert code == 0
+    assert received == [D3]
+
+
+def test_an_existing_out_file_keeps_its_inode_and_mode(tmp_path, capsys):
+    out_path = tmp_path / "d.txt"
+    out_path.write_bytes(b"old bytes, longer than nothing" * 100)
+    out_path.chmod(0o640)
+    before = out_path.stat()
+    assert run_cli(capsys, "family", "--m", "3", "--out", str(out_path))[0] == 0
+    after = out_path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert out_path.read_bytes() == D3
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+def test_a_symlinked_out_path_writes_the_target_and_keeps_the_link(tmp_path, capsys):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"x" * 1000)
+    link.symlink_to(target)
+    assert run_cli(capsys, "family", "--m", "3", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == D3
+
+
+def test_fixtures_out_over_the_same_directory_writes_the_same_bytes(tmp_path, capsys):
+    # a second run over the same files, then a third over longer ones
+    target = tmp_path / "fx"
+    written = []
+    for pad in (False, False, True):
+        if pad:
+            for p in target.iterdir():
+                p.write_bytes(b"9" * 100_000)
+        code, payload, _ = run_json(capsys, "fixtures", "--out", str(target))
+        assert code == 0
+        written.append({p.name: p.read_bytes() for p in target.iterdir()})
+    assert written[0] == written[1] == written[2]
+    assert sorted(written[0]) == payload["files"]
 
 
 def test_search_exhausts_small_k(capsys):

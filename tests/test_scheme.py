@@ -519,6 +519,37 @@ def test_scheme_check_matches_the_pair_loop(monkeypatch):
     assert min(seen.values()) >= 300, seen
 
 
+def test_a_bad_pair_in_the_first_row_of_a_block_ends_the_check_at_its_column_block(monkeypatch):
+    # in blocks of 1000 bytes, where most witness tables have several
+    # column blocks: the last block counted holds the loop's witness
+    # pair, and ends its row block's columns early when the pair is in
+    # the block's first row
+    products, last = scheme._products, []
+
+    def recording(rel, d, rows):
+        for x0, y0, counts in products(rel, d, rows):
+            last[:] = [x0, y0, *counts.shape[:2]]
+            yield x0, y0, counts
+
+    monkeypatch.setattr(scheme, "_products", recording)
+    monkeypatch.setattr(scheme, "_BLOCK_BYTES", 1000)
+    stops = {"early": 0, "at the last column": 0}
+    for rel in differential_corpus():
+        expected = scheme_outcome(oracle_from_relation_matrix, rel)
+        if expected[0] != "witness":
+            continue
+        assert scheme_outcome(from_relation_matrix, rel) == expected, rel.tolist()
+        x0, y0, rows, cols = last
+        x, y = expected[1]["pair_b"]
+        assert x0 <= x < x0 + rows
+        if x == x0:
+            assert y0 <= y < y0 + cols
+        else:
+            assert y0 + cols == len(rel)
+        stops["early" if y0 + cols < len(rel) else "at the last column"] += 1
+    assert min(stops.values()) >= 100, stops
+
+
 def test_bose_mesner_traps_match_the_product_loop():
     # schemes no gate would pass: a p entry off by one, a label outside
     # 0..d, and the thin scheme of S_3, closed but not commutative
