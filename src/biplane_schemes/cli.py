@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Verbs: verify, extract, family, search, scheme, fixtures. Reports are
-JSON on stdout with a schema_version field. Exit status meanings:
+Verbs: verify, extract, family, search, scheme, fixtures. Each report
+is one line of JSON on stdout, schema_version its first key, written
+by json's C encoder with its default separators (an indent would force
+the pure-Python encoder); pipe it through `python -m json.tool` to
+read it. Exit status meanings:
 
   0  success, or the checked property verified true
   1  the checked property verified false
@@ -86,7 +89,7 @@ class CliInputError(Exception):
 
 def _emit(payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload))
 
 
 def _read(path: str) -> bytes:

@@ -286,8 +286,8 @@ class _Searcher:
         """The masks of the root, where every tail row keeps all of its
         candidates, and the bits of the unplaced rows."""
         everything = (1 << len(self.factors)) - 1
-        tail = range(self.k, self.v)
-        return dict.fromkeys(tail, everything), sum(1 << i for i in tail)
+        return (dict.fromkeys(range(self.k, self.v), everything),
+                (1 << self.v) - (1 << self.k))
 
     # -- depth-first search, one row per node --------------------------------
 

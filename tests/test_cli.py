@@ -24,6 +24,7 @@ from biplane_schemes.binmat import (
 from biplane_schemes import extract
 from biplane_schemes import scheme as scheme_mod
 from biplane_schemes import search as search_mod
+from biplane_schemes.biplane import assemble_b4c
 from biplane_schemes.extract import CounterexampleError
 from biplane_schemes.fixtures import RELATION_6
 from biplane_schemes.pbibd import InconsistencyError
@@ -878,3 +879,38 @@ def test_every_report_carries_schema_version(fixture_dir, capsys):
     ):
         _, payload, _ = run_json(capsys, *argv)
         assert payload["schema_version"] == 2
+
+
+# argv, with {fx} the fixture directory and {tmp} a scratch one, and the exit code
+ONE_LINE_CALLS = {
+    "verify accept": (["verify", "{fx}/b4c.txt"], 0),
+    "verify pbibd": (["verify", "{fx}/core16_1.txt"], 0),
+    "verify reject": (["verify", "{tmp}/id4.txt"], 1),
+    "extract": (["extract", "{fx}/b4c.txt", "--core-out", "{tmp}/core.txt"], 0),
+    "extract not a scheme": (["extract", "{fx}/b9e.txt"], 0),
+    "extract reject": (["extract", "{fx}/core16_1.txt"], 1),
+    "family": (["family", "--m", "50"], 0),
+    "search": (["search", "--k", "6"], 0),
+    "scheme valid": (["scheme", "{fx}/relation6.txt"], 0),
+    "scheme invalid": (["scheme", "{tmp}/p3.txt"], 1),
+    "fixtures": (["fixtures", "--out", "{tmp}/again"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, want", ONE_LINE_CALLS.values(), ids=ONE_LINE_CALLS)
+def test_each_report_is_one_line_of_compact_json(fixture_dir, tmp_path, capsys, argv, want):
+    (tmp_path / "id4.txt").write_text(format_matrix(identity(4)))
+    (tmp_path / "p3.txt").write_text("3 3\n0 1 2\n1 0 1\n2 1 0\n")
+    argv = [a.format(fx=fixture_dir, tmp=tmp_path) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (want, "")
+    report = json.loads(out)
+    # the C encoder's default separators, one line, keys in insertion order
+    assert out == json.dumps(report) + "\n"
+    assert next(iter(report)) == "schema_version"
+
+
+def test_search_k6_report_lists_b4c_as_nested_rows(capsys):
+    code, payload, _ = run_json(capsys, "search", "--k", "6")
+    assert code == 0
+    assert payload["solutions"] == [assemble_b4c().to_lists()]
