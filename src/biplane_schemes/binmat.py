@@ -220,8 +220,10 @@ class BinaryMatrix:
         the same: per entry, the np.ix_ scatter costs about 3.5x a
         full-row add. At 1000 rows that is 2.2 ms for D_500 (at most
         130 rows nonzero in any word), 3.9 ms for a relabelled D_500
-        (at most about 190) and 35 ms, as before, for dense random bits
-        (2-vCPU host, numpy 2.4).
+        (at most about 190) and 35 ms for dense random bits (2-vCPU
+        host, numpy 2.4). No D_500 reaches this on the v=1000 path:
+        classify takes it by block pairs, and verify_biplane rejects
+        its point count first.
         """
         words = np.zeros((self.rows, 8 * ((self.cols + 63) // 64)), dtype=np.uint8)
         words[:, :self._grid.shape[1]] = self._grid

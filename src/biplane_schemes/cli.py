@@ -49,6 +49,7 @@ import functools
 import json
 import re
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .binmat import (
@@ -212,15 +213,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    try:
-        outcome = search_symmetric_canonical(cfg, checkpoint=args.checkpoint)
-    except CheckpointError as exc:
-        raise CliInputError(str(exc)) from exc
-    if args.solutions_out:
-        with open(args.solutions_out, "a", encoding="utf-8") as fh:
+    # opened before the search, so an unwritable path costs no search
+    with (open(args.solutions_out, "a", encoding="utf-8")
+          if args.solutions_out else nullcontext()) as sink:
+        try:
+            outcome = search_symmetric_canonical(cfg, checkpoint=args.checkpoint)
+        except CheckpointError as exc:
+            raise CliInputError(str(exc)) from exc
+        if sink is not None:
             for solution in outcome.solutions:
-                fh.write(format_matrix(solution))
-                fh.write("\n")
+                sink.write(format_matrix(solution))
+                sink.write("\n")
     _emit({"verb": "search", **outcome.report()})
     return 0
 
@@ -330,10 +333,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _Trap as exc:

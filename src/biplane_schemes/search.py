@@ -41,6 +41,12 @@ pruning rule is needed. The next row placed is the unplaced one whose
 mask keeps the fewest candidates, the lowest row on a tie. A node is
 one placed row, and nodes are the search's only counter. Exhausting k=8
 takes 12 nodes, k=9 190 and k=10 7,845.
+One recursive method, _Searcher.place, takes every step once a row is
+placed: it mirrors the row into the unplaced rows, narrows their masks
+(_narrow, the one narrowing step), records a solution if no row is
+left or else places the chosen row in each way its mask keeps, and
+undoes the mirror. The budgets are the searcher's, fixed when it is
+made.
 Each solution is re-verified once through the independent biplane
 verifier: when its subtree is merged, before it is logged
 (SearchBugError), or when its log is read (CheckpointError).
@@ -268,9 +274,11 @@ def _meeting_mask(has: tuple[int, ...], rest: int, owed: int) -> int:
 
 
 class _Searcher:
-    """Mutable depth-first state for one subtree of the search."""
+    """Mutable depth-first state for one subtree of the search. A budget
+    of None is unlimited; one at or below 0 stops the searcher before
+    its first node."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, node_limit: Optional[int], max_solutions: Optional[int]):
         self.k = k
         self.v = head_width(k)
         self.rows = list(_base_rows(k))
@@ -278,50 +286,16 @@ class _Searcher:
         self.memo = _meeting_masks(k)
         self.nodes = 0
         self.solutions: list[tuple[int, ...]] = []
-        self.node_limit: Optional[int] = None
-        self.max_solutions: Optional[int] = None
-        self.stopped = False
+        self.node_limit = node_limit
+        self.max_solutions = max_solutions
+        self.stopped = any(b is not None and b <= 0 for b in (node_limit, max_solutions))
 
-    def root(self) -> tuple[dict[int, int], int]:
-        """The masks of the root, where every tail row keeps all of its
-        candidates, and the bits of the unplaced rows."""
-        everything = (1 << len(self.factors)) - 1
-        return (dict.fromkeys(range(self.k, self.v), everything),
-                (1 << self.v) - (1 << self.k))
-
-    # -- depth-first search, one row per node --------------------------------
-
-    def explore(self, i: Optional[int], masks: dict[int, int], free: int) -> None:
-        """Place row i in each way its mask keeps; i is the unplaced row
-        with the fewest kept candidates, the lowest one on a tie, or None
-        once every row is placed. masks maps each unplaced row, i
-        included, to its kept candidates, and loses i here; free holds
-        the unplaced rows' bits."""
-        if i is None:
-            self._record_solution()
-            return
-        alive = masks.pop(i)
-        free ^= 1 << i
-        rows = self.rows
-        row = rows[i]
-        factors, column_bit = self.factors, self.tables[i - self.k][0].__getitem__
-        limit = self.node_limit
-        while alive:
-            low = alive & -alive
-            alive ^= low
-            self.nodes += 1
-            if limit is not None and self.nodes >= limit:
-                self.stopped = True
-                return
-            rows[i] = row | sum(map(column_bit, factors[low.bit_length() - 1]))
-            self._descend(i, masks, free)
-            rows[i] = row
-            if self.stopped:
-                return
-
-    def _descend(self, i: int, masks: dict[int, int], free: int) -> None:
-        """Mirror the placed row i into the unplaced rows, narrow their
-        masks and explore them, then undo the mirror."""
+    def place(self, i: int, masks: dict[int, int], free: int) -> None:
+        """Row i has just been placed: mirror it into the unplaced rows
+        and narrow their masks; then record a solution if no row is
+        left, or else place the row _narrow chooses in each way its mask
+        keeps, one node each; then undo the mirror. masks maps each
+        unplaced row to its kept candidates; free holds their bits."""
         rows, bit = self.rows, 1 << i
         later = rows[i] & free
         mirrored = []
@@ -333,7 +307,27 @@ class _Searcher:
             mirrored.append(c)
         narrowed = self._narrow(i, masks, free)
         if narrowed is not None:
-            self.explore(*narrowed, free)
+            j, masks = narrowed
+            if j is None:
+                self.solutions.append(tuple(rows))
+                if self.max_solutions is not None and len(self.solutions) >= self.max_solutions:
+                    self.stopped = True
+            else:
+                alive = masks.pop(j)
+                free ^= 1 << j
+                row = rows[j]
+                factors, column_bit = self.factors, self.tables[j - self.k][0].__getitem__
+                limit = self.node_limit
+                while alive and not self.stopped:
+                    low = alive & -alive
+                    alive ^= low
+                    self.nodes += 1
+                    if limit is not None and self.nodes >= limit:
+                        self.stopped = True
+                    else:
+                        rows[j] = row | sum(map(column_bit, factors[low.bit_length() - 1]))
+                        self.place(j, masks, free)
+                rows[j] = row
         for c in mirrored:
             rows[c] ^= bit
 
@@ -376,32 +370,20 @@ class _Searcher:
             narrowed[j] = mask
         return None if narrowed is None else (chosen, narrowed)
 
-    def _record_solution(self) -> None:
-        self.solutions.append(tuple(self.rows))
-        if (
-            self.max_solutions is not None
-            and len(self.solutions) >= self.max_solutions
-        ):
-            self.stopped = True
-
 
 def _run_branch(job: tuple) -> tuple:
     """Run the subtree under one placement of the first tail row.
 
-    job is (k, branch_bits, node_budget, solution_budget). A budget of
-    None is unlimited; one at or below 0 stops the branch before its
-    first node. Returns (nodes, solutions, stopped).
+    job is (k, branch_bits, node_budget, solution_budget), the budgets
+    as _Searcher takes them. Returns (nodes, solutions, stopped).
     """
     k, branch_bits, node_budget, solution_budget = job
-    searcher = _Searcher(k)
-    searcher.node_limit = node_budget
-    searcher.max_solutions = solution_budget
-    searcher.stopped = any(b is not None and b <= 0 for b in (node_budget, solution_budget))
-    masks, free = searcher.root()
-    del masks[k]
-    searcher.rows[k] = branch_bits
+    searcher = _Searcher(k, node_budget, solution_budget)
     if not searcher.stopped:
-        searcher._descend(k, masks, free ^ 1 << k)
+        # every later tail row keeps all of its candidates
+        v, everything = searcher.v, (1 << len(searcher.factors)) - 1
+        searcher.rows[k] = branch_bits
+        searcher.place(k, dict.fromkeys(range(k + 1, v), everything), (1 << v) - (2 << k))
     return searcher.nodes, searcher.solutions, searcher.stopped
 
 
@@ -605,12 +587,17 @@ def enumerate_reference(k: int) -> list[BinaryMatrix]:
 
     Every assignment of the free upper triangle is generated; the only
     shortcut is discarding assignments with a wrong row sum before the
-    full verification. 2^15 cases at k=5 is the practical ceiling.
+    full verification. 2^15 cases at k=5 is the practical ceiling. It
+    shares only canonical_head and symmetric_canonical_defect with the
+    search.
     """
     if not 3 <= k <= 5:
         raise ValueError(f"reference enumeration is feasible only for k in 3..5, got {k}")
     v = head_width(k)
-    base = _base_rows(k)
+    head = canonical_head(k).bits
+    # tail row i starts as the head's column i and the diagonal bit
+    base = head + tuple(
+        sum(1 << s for s, h in enumerate(head) if h >> i & 1) | 1 << i for i in range(k, v))
     cells = [(i, j) for i in range(k, v) for j in range(i + 1, v)]
     found = []
     for assignment in product((0, 1), repeat=len(cells)):

@@ -554,6 +554,33 @@ def test_search_solutions_out(tmp_path, capsys):
     assert sink.read_text().count("4 4\n") == 2
 
 
+def test_search_solutions_out_appends_each_solution_as_a_matrix(tmp_path, capsys):
+    sink = tmp_path / "solutions.txt"
+    sink.write_text("kept\n")
+    code, payload, _ = run_json(
+        capsys, "search", "--k", "6", "--solutions-out", str(sink))
+    assert (code, payload["solution_count"]) == (0, 1)
+    assert sink.read_text() == "kept\n" + format_matrix(assemble_b4c()) + "\n"
+
+
+def test_search_solutions_out_is_opened_before_the_search(tmp_path, capsys, monkeypatch):
+    def boom(cfg, checkpoint=None):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search_mod, "search_symmetric_canonical", boom)
+    code, out, err = run_cli(capsys, "search", "--k", "9", "--solutions-out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+    # a search refused after the open leaves the file empty
+    monkeypatch.undo()
+    bad, sink = tmp_path / "bad.ckpt", tmp_path / "solutions.txt"
+    bad.write_text("not a log")
+    code, out, _ = run_cli(capsys, "search", "--k", "6", "--checkpoint", str(bad),
+                           "--solutions-out", str(sink))
+    assert (code, out, sink.read_bytes()) == (2, "", b"")
+
+
 def test_search_long_run_gate(capsys):
     for k in ("11", "12"):
         code, out, err = run_cli(capsys, "search", "--k", k)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from biplane_schemes import extract
 from biplane_schemes.binmat import (
     BinaryMatrix,
+    assemble,
     constant,
     disjoint_cycles,
     doubled,
@@ -28,7 +29,8 @@ from biplane_schemes.extract import (
     family_generate,
 )
 from biplane_schemes.fixtures import CORES_12, CORES_16, b9e
-from biplane_schemes.scheme import NotASchemeError
+from biplane_schemes.pbibd import NotPbibdError, classify
+from biplane_schemes.scheme import NotASchemeError, from_relation_matrix
 
 SIX_POINT_CORE = BinaryMatrix.from_rows([
     [1, 0, 0, 0, 1, 1],
@@ -255,6 +257,76 @@ def test_b9e_core_is_each_sixteen_point_table():
     assert report.scheme is None and report.scheme_witness == B9E_WITNESS
     for table in CORES_16:
         assert is_perm_equivalent(table, report.core) is not None
+
+
+def cycle_adjacency(n):
+    """The adjacency matrix of the n-cycle: symmetric, no loops, sums 2
+    (disjoint_cycles is I + P, which is not symmetric)."""
+    return BinaryMatrix(n, n, tuple(1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)))
+
+
+def line_sum_two_types(m, least=(2, "path")):
+    """Every type of a symmetric line-sum-2 L of order m, as a sorted
+    tuple of its components (n, "path") for path_loop(n), n >= 2, and
+    (n, "cycle") for cycle_adjacency(n), n >= 3."""
+    if m == 0:
+        yield ()
+    for n in range(least[0], m + 1):
+        for part in ((n, "path"), (n, "cycle")):
+            if part >= least and part != (2, "cycle"):
+                for rest in line_sum_two_types(m - n, part):
+                    yield (part, *rest)
+
+
+def superclass_design(parts):
+    """[[I, L], [L, I]] for L the block-diagonal union of parts."""
+    rows, offset = [], 0
+    for n, kind in parts:
+        block = path_loop(n) if kind == "path" else cycle_adjacency(n)
+        rows.extend(bits << offset for bits in block.bits)
+        offset += n
+    ell = BinaryMatrix(offset, offset, tuple(rows))
+    return assemble([[identity(offset), ell], [ell, identity(offset)]])
+
+
+def test_the_superclass_by_the_type_of_l():
+    # [[I, L], [L, I]] has 3 classes, of sizes (2m - 5, 2, 2), exactly
+    # when no component of L is P_2 or C_4; of those only m = 3 is a
+    # scheme, and up to equivalence they are one design per partition
+    # of m into parts >= 3
+    kinds, classes = 0, []
+    for m in range(3, 11):
+        members = []
+        for parts in line_sum_two_types(m):
+            kinds += 1
+            design = superclass_design(parts)
+            try:
+                c = classify(design)
+                got = (c.lambdas, c.n)
+            except NotPbibdError:
+                got = None
+            balanced = not {(2, "path"), (4, "cycle")} & set(parts)
+            assert (got == ((0, 1, 2), (2 * m - 5, 2, 2))) == balanced, parts
+            if not balanced:
+                continue
+            if m == 3:
+                from_relation_matrix(c.relation)
+            else:
+                with pytest.raises(NotASchemeError):
+                    from_relation_matrix(c.relation)
+            if all(is_perm_equivalent(design, other) is None for other in members):
+                members.append(design)
+        classes.append(len(members))
+    assert kinds == 104
+    assert classes == [1, 1, 1, 2, 2, 3, 4, 5]
+
+
+def test_the_sixteen_point_cores_are_two_disjoint_d4():
+    zero = constant(8, 8, 0)
+    d4_d4 = assemble([[doubled(4), zero], [zero, doubled(4)]])
+    for core in (*CORES_16, extract_design(b9e()).core):
+        assert is_perm_equivalent(core, d4_d4) is not None
+        assert is_perm_equivalent(core, doubled(8)) is None
 
 
 B9E_PAIRS = list(itertools.combinations(range(1, 11), 2))

@@ -230,14 +230,17 @@ def test_branch_lists_are_pinned(tmp_path):
 
 def seeded_searcher(b9e, depth):
     """A k=11 searcher whose first depth tail rows keep only b9e's
-    candidate, explored from the root."""
+    candidate, run from b9e's first tail row, placed as one node."""
     k = 11
-    searcher = search_mod._Searcher(k)
-    masks, free = searcher.root()
-    for i in range(k, k + depth):
+    searcher = search_mod._Searcher(k, None, None)
+    v, everything = searcher.v, (1 << len(searcher.factors)) - 1
+    masks = dict.fromkeys(range(k + 1, v), everything)
+    for i in range(k + 1, k + depth):
         columns = searcher.tables[i - k][2]
         masks[i] = 1 << candidates(k, i).index(b9e.bits[i] & columns)
-    searcher.explore(k, masks, free)  # row k keeps one candidate, the fewest
+    searcher.nodes = 1  # row k keeps one candidate, b9e's
+    searcher.rows[k] = b9e.bits[k]
+    searcher.place(k, masks, (1 << v) - (2 << k))
     return searcher
 
 
@@ -270,16 +273,16 @@ class DefinitionCheckedSearcher(search_mod._Searcher):
     is placed, each unplaced row's mask must keep exactly the candidates
     that agree with the fixed entries and meet every placed tail row
     exactly twice, or, at a dead end, some unplaced row must keep none.
-    And the row placed next must be the unplaced row with the fewest
-    kept candidates, the lowest one on a tie."""
+    And the row chosen to be placed next must be the unplaced row with
+    the fewest kept candidates, the lowest one on a tie."""
 
     checked = 0
 
-    def __init__(self, k):
-        super().__init__(k)
-        self.choices = []  # the row each unfinished explore must place
-
     def _narrow(self, i, masks, free):
+        # a subtree's first placed row is its branch, a candidate of the
+        # root's choice, row k: at the root every row keeps every candidate
+        root = dict.fromkeys(range(self.k + 1, self.v), (1 << len(self.factors)) - 1)
+        assert (i == self.k) == (masks == root)
         narrowed = super()._narrow(i, masks, free)
         placed = [self.rows[p] for p in range(self.k, self.v) if not free >> p & 1]
 
@@ -293,22 +296,13 @@ class DefinitionCheckedSearcher(search_mod._Searcher):
         if narrowed is None:
             assert any(definition(j) == 0 for j in masks)
         else:
-            assert narrowed[1] == {j: definition(j) for j in masks}
+            chosen, kept = narrowed
+            assert kept == {j: definition(j) for j in masks}
+            fewest = min((mask.bit_count() for mask in kept.values()), default=None)
+            assert chosen == next(
+                (j for j in sorted(kept) if kept[j].bit_count() == fewest), None)
         DefinitionCheckedSearcher.checked += 1
         return narrowed
-
-    def explore(self, i, masks, free):
-        fewest = min((mask.bit_count() for mask in masks.values()), default=None)
-        self.choices.append(next(
-            (j for j in sorted(masks) if masks[j].bit_count() == fewest), None))
-        super().explore(i, masks, free)
-        self.choices.pop()
-
-    def _descend(self, i, masks, free):
-        # a subtree's first placed row is its branch, a candidate of the
-        # root's choice: at the root every row keeps every candidate
-        assert i == (self.choices[-1] if self.choices else self.k)
-        super()._descend(i, masks, free)
 
 
 def test_kept_candidates_match_the_definition(monkeypatch):
