@@ -29,9 +29,8 @@ and its separator (_layout_pairs); any other text goes a line at a
 time through one reader, _read_grid. Only its lines of longer or bad tokens, the
 per-entry oracles the tests compare these kernels against (to_lists,
 col_sum, row_dot) and from_rows, which checks outside input, loop over
-single entries in Python. The table of row dots reads each 64-bit word
-position's occupancy: a sparse matrix such as D_m costs work in
-proportion to its nonzero words, not to rows^2 x words. nonzero()
+single entries in Python. The table of row dots adds a rows x rows
+popcount table per 64-bit word position. nonzero()
 unpacks only the nonzero bytes, so for D_m it costs rows x cols / 8
 byte reads and no table.
 
@@ -205,37 +204,25 @@ class BinaryMatrix:
     def row_dots(self) -> np.ndarray:
         """The rows x rows int64 table whose entry (i, j) is row_dot(i, j).
 
-        Each row is cut into 64-bit words, and entry (i, j) sums the
-        popcounts of the ANDs of the two rows' words, one word position
-        at a time. That is integer arithmetic with sums of at most cols,
-        so the table is exact. A float64 BLAS product M M^T is exact as
-        well, but BLAS runs it on a thread pool: on a 2-core host that
-        stalled it by 8 to 16 ms from 100 rows up.
+        Each row is cut into 64-bit words, and for each word position
+        the outer popcount of the ANDs of the rows' words there is added
+        to the table. That is integer arithmetic with sums of at most
+        cols, so the table is exact. A float64 BLAS product M M^T is
+        exact as well, but BLAS runs it on a thread pool: on a 2-core
+        host that stalled it by 8 to 16 ms from 100 rows up.
 
-        A word position adds nonzero terms only between the rows that
-        are nonzero there. When more than half the rows are, the whole
-        outer popcount is added; otherwise only the block of those rows,
-        through np.ix_, and an all-zero word adds nothing. Skipping zero
-        terms leaves the table unchanged. The half is where the two cost
-        the same: per entry, the np.ix_ scatter costs about 3.5x a
-        full-row add. At 1000 rows that is 2.2 ms for D_500 (at most
-        130 rows nonzero in any word), 3.9 ms for a relabelled D_500
-        (at most about 190) and 35 ms for dense random bits (2-vCPU
-        host, numpy 2.4). No D_500 reaches this on the v=1000 path:
-        classify takes it by block pairs, and verify_biplane rejects
-        its point count first.
+        Every word position costs a rows x rows add, zero words too: 59
+        ms for D_500 at 1000 rows (2-vCPU host, numpy 2.4). The CLI
+        never builds D_500's table: classify takes it by block pairs,
+        and verify_biplane rejects its point count first. On the bundled
+        fixtures and the benchmark's inputs every table built has 6 to
+        56 rows.
         """
         words = np.zeros((self.rows, 8 * ((self.cols + 63) // 64)), dtype=np.uint8)
         words[:, :self._grid.shape[1]] = self._grid
-        words = words.view("<u8")
         dots = np.zeros((self.rows, self.rows), dtype=np.int64)
-        for word in words.T:
-            idx = np.flatnonzero(word)
-            if 2 * len(idx) > self.rows:
-                dots += np.bitwise_count(np.bitwise_and.outer(word, word))
-            elif len(idx):
-                w = word[idx]
-                dots[np.ix_(idx, idx)] += np.bitwise_count(np.bitwise_and.outer(w, w))
+        for word in words.view("<u8").T:
+            dots += np.bitwise_count(np.bitwise_and.outer(word, word))
         return dots
 
     def count_ones(self) -> int:
@@ -493,90 +480,112 @@ def is_perm_equivalent(
     """Search for (row_perm, col_perm) with a.permute(...) == b.
 
     Returns the witnessing pair, or None when the matrices are not
-    equivalent. Row scalar products are invariant under column
-    permutations, so candidate row maps must carry the whole row-dot
-    table of ``a`` onto that of ``b``; that plus row/column-sum multiset
-    pre-filters prunes the backtracking hard. Intended for orders up to
-    a few dozen.
+    equivalent. Column permutations leave the row-dot table unchanged,
+    and with it three invariants of each row: its sum (its own dot), the
+    size of its component in the graph of rows that meet (a dot above
+    0), and its sorted dots. A row of a may map only to the rows of b with its
+    invariants, in ascending order, so the two sorted lists of
+    invariants must agree, as must the column sums.
+
+    One backtrack maps the rows, the most constrained first, and
+    matches the columns as it goes. Each column has a key, the depths of
+    the mapped rows with a 1 in it. A candidate row of b must carry the
+    dots to the rows mapped before it, and the keys under its ones must
+    equal, as a multiset, the keys under the ones of the row of a it
+    takes. That keeps the multisets of a's and b's keys equal, so when
+    the last row is mapped the columns pair off by key; and it cuts only
+    row maps that no column matching completes. The found witness is
+    checked with permute, and a failure raises WitnessError.
+
+    On a biplane every off-diagonal dot is 2, so only the keys prune. A
+    relabelled b4c takes under 1 ms, and b9e with its points renamed
+    0.1 to 1 s; a uniformly random row and column relabelling of b9e
+    can take over a minute (2-vCPU host).
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return None
-    if sorted(a.row_sums()) != sorted(b.row_sums()):
-        return None
     if sorted(a.col_sums()) != sorted(b.col_sums()):
         return None
-
     n = a.rows
-    dots_a = a.row_dots().tolist()
-    dots_b = b.row_dots().tolist()
+    dots_a, dots_b = a.row_dots(), b.row_dots()
 
-    def signature(dots, sums, i):
-        profile = sorted(dots[i][j] for j in range(n) if j != i)
-        return (sums[i], tuple(profile))
+    def invariants(m: BinaryMatrix, dots: np.ndarray) -> list[tuple[int, ...]]:
+        # the components of the rows that meet, merged a row at a time,
+        # as their columns and their rows; equal rows share a component
+        parts: dict[int, list[int]] = {}
+        for row in m.bits:
+            cols, rows = row, [row]
+            for other in [c for c in parts if c & row]:
+                cols |= other
+                rows += parts.pop(other)
+            parts[cols] = rows
+        size = {row: len(rows) for rows in parts.values() for row in rows}
+        sizes = [size[row] for row in m.bits]
+        table = np.column_stack([dots.diagonal(), sizes, np.sort(dots, axis=1)])
+        return list(map(tuple, table.tolist()))
 
-    sums_a, sums_b = a.row_sums(), b.row_sums()
-    sig_b: dict = defaultdict(list)
-    for r in range(n):
-        sig_b[signature(dots_b, sums_b, r)].append(r)
-    candidates = []
-    for i in range(n):
-        cand = sig_b.get(signature(dots_a, sums_a, i), [])
-        if not cand:
-            return None
-        candidates.append(cand)
+    def row_ones(m: BinaryMatrix) -> list[list[int]]:
+        ones = []
+        for row in m.bits:
+            ones.append([])
+            while row:
+                low = row & -row
+                ones[-1].append(low.bit_length() - 1)
+                row ^= low
+        return ones
 
-    # assign the most constrained rows first
+    sig_a, sig_b = invariants(a, dots_a), invariants(b, dots_b)
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    rows_of: dict = defaultdict(list)
+    for r, sig in enumerate(sig_b):
+        rows_of[sig].append(r)
+    candidates = [rows_of[sig] for sig in sig_a]
+    # map the most constrained rows first
     order = sorted(range(n), key=lambda i: len(candidates[i]))
-    assigned: list[Optional[int]] = [None] * n
+    ones_a, ones_b = row_ones(a), row_ones(b)
+    dots_a, dots_b = dots_a.tolist(), dots_b.tolist()
+    # a's keys, and the keys under the ones of the row mapped at each
+    # depth, depend only on the order
+    keys_a = [0] * a.cols
+    wanted = []
+    for pos, i in enumerate(order):
+        wanted.append(sorted(keys_a[j] for j in ones_a[i]))
+        for j in ones_a[i]:
+            keys_a[j] |= 1 << pos
+    assigned = [0] * n
     used = [False] * n
 
-    def complete_columns() -> Optional[tuple[int, ...]]:
-        # pull b's columns back through the row map, then match equal columns
-        pulled = BinaryMatrix(n, b.cols, tuple(b.bits[r] for r in assigned))
-        pool: dict = defaultdict(list)
-        for c, vec in enumerate(pulled.transpose().bits):
-            pool[vec].append(c)
-        col_perm = [0] * a.cols
-        for j, vec in enumerate(a.transpose().bits):
-            bucket = pool.get(vec)
-            if not bucket:
-                return None
-            col_perm[j] = bucket.pop()
-        return tuple(col_perm)
-
-    def backtrack(pos: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def backtrack(pos: int, keys: list[int]) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
         if pos == n:
-            col_perm = complete_columns()
-            if col_perm is None:
-                return None
-            return tuple(assigned), col_perm  # type: ignore[arg-type]
+            pool: dict = defaultdict(list)
+            for c, key in enumerate(keys):
+                pool[key].append(c)
+            row_perm, col_perm = tuple(assigned), tuple(pool[key].pop() for key in keys_a)
+            if a.permute(row_perm, col_perm) != b:
+                raise WitnessError(f"witness {row_perm}, {col_perm} does not carry a onto b")
+            return row_perm, col_perm
         i = order[pos]
         for r in candidates[i]:
             if used[r]:
                 continue
-            ok = True
             for earlier in order[:pos]:
                 if dots_a[i][earlier] != dots_b[r][assigned[earlier]]:
-                    ok = False
                     break
-            if not ok:
-                continue
-            assigned[i] = r
-            used[r] = True
-            found = backtrack(pos + 1)
-            if found is not None:
-                return found
-            assigned[i] = None
-            used[r] = False
+            else:
+                if sorted(map(keys.__getitem__, ones_b[r])) == wanted[pos]:
+                    moved = keys.copy()
+                    for c in ones_b[r]:
+                        moved[c] |= 1 << pos
+                    assigned[i] = r
+                    used[r] = True
+                    found = backtrack(pos + 1, moved)
+                    if found is not None:
+                        return found
+                    used[r] = False
         return None
 
-    witness = backtrack(0)
-    if witness is None:
-        return None
-    row_perm, col_perm = witness
-    if a.permute(row_perm, col_perm) != b:
-        raise WitnessError(f"witness {row_perm}, {col_perm} does not carry a onto b")
-    return row_perm, col_perm
+    return backtrack(0, [0] * b.cols)
 
 
 # ---------------------------------------------------------------------------

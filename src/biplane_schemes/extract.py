@@ -35,7 +35,14 @@ import numpy as np
 
 from .binmat import BinaryMatrix, _Trap, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, symmetric_canonical_defect
-from .pbibd import PairClassification, _pbibd_report, classify, verify_pbibd
+from .pbibd import (
+    NotPbibdError,
+    PairClassification,
+    StructureError,
+    _pbibd_report,
+    classify,
+    verify_pbibd,
+)
 from .scheme import AssociationScheme, NotASchemeError, from_relation_matrix
 
 
@@ -251,8 +258,12 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     if not core.is_symmetric():
         raise CounterexampleError("core of a symmetric matrix is not symmetric")
 
-    classification = classify(core)
-    pbibd_report = _pbibd_report(core, classification)
+    # the core's regularity and its balanced classes are theorems too
+    try:
+        classification = classify(core)
+        pbibd_report = _pbibd_report(core, classification)
+    except (StructureError, NotPbibdError) as exc:
+        raise CounterexampleError(f"core at k={k}: {exc}") from exc
     _expect(pbibd_report, {"lambda": [0, 1, 2], "n": [2 * k - 11, 2, 2]}, f"core at k={k}")
     core_scheme, scheme_witness = None, None
     try:
@@ -284,7 +295,10 @@ def family_generate(m: int) -> tuple[BinaryMatrix, dict]:
     if m < 3:
         raise PreconditionError(f"family needs m >= 3, got {m}")
     matrix = doubled(m)
-    report = verify_pbibd(matrix)
+    try:
+        report = verify_pbibd(matrix)
+    except (StructureError, NotPbibdError) as exc:
+        raise CounterexampleError(f"family member m={m}: {exc}") from exc
     _expect(report, {"lambda": [0, 1, 2], "n": [2 * m - 5, 2, 2], "v": 2 * m, "b": 2 * m,
                      "r": 3, "k": 3}, f"family member m={m}")
     report["m"] = m

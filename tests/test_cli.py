@@ -27,7 +27,7 @@ from biplane_schemes import search as search_mod
 from biplane_schemes.biplane import assemble_b4c
 from biplane_schemes.extract import CounterexampleError
 from biplane_schemes.fixtures import RELATION_6
-from biplane_schemes.pbibd import InconsistencyError
+from biplane_schemes.pbibd import InconsistencyError, NotPbibdError
 from biplane_schemes.scheme import InternalInconsistencyError, NotASchemeError, format_relation
 from biplane_schemes.search import SearchBugError
 
@@ -371,6 +371,25 @@ def test_extract_counterexample_exits_3(fixture_dir, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "extract", str(fixture_dir / "b4c.txt"))
     assert code == 3
     assert "counterexample" in err
+
+
+def test_a_design_check_that_fails_in_extract_or_family_exits_3(fixture_dir, capsys, monkeypatch):
+    def irregular_doubled(m):
+        rows = doubled(m).to_lists()
+        rows[1][1] = 0
+        return BinaryMatrix.from_rows(rows)
+
+    def unbalanced(core):
+        raise NotPbibdError(1, 0, 0, 9, 1, 10)
+
+    monkeypatch.setattr(extract, "doubled", irregular_doubled)
+    code, out, err = run_cli(capsys, "family", "--m", "5")
+    assert (code, out) == (3, "")
+    assert err == "counterexample trap: family member m=5: point 1 degree 2 != 3\n"
+    monkeypatch.setattr(extract, "classify", unbalanced)
+    code, out, err = run_cli(capsys, "extract", str(fixture_dir / "b4c.txt"))
+    assert (code, out) == (3, "")
+    assert err.startswith("counterexample trap: core at k=6: class 1 (concurrence 0) is not balanced")
 
 
 def test_extract_bad_permutation_witness_exits_3(fixture_dir, capsys, monkeypatch):

@@ -227,6 +227,32 @@ def test_extract_and_family_trap_unexpected_parameters(monkeypatch):
     assert str(err.value) == "family member m=5: r = 4, want 3"
 
 
+def irregular_doubled(m):
+    """D_m with entry (1, 1) cleared, so that point 1 lies on 2 blocks."""
+    rows = doubled(m).to_lists()
+    rows[1][1] = 0
+    return BinaryMatrix.from_rows(rows)
+
+
+def unbalanced(core):
+    raise NotPbibdError(1, 0, 0, 9, 1, 10)
+
+
+def test_extract_and_family_trap_a_design_check_that_fails(monkeypatch):
+    # an irregular family member and a core of unbalanced classes
+    # falsify theorems, so they are traps, not errors of the input
+    monkeypatch.setattr(extract, "doubled", irregular_doubled)
+    with pytest.raises(CounterexampleError) as err:
+        family_generate(5)
+    assert str(err.value) == "family member m=5: point 1 degree 2 != 3"
+    monkeypatch.setattr(extract, "classify", unbalanced)
+    with pytest.raises(CounterexampleError) as err:
+        extract_design(assemble_b4c())
+    assert str(err.value) == (
+        "core at k=6: class 1 (concurrence 0) is not balanced: "
+        "point 0 has 9 associates, point 1 has 10")
+
+
 def test_family_generate():
     for m in range(3, 9):
         matrix, rep = family_generate(m)

@@ -274,21 +274,50 @@ class DefinitionCheckedSearcher(search_mod._Searcher):
     that agree with the fixed entries and meet every placed tail row
     exactly twice, or, at a dead end, some unplaced row must keep none.
     And the row chosen to be placed next must be the unplaced row with
-    the fewest kept candidates, the lowest one on a tie."""
+    the fewest kept candidates, the lowest one on a tie.
+
+    The expected rows are rebuilt from the base rows and a stack of the
+    placed candidates kept here, each read once as it is placed and
+    checked to be one of its row's candidates; the searcher's rows must
+    equal them, so a mirrored bit that place leaves behind fails."""
 
     checked = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.placed = []  # (row, candidate) in the order they were placed
+
+    def place(self, i, masks, free):
+        # row i holds its base bits, the bits mirrored from the rows
+        # placed before it, and its candidate, which agrees with those
+        candidate = self.rows[i] & self.tables[i - self.k][2]
+        assert candidate in candidates(self.k, i)
+        self.placed.append((i, candidate))
+        super().place(i, masks, free)
+        self.placed.pop()
 
     def _narrow(self, i, masks, free):
         # a subtree's first placed row is its branch, a candidate of the
         # root's choice, row k: at the root every row keeps every candidate
         root = dict.fromkeys(range(self.k + 1, self.v), (1 << len(self.factors)) - 1)
         assert (i == self.k) == (masks == root)
+        assert {p for p, _ in self.placed} == {
+            p for p in range(self.k, self.v) if not free >> p & 1}
         narrowed = super()._narrow(i, masks, free)
-        placed = [self.rows[p] for p in range(self.k, self.v) if not free >> p & 1]
+        rows = list(search_mod._base_rows(self.k))
+        for p, candidate in self.placed:
+            rows[p] |= candidate
+            for j in masks:
+                if candidate >> j & 1:
+                    rows[j] |= 1 << p
+        # the searcher's rows are the base rows, the placed candidates and
+        # their mirror, and nothing left behind by an earlier subtree
+        assert self.rows == rows
+        placed = [rows[p] for p, _ in self.placed]
 
         def definition(j):
             columns = self.tables[j - self.k][2]
-            row, fixed = self.rows[j], columns & ~free
+            row, fixed = rows[j], columns & ~free
             return sum(1 << n for n, cand in enumerate(candidates(self.k, j)) if (
                 cand & fixed == row & fixed
                 and all(((row | cand) & p).bit_count() == 2 for p in placed)))
