@@ -474,6 +474,25 @@ def assemble(blocks: Sequence[Sequence[BinaryMatrix]]) -> BinaryMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _row_components(m: BinaryMatrix) -> list[list[int]]:
+    """The components of the graph on m's rows in which two rows are
+    adjacent when they share a column, each as a list of row indices.
+    A zero row is a component of its own."""
+    # merged a row at a time, keyed by the columns of their rows
+    parts: dict[int, list[int]] = {}
+    alone = []
+    for i, row in enumerate(m.bits):
+        if not row:
+            alone.append([i])
+            continue
+        rows = [i]
+        for cols in [c for c in parts if c & row]:
+            row |= cols
+            rows += parts.pop(cols)
+        parts[row] = rows
+    return [*parts.values(), *alone]
+
+
 def is_perm_equivalent(
     a: BinaryMatrix, b: BinaryMatrix
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -489,38 +508,34 @@ def is_perm_equivalent(
 
     One backtrack maps the rows, the most constrained first, and
     matches the columns as it goes. Each column has a key, the depths of
-    the mapped rows with a 1 in it. A candidate row of b must carry the
-    dots to the rows mapped before it, and the keys under its ones must
-    equal, as a multiset, the keys under the ones of the row of a it
-    takes. That keeps the multisets of a's and b's keys equal, so when
-    the last row is mapped the columns pair off by key; and it cuts only
-    row maps that no column matching completes. The found witness is
-    checked with permute, and a failure raises WitnessError.
+    the mapped rows with a 1 in it. The keys under the ones of a
+    candidate row of b must equal, as a multiset, the keys under the
+    ones of the row of a it takes. Its dot with the row mapped at depth
+    p counts its keys with bit p set, so it then carries the dots to
+    the rows mapped before it too. That keeps the multisets of a's and
+    b's keys equal, so when the last row is mapped the columns pair off
+    by key; and it cuts only row maps that no column matching completes.
+    The found witness is checked with permute, and a failure raises
+    WitnessError.
 
-    On a biplane every off-diagonal dot is 2, so only the keys prune. A
-    relabelled b4c takes under 1 ms, and b9e with its points renamed
-    0.1 to 1 s; a uniformly random row and column relabelling of b9e
-    can take over a minute (2-vCPU host).
+    On a biplane every off-diagonal dot is 2, so every row of b is a
+    candidate for every row of a. A relabelled b4c takes under 1 ms,
+    and b9e with its points renamed 0.06 to 0.5 s; a uniformly random
+    row and column relabelling of b9e can take over a minute (2-vCPU
+    host).
     """
     if (a.rows, a.cols) != (b.rows, b.cols):
         return None
     if sorted(a.col_sums()) != sorted(b.col_sums()):
         return None
     n = a.rows
-    dots_a, dots_b = a.row_dots(), b.row_dots()
 
-    def invariants(m: BinaryMatrix, dots: np.ndarray) -> list[tuple[int, ...]]:
-        # the components of the rows that meet, merged a row at a time,
-        # as their columns and their rows; equal rows share a component
-        parts: dict[int, list[int]] = {}
-        for row in m.bits:
-            cols, rows = row, [row]
-            for other in [c for c in parts if c & row]:
-                cols |= other
-                rows += parts.pop(other)
-            parts[cols] = rows
-        size = {row: len(rows) for rows in parts.values() for row in rows}
-        sizes = [size[row] for row in m.bits]
+    def invariants(m: BinaryMatrix) -> list[tuple[int, ...]]:
+        dots = m.row_dots()
+        sizes = [0] * m.rows
+        for rows in _row_components(m):
+            for i in rows:
+                sizes[i] = len(rows)
         table = np.column_stack([dots.diagonal(), sizes, np.sort(dots, axis=1)])
         return list(map(tuple, table.tolist()))
 
@@ -534,7 +549,7 @@ def is_perm_equivalent(
                 row ^= low
         return ones
 
-    sig_a, sig_b = invariants(a, dots_a), invariants(b, dots_b)
+    sig_a, sig_b = invariants(a), invariants(b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     rows_of: dict = defaultdict(list)
@@ -544,7 +559,6 @@ def is_perm_equivalent(
     # map the most constrained rows first
     order = sorted(range(n), key=lambda i: len(candidates[i]))
     ones_a, ones_b = row_ones(a), row_ones(b)
-    dots_a, dots_b = dots_a.tolist(), dots_b.tolist()
     # a's keys, and the keys under the ones of the row mapped at each
     # depth, depend only on the order
     keys_a = [0] * a.cols
@@ -567,22 +581,17 @@ def is_perm_equivalent(
             return row_perm, col_perm
         i = order[pos]
         for r in candidates[i]:
-            if used[r]:
+            if used[r] or sorted(map(keys.__getitem__, ones_b[r])) != wanted[pos]:
                 continue
-            for earlier in order[:pos]:
-                if dots_a[i][earlier] != dots_b[r][assigned[earlier]]:
-                    break
-            else:
-                if sorted(map(keys.__getitem__, ones_b[r])) == wanted[pos]:
-                    moved = keys.copy()
-                    for c in ones_b[r]:
-                        moved[c] |= 1 << pos
-                    assigned[i] = r
-                    used[r] = True
-                    found = backtrack(pos + 1, moved)
-                    if found is not None:
-                        return found
-                    used[r] = False
+            moved = keys.copy()
+            for c in ones_b[r]:
+                moved[c] |= 1 << pos
+            assigned[i] = r
+            used[r] = True
+            found = backtrack(pos + 1, moved)
+            if found is not None:
+                return found
+            used[r] = False
         return None
 
     return backtrack(0, [0] * b.cols)

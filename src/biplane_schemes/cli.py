@@ -67,15 +67,16 @@ SCHEMA_VERSION = 2
 
 # verify and extract take matrices of at most this many rows (points):
 # a dense input has its v x v int64 concurrence table and relation built
-# by the classification, and the table by the biplane check when
-# v = 1 + C(k,2), each 8 bytes an entry, 200 MB at 5000 points. A large
-# sparse input is classified from its block pairs (see pbibd), and
-# verify builds neither its relation nor a Python int per row: verify of
-# D_2500 peaks at 81 MB RSS, and at 148 MB for a CRLF copy, which is
-# decoded and read a line at a time into a 25 MB uint8 array. family
-# writes 2m points, so it takes m of at most MAX_POINTS // 2. scheme
-# takes square relation tables of at most this many points too, each
-# read into a v x v int64 table: 354 MB for 5000 points of 2-digit labels
+# by the classification, each 8 bytes an entry, 200 MB at 5000 points;
+# the biplane check builds no table, and a full pass of its row pairs
+# at the cap takes about 4 s. A large sparse input is classified from
+# its block pairs (see pbibd), and verify builds neither its relation
+# nor a Python int per row: verify of D_2500 peaks at 81 MB RSS, and at
+# 148 MB for a CRLF copy, which is decoded and read a line at a time
+# into a 25 MB uint8 array. family writes 2m points, so it takes m of at
+# most MAX_POINTS // 2. scheme takes square relation tables of at most
+# this many points too, each read into a v x v int64 table: 354 MB for
+# 5000 points of 2-digit labels
 MAX_POINTS = 5000
 
 # a "rows cols" header of ASCII digits, each ended by ASCII whitespace

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .binmat import BinaryMatrix, _Trap, doubled, is_perm_equivalent
+from .binmat import BinaryMatrix, _Trap, _row_components, doubled, is_perm_equivalent
 from .biplane import has_canonical_form, symmetric_canonical_defect
 from .pbibd import (
     NotPbibdError,
@@ -90,7 +90,8 @@ def check_core_sums(core: BinaryMatrix) -> tuple[bool, Optional[dict]]:
     """All row and column sums of a core equal 3? Witness names the first miss.
 
     This is the lenient entry point for cores supplied directly,
-    without the surrounding canonical matrix.
+    without the surrounding canonical matrix, and check_lemma1's check.
+    extract_design reads the same fact from its PBIBD report, r = k = 3.
     """
     for i, s in enumerate(core.row_sums()):
         if s != 3:
@@ -143,7 +144,9 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
     two columns (no 2x2 all-ones submatrix). Conclusion verified: every
     row has scalar product 1 with exactly two other rows and 0 with the
     remaining m-3. The report carries the cycle decomposition of the
-    bipartite row-column graph; a conclusion failure would raise
+    bipartite row-column graph: once the hypotheses hold, each of its
+    cycles is twice as long as a component of the rows that meet
+    (binmat._row_components). A conclusion failure would raise
     CounterexampleError, but none is mathematically possible.
     """
     if a.rows != a.cols:
@@ -169,8 +172,7 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
             "a 2x2 all-ones block is excluded"
         )
 
-    meets = dots == 1
-    for i, ones in enumerate(meets.sum(axis=1).tolist()):
+    for i, ones in enumerate((dots == 1).sum(axis=1).tolist()):
         if ones != 2:
             raise CounterexampleError(
                 f"row {i} has scalar product 1 with {ones} rows, want exactly 2"
@@ -179,19 +181,8 @@ def check_lemma2(a: BinaryMatrix) -> Lemma2Report:
     # the rows that share a column form a 2-regular graph, and each of
     # its cycles, of L rows, is a cycle of L rows and L columns in the
     # bipartite row-column graph
-    near = np.nonzero(meets)[1].reshape(m, 2).tolist()
-    seen = [False] * m
-    lengths = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        x, size = start, 0
-        while x is not None:
-            seen[x] = True
-            size += 1
-            x = next((y for y in near[x] if not seen[y]), None)
-        lengths.append(2 * size)
-    return Lemma2Report(m=m, cycle_lengths=tuple(sorted(lengths)))
+    lengths = sorted(2 * len(rows) for rows in _row_components(a))
+    return Lemma2Report(m=m, cycle_lengths=tuple(lengths))
 
 
 @dataclass(eq=False)
@@ -233,15 +224,16 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
 
     Preconditions (PreconditionError): m verifies as a biplane, is
     symmetric, has trace v, and is in canonical form. Consequences
-    (CounterexampleError if ever violated): core sums 3, core symmetric,
-    classification d=3 with lambda (0,1,2) and n (2k-11, 2, 2), and the
-    PBIBD identities. The classification is then checked as a 3-class
-    association scheme, which is data, not a consequence: the scheme of
-    the 6-point core at k = 6, or scheme None with the NotASchemeError
-    witness (no scheme with valencies (11, 2, 2) exists on 16 points, so
-    every core at k = 11 lands here). The report also carries a
-    permutation witness against doubled(k-3) when one exists; its
-    absence is normal at some orders.
+    (CounterexampleError if ever violated): core symmetric, core line
+    sums 3 (r = k = 3 in the PBIBD report), classification d=3 with
+    lambda (0,1,2) and n (2k-11, 2, 2),
+    and the PBIBD identities. The classification is then checked as a
+    3-class association scheme, which is data, not a consequence: the
+    scheme of the 6-point core at k = 6, or scheme None with the
+    NotASchemeError witness (no scheme with valencies (11, 2, 2) exists
+    on 16 points, so every core at k = 11 lands here). The report also
+    carries a permutation witness against doubled(k-3) when one exists;
+    its absence is normal at some orders.
     """
     defect = symmetric_canonical_defect(m)
     if defect:
@@ -252,19 +244,18 @@ def extract_design(m: BinaryMatrix) -> ExtractionReport:
     # canonical and has a full diagonal
     indices = extraction_indices(k)
     core = m.submatrix(indices, indices)
-    sums_ok, witness = check_core_sums(core)
-    if not sums_ok:
-        raise CounterexampleError(f"core line sums are not all 3: {witness}")
     if not core.is_symmetric():
         raise CounterexampleError("core of a symmetric matrix is not symmetric")
 
-    # the core's regularity and its balanced classes are theorems too
+    # the core's line sums 3 (Lemma 1) and its balanced classes are
+    # theorems too
     try:
         classification = classify(core)
         pbibd_report = _pbibd_report(core, classification)
     except (StructureError, NotPbibdError) as exc:
         raise CounterexampleError(f"core at k={k}: {exc}") from exc
-    _expect(pbibd_report, {"lambda": [0, 1, 2], "n": [2 * k - 11, 2, 2]}, f"core at k={k}")
+    _expect(pbibd_report, {"lambda": [0, 1, 2], "n": [2 * k - 11, 2, 2], "r": 3, "k": 3},
+            f"core at k={k}")
     core_scheme, scheme_witness = None, None
     try:
         core_scheme = from_relation_matrix(classification.relation)

@@ -227,6 +227,83 @@ def test_verify_names_a_first_bad_pair_past_row_0():
     assert err.value.witness == bad[0]
 
 
+def oracle_row_balance(m: BinaryMatrix) -> None:
+    """The pair-balance check verify_biplane made before it looped over
+    the packed rows, kept as its oracle: a scan of row 0, then the whole
+    row_dots table. Raises VerificationError for the first bad pair."""
+    v = m.rows
+    first = m.bits[0]
+    for j in range(1, v):
+        d = (first & m.bits[j]).bit_count()
+        if d != 2:
+            raise VerificationError(
+                "row-balance", (0, j, d), f"rows 0,{j} share {d} columns, want 2"
+            )
+    dots = m.row_dots()
+    np.fill_diagonal(dots, 2)
+    bad = np.argwhere(dots != 2)
+    if len(bad):
+        i, j = bad[0].tolist()
+        d = int(dots[i, j])
+        raise VerificationError(
+            "row-balance", (i, j, d), f"rows {i},{j} share {d} columns, want 2"
+        )
+
+
+def interchanges(m: BinaryMatrix) -> list[tuple[int, int, int]]:
+    """(i1, i2, flip) for every 2x2 pattern [[1, 0], [0, 1]] in rows
+    i1 < i2 and columns j1, j2 in any order, with flip the mask of j1
+    and j2: XORing flip into both rows swaps the pattern for
+    [[0, 1], [1, 0]] and keeps all line sums."""
+    def ones(row):
+        return [1 << j for j in range(row.bit_length()) if row >> j & 1]
+
+    bits = m.bits
+    return [(i1, i2, one1 | one2)
+            for i1, i2 in itertools.combinations(range(m.rows), 2)
+            for one1 in ones(bits[i1] & ~bits[i2])
+            for one2 in ones(bits[i2] & ~bits[i1])]
+
+
+def interchanged(m: BinaryMatrix, i1: int, i2: int, flip: int) -> BinaryMatrix:
+    bits = list(m.bits)
+    bits[i1] ^= flip
+    bits[i2] ^= flip
+    return BinaryMatrix(m.rows, m.cols, tuple(bits))
+
+
+def test_pair_balance_matches_the_row_dots_oracle():
+    # verify_biplane passes, or names the same axiom, witness and
+    # message, exactly when the oracle does, on every single
+    # interchange of the order-2 biplane and of b4c, a few seeded ones
+    # of b9e, and a wide circulant
+    def outcome(check, m):
+        try:
+            check(m)
+        except VerificationError as exc:
+            return exc.axiom, exc.witness, str(exc)
+        return None
+
+    small = (order_2_biplane(), assemble_b4c())
+    corpus = [*small, *(interchanged(m, *at) for m in small for at in interchanges(m))]
+    big = b9e()
+    spots = interchanges(big)
+    rng = np.random.default_rng(39)
+    corpus += [big, *(interchanged(big, *spots[i])
+                      for i in rng.choice(len(spots), size=12, replace=False))]
+    k, v = 45, 991
+    block, full = (1 << k) - 1, (1 << v) - 1
+    corpus.append(BinaryMatrix(v, v, tuple(((block << r) | (block >> (v - r))) & full
+                                           for r in range(v))))
+    seen = set()
+    for m in corpus:
+        got = outcome(verify_biplane, m)
+        assert got == outcome(oracle_row_balance, m)
+        seen.add(got is None or (got[0], got[1][0] > 0))
+    # passes, rejections at row 0 and rejections past it
+    assert seen == {True, ("row-balance", False), ("row-balance", True)}
+
+
 def is_srg_plus_identity(m: BinaryMatrix) -> bool:
     """A - I is the adjacency matrix of an SRG(1 + C(k,2), k-1, 0, 2),
     with k the first row sum: symmetric with zero diagonal, and

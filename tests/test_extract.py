@@ -202,11 +202,24 @@ def test_extract_design_preconditions():
 
 def test_extract_design_traps_core_line_sums(monkeypatch):
     # Lemma 1 is a theorem for the inputs extract_design accepts, so a
-    # core line sum other than 3 is a counterexample, not bad input
-    monkeypatch.setattr(
-        extract, "check_core_sums", lambda core: (False, {"axis": "row", "index": 0, "sum": 2}))
-    with pytest.raises(CounterexampleError, match="core line sums are not all 3"):
-        extract_design(assemble_b4c())
+    # core line sum other than 3 is a counterexample, not bad input. A
+    # window of b4c's rows and columns moved off the core is still
+    # symmetric, but its line sums are not all 3 (and mostly not even
+    # constant); the PBIBD checks on the core must trap each such window
+    m = assemble_b4c()
+    trapped = []
+    for start in range(11):
+        window = tuple(range(start, start + 6))
+        core = m.submatrix(window, window)
+        assert core.is_symmetric()
+        monkeypatch.setattr(extract, "extraction_indices", lambda k, window=window: window)
+        try:
+            extract_design(m)
+        except CounterexampleError as exc:
+            assert str(exc).startswith("core at k=6: ")
+            trapped.append(start)
+        assert (start in trapped) == (not check_core_sums(core)[0])
+    assert trapped == [0, 1, 2, 3, 4, 5, 6, 8, 9, 10]
 
 
 def test_extract_and_family_trap_unexpected_parameters(monkeypatch):
@@ -221,6 +234,11 @@ def test_extract_and_family_trap_unexpected_parameters(monkeypatch):
     with pytest.raises(CounterexampleError) as err:
         extract_design(assemble_b4c())
     assert str(err.value) == "core at k=6: lambda = [0, 1, 3], want [0, 1, 2]"
+    monkeypatch.setattr(extract, "_pbibd_report",
+                        lambda matrix, classification: {**real(matrix, classification), "r": 4})
+    with pytest.raises(CounterexampleError) as err:
+        extract_design(assemble_b4c())
+    assert str(err.value) == "core at k=6: r = 4, want 3"
     monkeypatch.setattr(extract, "verify_pbibd", lambda m: {**real(m, None), "r": 4})
     with pytest.raises(CounterexampleError) as err:
         family_generate(5)

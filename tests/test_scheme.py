@@ -689,6 +689,20 @@ def relation_texts(count: int, seed: int):
         yield rng.choice(layouts)(text)
 
 
+def test_relation_text_round_trip_at_64_labels():
+    # the cyclic distance scheme on 128 points has 64 classes, so its
+    # labels 10..64 take two digits and the text is read off the
+    # single-digit layout, a line at a time
+    table = cyclic_distance_relation(128)
+    assert table.max() == 64
+    text = format_relation(table)
+    with mock.patch.object(scheme, "_read_grid", wraps=scheme._read_grid) as lines:
+        for data in (text, text.encode("ascii")):
+            back = parse_relation(data)
+            assert back.dtype == np.int64 and np.array_equal(back, table)
+    assert lines.call_count == 2
+
+
 def test_parse_relation_matches_the_token_loop():
     # as str and as a file's bytes; a text in the layout never reaches
     # the tokens
