@@ -500,9 +500,10 @@ def is_perm_equivalent(
 
     Returns the witnessing pair, or None when the matrices are not
     equivalent. Column permutations leave the row-dot table unchanged,
-    and with it three invariants of each row: its sum (its own dot), the
-    size of its component in the graph of rows that meet (a dot above
-    0), and its sorted dots. A row of a may map only to the rows of b with its
+    and with it two invariants of each row: the size of its component in
+    the graph of rows that meet (a dot above 0), and its sorted dots,
+    the last of which is its sum, since no row meets another in more
+    columns than its own. A row of a may map only to the rows of b with its
     invariants, in ascending order, so the two sorted lists of
     invariants must agree, as must the column sums.
 
@@ -536,7 +537,7 @@ def is_perm_equivalent(
         for rows in _row_components(m):
             for i in rows:
                 sizes[i] = len(rows)
-        table = np.column_stack([dots.diagonal(), sizes, np.sort(dots, axis=1)])
+        table = np.column_stack([sizes, np.sort(dots, axis=1)])
         return list(map(tuple, table.tolist()))
 
     def row_ones(m: BinaryMatrix) -> list[list[int]]:

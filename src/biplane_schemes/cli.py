@@ -66,9 +66,11 @@ from .binmat import (
 SCHEMA_VERSION = 2
 
 # verify and extract take matrices of at most this many rows (points):
-# a dense input has its v x v int64 concurrence table and relation built
-# by the classification, each 8 bytes an entry, 200 MB at 5000 points;
-# the biplane check builds no table, and a full pass of its row pairs
+# a dense input has its v x v int64 concurrence table built by the
+# classification, beside a v x v uint64 temporary, each 8 bytes an entry,
+# 200 MB at 5000 points (verify of a 4,951-point circulant peaks at
+# 437 MB); the relation, if read, is that table mapped in place. The
+# biplane check builds no table, and a full pass of its row pairs
 # at the cap takes about 4 s. A large sparse input is classified from
 # its block pairs (see pbibd), and verify builds neither its relation
 # nor a Python int per row: verify of D_2500 peaks at 81 MB RSS, and at

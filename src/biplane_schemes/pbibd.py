@@ -20,10 +20,14 @@ classify() finds the concurrences in one of two ways, with the same
 result either way: the same lambdas, counts and relation, or the same
 NotPbibdError with the same witness points.
 
-- From the table: one histogram of the whole concurrence table less
-  that of its diagonal gives the lambdas, a lookup table from lambda to
-  label maps the whole table at once, and the diagonal is then set to 0.
-  Its work grows with v^2 times the 64-bit words per row.
+- From the table: its diagonal is set to top, one past the largest
+  concurrence, so that one histogram of the whole table, cut at top,
+  gives the lambdas, and each class count is a count of one value per
+  row. The table is kept, and the first read of the relation maps it in
+  place through a lookup table from lambda to label that sends top to
+  0, so the classification holds one v x v table before and after that
+  read; verify_pbibd never reads it. Its work grows with v^2 times the
+  64-bit words per row.
 - From the block pairs: the pairs p < q of points inside each block,
   sum_b k_b(k_b - 1)/2 in all, sorted once and run-length counted, give
   each nonzero concurrence; a point's concurrence-0 associates are the
@@ -66,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,26 +119,21 @@ class PairClassification:
     carries the reserved label 0. lambdas[i-1] is the concurrence of
     class i and n[i-1] the (constant) count of i-th associates per point.
 
-    The table way stores the relation it built to count the classes. The
-    block-pair way keeps _pairs: the pairs p < q that meet in some block,
-    their labels, and the label of every other pair; relation, a v x v
-    int64 table, is filled from them on first read and then kept.
+    relation, a v x v int64 table, is built by _build on first read,
+    whichever way classified, and then kept: the table way maps its
+    concurrence table in place, the block-pair way fills it from the
+    pairs p < q that meet in some block, their labels, and the label of
+    every other pair.
     """
 
     v: int
     lambdas: tuple[int, ...]
     n: tuple[int, ...]
-    _pairs: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = field(
-        default=None, repr=False)
+    _build: Callable[[], np.ndarray] = field(repr=False)
 
     @functools.cached_property
     def relation(self) -> np.ndarray:
-        p, q, labels, fill = self._pairs
-        relation = np.full((self.v, self.v), fill, dtype=np.int64)
-        relation[p, q] = labels
-        relation[q, p] = labels
-        np.fill_diagonal(relation, 0)
-        return relation
+        return self._build()
 
     @property
     def d(self) -> int:
@@ -184,48 +183,44 @@ def classify(m: BinaryMatrix) -> PairClassification:
     everything else from the table. Both give the same result.
     """
     v = m.rows
-    # sum_b k_b^2 >= ones^2 / b, with equality for uniform blocks, so
-    # dense matrices are sent to the table before their ones are listed
-    if v >= _PAIRS_MIN_POINTS and m.count_ones() ** 2 < m.cols * v * v:
-        points, sizes = _block_members(m)
+    if v >= _PAIRS_MIN_POINTS:
+        sizes = np.array(m.col_sums())
         if int(sizes @ sizes) < v * v:
-            return _classify_pairs(v, points, sizes)
+            return _classify_pairs(v, _block_points(m), sizes)
     return _classify_table(m)
 
 
 def _classify_table(m: BinaryMatrix) -> PairClassification:
     """classify() from the whole concurrence table."""
-    v = m.rows
     conc = m.row_dots()
-    # the distinct off-diagonal concurrences in ascending order; np.unique
-    # would do, but its first call imports numpy.ma (15 ms with numpy
-    # 2.4), a cost every fresh process would pay
-    hist = np.bincount(conc.ravel())
-    hist -= np.bincount(conc.diagonal(), minlength=hist.size)
-    present = np.flatnonzero(hist)
+    # no concurrence exceeds a diagonal entry, so with the diagonal at top
+    # the histogram below top counts the pairs p != q; np.unique would
+    # do, but its first call imports numpy.ma (15 ms with numpy 2.4), a
+    # cost every fresh process would pay
+    top = int(conc.diagonal().max()) + 1
+    conc.flat[::m.rows + 1] = top
+    present = np.flatnonzero(np.bincount(conc.ravel())[:top])
     lambdas = tuple(present.tolist())
-    label_of = np.zeros(hist.size, dtype=np.int64)
+    counts = (np.count_nonzero(conc == lam, axis=1) for lam in lambdas)
+    n = _class_sizes(lambdas, counts)
+    label_of = np.zeros(top + 1, dtype=np.int64)
     label_of[present] = np.arange(1, present.size + 1)
-    relation = label_of[conc]
-    np.fill_diagonal(relation, 0)
-    counts = (np.count_nonzero(relation == label, axis=1)
-              for label in range(1, len(lambdas) + 1))
-    c = PairClassification(v=v, lambdas=lambdas, n=_class_sizes(lambdas, counts))
-    c.__dict__["relation"] = relation
-    return c
+    # mode="raise" would map through a v x v copy
+    return PairClassification(m.rows, lambdas, n,
+                              lambda: np.take(label_of, conc, out=conc, mode="clip"))
 
 
-def _block_members(m: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _block_points(m: BinaryMatrix) -> np.ndarray:
     """The points of every block, block after block and each block's in
-    ascending order, and the block sizes."""
+    ascending order."""
     points, blocks = m.nonzero()
-    sizes = np.bincount(blocks, minlength=m.cols)
-    return np.sort(blocks * m.rows + points) % m.rows, sizes
+    return np.sort(blocks * m.rows + points) % m.rows
 
 
 def _classify_pairs(v: int, points: np.ndarray, sizes: np.ndarray) -> PairClassification:
     """classify() from the point pairs inside each block, given by
-    _block_members: it never forms the concurrence table."""
+    _block_points and the block sizes: it never forms the concurrence
+    table."""
     # member i of a block pairs with the later members of its block,
     # which sit at i + 1 .. i + later[i] in points
     member = np.arange(points.size)
@@ -251,8 +246,15 @@ def _classify_pairs(v: int, points: np.ndarray, sizes: np.ndarray) -> PairClassi
     ).reshape(-1, v)
     if zero:
         counts[1] = zero_count
-    return PairClassification(v=v, lambdas=lambdas, n=_class_sizes(lambdas, counts[1:]),
-                              _pairs=(p, q, labels, zero))
+
+    def build() -> np.ndarray:
+        relation = np.full((v, v), zero, dtype=np.int64)
+        relation[p, q] = labels
+        relation[q, p] = labels
+        np.fill_diagonal(relation, 0)
+        return relation
+
+    return PairClassification(v, lambdas, _class_sizes(lambdas, counts[1:]), build)
 
 
 def _class_sizes(lambdas: tuple[int, ...], counts) -> tuple[int, ...]:

@@ -784,6 +784,22 @@ def test_scheme_with_too_many_classes_exits_2_before_the_tensor(tmp_path):
         " (d + 1)^3 = 216000000 entries, above the cap of 2097152\n")
 
 
+def test_scheme_one_class_past_the_tensor_cap_exits_2_in_process(tmp_path, capsys):
+    # 129 points labelled (x + y) mod 128 + 1 pass every gate with d =
+    # 128, and (d + 1)^3 = 2,146,689 is just above the cap of 2^21
+    v = 129
+    x = np.arange(v)
+    rel = (x[:, None] + x[None, :]) % (v - 1) + 1
+    np.fill_diagonal(rel, 0)
+    path = tmp_path / "classes129.txt"
+    path.write_text(format_relation(rel))
+    code, out, err = run_cli(capsys, "scheme", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: 128 classes: the intersection numbers p[h][i][j] would be"
+        " (d + 1)^3 = 2146689 entries, above the cap of 2097152\n")
+
+
 def test_scheme_point_cap(tmp_path, capsys, monkeypatch):
     # scheme takes tables of at most MAX_POINTS points, as verify does
     monkeypatch.setattr(cli, "MAX_POINTS", 6)

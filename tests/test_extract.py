@@ -62,6 +62,13 @@ def test_check_core_sums():
     assert not ok and witness["sum"] == 1
 
 
+def test_check_core_sums_names_the_first_bad_column():
+    # every row sums to 3, but the columns sum to 4, 4, 4, 0
+    ok, witness = check_core_sums(BinaryMatrix(4, 4, (0b0111,) * 4))
+    assert not ok
+    assert witness == {"axis": "column", "index": 0, "sum": 4}
+
+
 def test_check_lemma1_on_b4c():
     ok, witness = check_lemma1(assemble_b4c(), 6)
     assert ok and witness is None
@@ -198,6 +205,42 @@ def test_extract_design_preconditions():
     with pytest.raises(PreconditionError) as err:
         extract_design(trivial)
     assert "k >= 6" in str(err.value)
+
+
+def test_check_lemma2_traps_its_conclusion(monkeypatch):
+    # once the hypotheses hold, every row meets exactly two others; a
+    # row_dots table doctored so that rows 0 and 1 no longer meet trips it
+    real = BinaryMatrix.row_dots
+
+    def doctored(m):
+        dots = real(m)
+        assert dots[0, 1] == dots[1, 0] == 1
+        dots[0, 1] = dots[1, 0] = 0
+        return dots
+
+    monkeypatch.setattr(BinaryMatrix, "row_dots", doctored)
+    with pytest.raises(CounterexampleError) as err:
+        check_lemma2(path_loop(5))
+    assert str(err.value) == "row 0 has scalar product 1 with 1 rows, want exactly 2"
+
+
+def test_extract_design_traps_an_asymmetric_core(monkeypatch):
+    # the core is a principal submatrix of a symmetric matrix, so it is
+    # symmetric; a core with its first two rows swapped is not
+    real = BinaryMatrix.submatrix
+    indices = extraction_indices(6)
+
+    def swapped(m, rows, cols):
+        rows = list(rows)
+        if rows == list(indices):
+            rows[:2] = rows[1::-1]
+        return real(m, rows, cols)
+
+    monkeypatch.setattr(BinaryMatrix, "submatrix", swapped)
+    assert not swapped(assemble_b4c(), indices, indices).is_symmetric()
+    with pytest.raises(CounterexampleError) as err:
+        extract_design(assemble_b4c())
+    assert str(err.value) == "core of a symmetric matrix is not symmetric"
 
 
 def test_extract_design_traps_core_line_sums(monkeypatch):

@@ -5,6 +5,7 @@ pairs inside each block; the differential tests run both on the same
 inputs and require the same classification or the same NotPbibdError.
 """
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -22,13 +23,13 @@ from biplane_schemes.binmat import (
     path_loop,
 )
 from biplane_schemes.biplane import VerificationError, assemble_b4c, verify_biplane
-from biplane_schemes.extract import family_generate
+from biplane_schemes.extract import extraction_indices, family_generate
 from biplane_schemes.fixtures import CORES_12, CORES_16
 from biplane_schemes.pbibd import (
     InconsistencyError,
     NotPbibdError,
     StructureError,
-    _block_members,
+    _block_points,
     _classify_pairs,
     _classify_table,
     _regular_uniform,
@@ -166,6 +167,41 @@ def test_pairs_way_fills_the_relation_on_first_read():
     assert c.__dict__["relation"] is c.relation
     for label in range(c.d + 1):
         assert c.associate_matrix(label) == table.associate_matrix(label)
+
+
+def circulant(v: int, width: int) -> BinaryMatrix:
+    return BinaryMatrix(v, v, tuple(
+        sum(1 << ((i + j) % v) for j in range(width)) for i in range(v)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: assemble_b4c().submatrix(extraction_indices(6), extraction_indices(6)),
+    lambda: CORES_16[0],
+    lambda: circulant(101, 11),  # dense: sum k_b^2 = 12,221 >= v^2 = 10,201
+])
+def test_table_way_fills_the_relation_on_first_read(make, monkeypatch):
+    # the table way keeps its concurrence table, diagonal at top, and maps
+    # it in place on first read: no second v x v table is held
+    m = make()
+    v = m.rows
+    c = classify(m)
+    assert "relation" not in c.__dict__
+    made = []
+    monkeypatch.setattr(pbibd, "classify", lambda m: made.append(classify(m)) or made[-1])
+    verify_pbibd(m)
+    assert len(made) == 1 and "relation" not in made[0].__dict__
+    conc = m.row_dots()
+    label_of = np.zeros(conc.max() + 1, dtype=np.int64)
+    off = ~np.eye(v, dtype=bool)
+    present = np.flatnonzero(np.bincount(conc[off]))
+    label_of[present] = np.arange(1, present.size + 1)
+    expected = label_of[conc]
+    np.fill_diagonal(expected, 0)
+    assert c.lambdas == tuple(present.tolist())
+    # a second int64 table would take 8 v^2 bytes; a kilobyte is the read's own
+    assert traced_peak(lambda: c.relation) < 4 * v * v + 1024
+    assert c.relation.dtype == np.int64 and np.array_equal(c.relation, expected)
+    assert c.__dict__["relation"] is c.relation
 
 
 def traced_peak(run) -> int:
@@ -345,6 +381,13 @@ def test_a_biplane_is_one_class():
     assert verify_biplane(m).order == 4 == verify_pbibd(m)["r"] - c.lambdas[0]
 
 
+def test_sum_identity_trap(monkeypatch):
+    # sum_i n_i lambda_i = r(k-1) is a double count; a doctored n trips it
+    monkeypatch.setattr(pbibd, "classify", lambda m: dataclasses.replace(classify(m), n=(1, 2, 3)))
+    with pytest.raises(InconsistencyError, match=r"sum n_i lambda_i = 8 but r\(k-1\) = 6"):
+        verify_pbibd(doubled(3))
+
+
 def test_sum_identity_values():
     # sum of n_i * lambda_i equals r(k-1) on the doubled family
     for m in range(3, 12):
@@ -371,7 +414,7 @@ def outcome(run) -> tuple:
 def both_ways(m: BinaryMatrix) -> tuple:
     """The common outcome of both classify paths on m; fails unless they agree."""
     table = outcome(lambda: _classify_table(m))
-    pairs = outcome(lambda: _classify_pairs(m.rows, *_block_members(m)))
+    pairs = outcome(lambda: _classify_pairs(m.rows, _block_points(m), np.array(m.col_sums())))
     if table[0] == "not a PBIBD":
         assert pairs == table
     else:
@@ -425,11 +468,6 @@ def test_classify_paths_agree_on_a_large_witness(monkeypatch):
     with monkeypatch.context() as patch:
         refuse_row_dots(patch)
         assert outcome(lambda: classify(m)) == expected
-
-
-def circulant(v: int, width: int) -> BinaryMatrix:
-    return BinaryMatrix(v, v, tuple(
-        sum(1 << ((i + j) % v) for j in range(width)) for i in range(v)))
 
 
 def test_classify_picks_its_way_from_the_input(monkeypatch):
